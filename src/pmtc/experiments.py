@@ -78,6 +78,10 @@ class Row:
     metric: str
     value: float
 
+    def __post_init__(self):
+        # metrics return numpy scalars; a plain float keeps repr() parseable
+        object.__setattr__(self, "value", float(self.value))
+
 
 def _check_methods(methods, task: Task) -> None:
     for m in methods:
@@ -116,6 +120,46 @@ def _cluster_rows(rows, task, method, rep, init, final, truth, core_rows, s_y):
         rows.append(Row(task.experiment_id, method, rep, i + 1, "loss", loss))
 
 
+def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list, list]]:
+    """Initial and final memberships of every clustering method on one draw."""
+    init_xy = final_xy = init_x = None
+    omega = 1.0
+    if any(m.startswith("X+Y:") for m in methods):
+        # The coupled methods drop to the panel-only limit of the weighted
+        # objective when the tensor is spectrally indistinguishable from
+        # noise (it could only drag the shared mode down).  In that limit the
+        # spectral stage's k-means already solves the clustering problem to
+        # Lloyd convergence, so the refinement stage is a fixed point.
+        omega = 1.0 if tensor_informative(x, ranks) else 0.0
+        init_xy = pmtsc(x, y, ranks, seed=seed, omega=omega).memberships
+        if omega > 0:
+            final_xy, _ = pmtlloyd(x, y, init_xy, omega=omega)
+        else:
+            final_xy = init_xy
+    if any(m.startswith("X: HSC") for m in methods):
+        init_x = pmtsc(x, None, ranks, seed=seed).memberships
+
+    out = {}
+    for method in methods:
+        if method == "Y: SC":
+            m1 = spectral_cluster_rows(y, ranks[0], seed=seed)
+            out[method] = [m1], [m1]
+        elif method == "X+Y: PMTSC":
+            out[method] = init_xy, init_xy
+        elif method == "X+Y: PMTSC+PMTLloyd":
+            out[method] = init_xy, final_xy
+        elif method == "X+Y: PMTSC+HLloyd":
+            if omega > 0:
+                final, _ = pmtlloyd(x, y, init_xy, projection="oblique", omega=omega)
+            else:
+                final = init_xy
+            out[method] = init_xy, final
+        else:  # "X: HSC+HLloyd" / "X: HSC+PMTLloyd"
+            proj = "oblique" if "HLloyd" in method else "orthogonal"
+            out[method] = init_x, pmtlloyd(x, None, init_x, projection=proj)[0]
+    return out
+
+
 def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
     design = replace(task.design, seed=task.design.seed + rep)
     coupled = isinstance(design, SimDesign)
@@ -130,45 +174,12 @@ def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
     d = len(ranks)
     core_rows = [metrics.rescaled_core_rows(truth.core, truth.memberships, i + 1)
                  for i in range(d)]
-    s_y = truth.s_y
 
-    init_xy = final_xy = init_x = None
-    omega = 1.0
-    if any(m.startswith("X+Y:") for m in methods):
-        # The coupled methods drop to the panel-only limit of the weighted
-        # objective when the tensor is spectrally indistinguishable from
-        # noise (it could only drag the shared mode down).  In that limit the
-        # spectral stage's k-means already solves the clustering problem to
-        # Lloyd convergence, so the refinement stage is a fixed point.
-        omega = 1.0 if tensor_informative(x, ranks) else 0.0
-        init_xy = pmtsc(x, y, ranks, seed=design.seed, omega=omega).memberships
-        if omega > 0:
-            final_xy, _ = pmtlloyd(x, y, init_xy, omega=omega)
-        else:
-            final_xy = init_xy
-    if any(m.startswith("X: HSC") for m in methods):
-        init_x = pmtsc(x, None, ranks, seed=design.seed).memberships
-
+    memberships = _method_memberships(x, y, ranks, design.seed, methods)
     rows: list[Row] = []
     for method in methods:
-        if method == "Y: SC":
-            m1 = spectral_cluster_rows(y, ranks[0], seed=design.seed)
-            init, final = [m1], [m1]
-        elif method == "X+Y: PMTSC":
-            init, final = init_xy, init_xy
-        elif method == "X+Y: PMTSC+PMTLloyd":
-            init, final = init_xy, final_xy
-        elif method == "X+Y: PMTSC+HLloyd":
-            if omega > 0:
-                final, _ = pmtlloyd(x, y, init_xy, projection="oblique", omega=omega)
-            else:
-                final = init_xy
-            init = init_xy
-        else:  # "X: HSC+HLloyd" / "X: HSC+PMTLloyd"
-            proj = "oblique" if "HLloyd" in method else "orthogonal"
-            final, _ = pmtlloyd(x, None, init_x, projection=proj)
-            init = init_x
-        _cluster_rows(rows, task, method, rep, init, final, truth, core_rows, s_y)
+        init, final = memberships[method]
+        _cluster_rows(rows, task, method, rep, init, final, truth, core_rows, truth.s_y)
         if coupled:
             _loading_rows(rows, task, method, rep, y, final[0], truth, design.m1)
     return rows

@@ -6,7 +6,9 @@ Tensor container layout (all little-endian):
     version u32      currently 1
     order   u32      number of modes K
     dims    u64[K]
-    data    f64[prod(dims)] in canonical order (first index fastest)
+    data    f64[prod(dims)] in column-major order (first index fastest)
+
+:func:`read_tensor` returns the tensor in C order, the package's one layout.
 
 Matrices travel as CSV (row-major, optional header row); memberships as
 ``id,cluster`` CSV with 1-based cluster labels; loadings as cluster-by-factor
@@ -54,10 +56,10 @@ def read_tensor(path) -> np.ndarray:
             raise ValueError(f"{path}: unsupported container version {version}")
         dims = struct.unpack(f"<{order}Q", fh.read(8 * order))
         count = int(np.prod(dims)) if order else 1
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
+        data = np.fromfile(fh, dtype="<f8", count=count)
         if data.size != count:
             raise ValueError(f"{path}: truncated payload")
-    return np.asfortranarray(data.reshape(dims, order="F"))
+    return np.ascontiguousarray(data.reshape(dims, order="F"))
 
 
 def write_matrix_csv(path, a: np.ndarray, header: list[str] | None = None) -> None:

@@ -12,7 +12,8 @@ reduces to plain HOOI on the tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,11 +24,25 @@ __all__ = ["PchooiResult", "pchooi", "hooi"]
 
 @dataclass(frozen=True)
 class PchooiResult:
+    """Fitted bases and stopping record; ``x`` and ``y`` are the inputs.
+
+    The denoised tensor ``x_hat`` = x ×_i U_i U_i' and panel ``y_hat`` =
+    U_1 U_1' y are computed on first access and cached.
+    """
+
     bases: list[np.ndarray]
-    x_hat: np.ndarray
-    y_hat: np.ndarray | None
     iterations_used: int
     converged: bool
+    x: np.ndarray = field(repr=False, compare=False)
+    y: np.ndarray | None = field(repr=False, compare=False)
+
+    @cached_property
+    def x_hat(self) -> np.ndarray:
+        return multi_mode_product(self.x, {i: u @ u.T for i, u in enumerate(self.bases)})
+
+    @cached_property
+    def y_hat(self) -> np.ndarray | None:
+        return None if self.y is None else self.bases[0] @ self.bases[0].T @ self.y
 
 
 def _check_inputs(x: np.ndarray, y: np.ndarray | None, ranks) -> int:
@@ -48,7 +63,9 @@ def _check_inputs(x: np.ndarray, y: np.ndarray | None, ranks) -> int:
 
 
 def _mode1_block(x_proj: np.ndarray, y: np.ndarray | None, omega: float) -> np.ndarray:
-    block = matricize(x_proj, 0)
+    # The free C-order reshape; its column order differs from matricize(x_proj, 0),
+    # which leaves the left singular subspace unchanged.
+    block = x_proj.reshape(x_proj.shape[0], -1)
     if y is None:
         return block
     if omega != 1.0:
@@ -72,12 +89,18 @@ def pchooi(
     by sqrt(omega) before concatenation with ``y``); omega=0 recovers
     SVD-on-y, large omega approaches HOOI-on-x.
 
+    ``x`` is brought into C order once here, so every mode product of the
+    iteration runs on the free reshape of the full tensor.  Each basis update
+    is :func:`~pmtc.tensor.lsvd` of a wide block (projected unfolding, plus
+    ``y`` on mode 1), i.e. the top eigenvectors of its Gram matrix.
+
     Iterations stop once the per-mode projector movement
     max_i ||U_i U_i' - U_i_prev U_i_prev'||_2^2 falls below ``tol``.  Returns
-    the bases together with the denoised tensor x ×_i U_i U_i' and panel
-    U_1 U_1' y.
+    the bases and the stopping record; the denoised tensor x ×_i U_i U_i' and
+    panel U_1 U_1' y are computed only when the result's ``x_hat`` and
+    ``y_hat`` are read.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
     if omega < 0:
         raise ValueError("omega must be nonnegative")
@@ -103,11 +126,7 @@ def pchooi(
         if move <= tol:
             converged = True
             break
-
-    projectors = {i: bases[i] @ bases[i].T for i in range(d)}
-    x_hat = multi_mode_product(x, projectors)
-    y_hat = None if y is None else projectors[0] @ y
-    return PchooiResult(bases, x_hat, y_hat, iterations, converged)
+    return PchooiResult(bases, iterations, converged, x, y)
 
 
 def hooi(x: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-6) -> PchooiResult:
@@ -128,9 +147,10 @@ def tensor_informative(x: np.ndarray, ranks, slack: float = 0.0) -> bool:
     noise-dominated block should not enter a coupled objective; use the test
     to pick the coupling weight (1 if informative, else 0).
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     for i, m in enumerate(ranks):
-        unfolded = matricize(x, i)
+        # the spectrum does not depend on column order: mode 1 uses the free reshape
+        unfolded = x.reshape(x.shape[0], -1) if i == 0 else matricize(x, i)
         p, cols = unfolded.shape
         eigs = np.linalg.eigvalsh(unfolded @ unfolded.T)
         s = np.sqrt(np.maximum(eigs[::-1], 0.0))

@@ -73,7 +73,7 @@ def fit_pmtc(
     spectral stage already solves the clustering to convergence, so the
     refinement is skipped.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ranks = tuple(int(r) for r in ranks)
     if omega == "auto":

@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .kmeans import _repair_empty, _sq_distances
 from .membership import Membership
-from .tensor import matricize, mode_product, multi_mode_product
+from .tensor import matricize, multi_mode_product
 
 __all__ = ["LloydTrace", "pmtlloyd"]
 
@@ -42,8 +42,8 @@ class LloydTrace:
             fh.write("iteration,mode,cer,loss\n")
             for k in range(self.iterations_used):
                 for i in range(len(self.memberships[k])):
-                    cer = "" if self.cers is None else repr(self.cers[k][i])
-                    fh.write(f"{k + 1},{i + 1},{cer},{repr(self.losses[k])}\n")
+                    cer = "" if self.cers is None else repr(float(self.cers[k][i]))
+                    fh.write(f"{k + 1},{i + 1},{cer},{float(self.losses[k])!r}\n")
 
 
 def _expand(core: np.ndarray, labelings: list[np.ndarray]) -> np.ndarray:
@@ -104,7 +104,7 @@ def pmtlloyd(
     tensor-block term of the coupled mode-1 assignment distance.  Returns the
     final memberships and the full trace.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
     d = len(init)
     if x.ndim not in (d, d + 1):
@@ -135,7 +135,7 @@ def pmtlloyd(
             others = {j: projs[j].T for j in range(d) if j != i}
             proj_x = multi_mode_product(x, others)
             zi = matricize(proj_x, i)
-            ci = matricize(mode_product(proj_x, i, avgs[i].T), i)
+            ci = avgs[i].T @ zi
             if i == 0 and y is not None:
                 zi = np.concatenate([sqw * zi, y], axis=1)
                 ci = np.concatenate([sqw * ci, avgs[0].T @ y], axis=1)

@@ -51,7 +51,7 @@ def pmtsc(
     :func:`kmeans_relaxed` on the doubly projected unfolding, deterministic
     given ``seed``.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
     d = len(ranks)
     if bases is None:

@@ -213,8 +213,15 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
     """Draw one coupled block-model replication.
 
     Deterministic given ``design.seed``; draws with an empty cluster or zero
-    separation are retried on derived sub-seeds (bounded, then error).
+    separation are retried on derived sub-seeds (bounded, then error).  A
+    signal that is zero by design -- the core when ``sigma_s=0``, the panel
+    centroids when the loadings (``sigma_b=0``, ``mu_b=0``) or the factors
+    (``sigma_f=0``, ``mu_f=0``) vanish -- is neither retried nor rescaled.
     """
+    zero_x = design.sigma_s == 0.0
+    zero_y = (design.sigma_b == 0.0 and not any(design.mu_b)) or (
+        design.sigma_f == 0.0 and not design.mu_f_vector().any()
+    )
     last = "no attempts made"
     for attempt in range(_MAX_ATTEMPTS):
         rng = _rng_for(design.seed, attempt)
@@ -231,17 +238,22 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
         )
 
         stats = metrics.separations(core, members, b @ f)
-        if stats.degenerate or (
-            design.sigma_y > 0 and stats.delta_y_sq is not None and stats.delta_y_sq == 0.0
-        ):
+        # delta_sq[0] joins the core and panel separations of mode 1; the
+        # other modes are core only
+        seps = [] if zero_x else list(stats.delta_sq[1:])
+        if not (zero_x and zero_y):
+            seps.append(stats.delta_sq[0])
+        if design.sigma_y > 0 and not zero_y:
+            seps.append(stats.delta_y_sq)
+        if 0.0 in seps:
             last = "zero separation"
             continue
 
-        if design.sigma_x > 0:
+        if design.sigma_x > 0 and not zero_x:
             dx2 = min(stats.delta_x_sq)
             if math.isfinite(dx2):
                 core = core * math.sqrt(design.snr_x() * design.sigma_x**2 / dx2)
-        if design.sigma_y > 0 and design.ranks[0] > 1:
+        if design.sigma_y > 0 and design.ranks[0] > 1 and not zero_y:
             dy2 = stats.delta_y_sq
             b = b * math.sqrt(design.snr_y() * design.sigma_y**2 / dy2)
 

@@ -1,15 +1,22 @@
-"""Dense tensor algebra: matricization, mode products, truncated SVD, subspace distance.
+"""Dense tensor algebra: mode products, unfolding, truncated SVD, subspace distance.
 
 Dense tensors are plain numpy float arrays; ``shape`` plays the role of the
-dimension vector.  The canonical linear order of a tensor is column-major
-(first index fastest), which makes the mode-1 matricization of a
-Fortran-contiguous array a zero-copy reshape -- mode 1 is the hot path in the
-coupled algorithms.
+dimension vector.  The one layout is C order (last index fastest): the
+algorithms normalise their inputs once with ``np.ascontiguousarray``, and
+:func:`mode_product` keeps it.  A mode-k product is a single (batched) GEMM
+on the free reshape of ``x`` to ``(prod(shape[:k]), p_k, prod(shape[k+1:]))``
+and returns a C-contiguous result, so chains of products never copy the
+full tensor.
 
-Matricization follows the cyclic convention: the columns of the mode-k
-unfolding enumerate the remaining modes in the cyclic order
-(k+1, k+2, ..., K, 1, ..., k-1), with the first of these varying fastest.
-For an order-3 tensor A this gives
+:func:`matricize` defines the unfolding, and :func:`refold` inverts it.  They
+are not on the hot path: the kernel does not use them, and the algorithms
+apply them to small projected tensors (a full tensor is unfolded, at the
+cost of one copy, only to start PCHOOI or test a mode's spectrum; mode 1
+then uses the free C-order reshape, whose column order differs but whose
+left singular subspace is the same).  The columns of the mode-k unfolding
+enumerate the remaining modes in the cyclic order (k+1, k+2, ..., K, 1, ...,
+k-1), with the first of these varying fastest.  For an order-3 tensor A this
+gives
 
     mat1(A)[i, j + n2*k] == mat2(A)[j, k + n3*i] == mat3(A)[k, i + n1*j]
         == A[i, j, k]
@@ -19,6 +26,8 @@ algorithms only require that one fixed convention is used consistently.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,18 +76,25 @@ def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
     """k-mode product ``x x_mode u``: contracts ``x`` along ``mode`` with ``u``.
 
     ``u`` must have shape (r, x.shape[mode]); the result replaces that
-    dimension with r.  Satisfies matricize(result, mode) == u @ matricize(x, mode)
-    exactly (the product is computed in that form).
+    dimension with r and is C-contiguous.  Satisfies
+    matricize(result, mode) == u @ matricize(x, mode).  A C-contiguous ``x``
+    is not copied; any other layout is copied once into C order.
     """
-    x = np.asarray(x)
+    x = np.ascontiguousarray(x)
     u = np.asarray(u)
     _check_mode(x.ndim, mode)
     if u.ndim != 2 or u.shape[1] != x.shape[mode]:
         raise ValueError(
             f"matrix of shape {u.shape} cannot contract mode {mode} of size {x.shape[mode]}"
         )
+    lead, p, trail = math.prod(x.shape[:mode]), x.shape[mode], math.prod(x.shape[mode + 1 :])
     new_dims = x.shape[:mode] + (u.shape[0],) + x.shape[mode + 1 :]
-    return refold(u @ matricize(x, mode), mode, new_dims)
+    if trail == 1:
+        # The batch would be matrix-vector products, which round differently
+        # from u @ matricize(x, mode); one GEMM from the right matches it (bit
+        # for bit with OpenBLAS).
+        return (x.reshape(lead, p) @ u.T).reshape(new_dims)
+    return np.matmul(u, x.reshape(lead, p, trail)).reshape(new_dims)
 
 
 def multi_mode_product(x: np.ndarray, mats: dict[int, np.ndarray]) -> np.ndarray:
@@ -97,7 +113,9 @@ def multi_mode_product(x: np.ndarray, mats: dict[int, np.ndarray]) -> np.ndarray
 def lsvd(a: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of the top-``rank`` left singular subspace of ``a``.
 
-    The sign of each column is fixed so its largest-magnitude entry is
+    A wide matrix (more columns than rows) takes the top eigenvectors of its
+    rows x rows Gram matrix ``a @ a.T``; a square or tall one takes the thin
+    SVD.  The sign of each column is fixed so its largest-magnitude entry is
     positive (ties broken by lowest row index), making results deterministic.
     When singular values are repeated at the rank boundary the returned
     subspace is one valid choice; compare projectors, not raw bases.
@@ -110,9 +128,7 @@ def lsvd(a: np.ndarray, rank: int) -> np.ndarray:
     if not 1 <= rank <= min(a.shape):
         raise ValueError(f"rank {rank} invalid for matrix of shape {a.shape}")
     m, n = a.shape
-    if n >= 4 * m and n >= 64:
-        # Wide matrices: the left singular subspace is the top eigenspace of
-        # the small Gram matrix, at a fraction of the SVD cost.
+    if n > m:
         _, vecs = np.linalg.eigh(a @ a.T)
         u = vecs[:, ::-1][:, :rank].copy()
     else:

@@ -1,0 +1,61 @@
+import math
+
+import pytest
+
+from pmtc import experiments
+from pmtc.experiments import CLUSTER_METHODS, Task, run_experiment, write_results_csv
+from pmtc.simulate import SimDesign, gen_pmtc
+
+
+def test_results_csv_cells_parse_as_floats(tmp_path):
+    task = Task("small", SimDesign(dims=(24, 20), T=10, seed=3))
+    rows = run_experiment([task], CLUSTER_METHODS, replications=2)
+    path = tmp_path / "results.csv"
+    write_results_csv(rows, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "experiment_id,method,replication,mode,metric,value"
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert len(cells) == 6
+        for cell in (cells[2], cells[3], cells[5]):
+            assert math.isfinite(float(cell))
+        assert float(cells[5]) == row.value and type(row.value) is float
+
+
+# Memberships of one six-method replication of a small coupled design, as
+# 0-based label strings per clustered mode.  Kernel and layout changes must
+# leave them unchanged.
+_LOWSNR_MEMBERSHIPS = {
+    "Y: SC": ("300140223330313400222012230003211230333340230022012034214231",),
+    "X: HSC+HLloyd": ("202203100030120043313410004321140300031421210232304144231234",
+                      "03332132212012043310032020412130204303313202033111"),
+    "X: HSC+PMTLloyd": ("202203100030120043313410004321040300031421210232304144231234",
+                        "03332132212012043310032020412130204303313202033111"),
+    "X+Y: PMTSC": ("300140223330313400222012230003211230333340230022012034214231",
+                   "34102344133232300132424014111310240402403401424234"),
+    "X+Y: PMTSC+HLloyd": ("300140223330313400222012230003211230333340230022012034214231",
+                          "34102344133232300132424014111310240402403401424234"),
+    "X+Y: PMTSC+PMTLloyd": ("300140223330313400222012230003211230333340230022012034214231",
+                            "34102344133232300132424014111310240402403401424234"),
+}
+_HIGHSNR_LABELS = ("003411442240242030114340420312104120420213120014341320423124",
+                   "11021313033412314102133401400411314322142333421402")
+_HIGHSNR_MEMBERSHIPS = {
+    "Y: SC": ("300140223330313400222012230003211230333340230022012034214231",),
+    **{m: _HIGHSNR_LABELS for m in CLUSTER_METHODS[1:]},
+}
+
+
+@pytest.mark.parametrize("gamma_x, expected", [
+    (-0.5, _LOWSNR_MEMBERSHIPS),  # below the noise edge: omega=0, HOOI hits max_iter
+    (0.1, _HIGHSNR_MEMBERSHIPS),  # informative tensor: omega=1, coupled Lloyd runs
+])
+def test_six_method_memberships_unchanged(gamma_x, expected):
+    design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
+    data, _ = gen_pmtc(design)
+    got = experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
+                                          CLUSTER_METHODS)
+    labels = {method: tuple("".join(map(str, m.labels)) for m in final)
+              for method, (_, final) in got.items()}
+    assert labels == expected

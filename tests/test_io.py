@@ -1,0 +1,58 @@
+import numpy as np
+import pytest
+
+from pmtc import io
+from pmtc.membership import Membership
+
+
+@pytest.mark.parametrize("dims", [(3,), (4, 5), (3, 4, 5), (2, 3, 2, 4)])
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+def test_tensor_round_trip_exact_and_c_ordered(tmp_path, dims, layout):
+    x = np.random.default_rng(0).standard_normal(dims)
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "sliced":
+        padded = np.zeros(tuple(2 * n for n in dims))
+        padded[tuple(slice(None, None, 2) for _ in dims)] = x
+        x = padded[tuple(slice(None, None, 2) for _ in dims)]
+    path = tmp_path / "x.pmtc"
+    io.write_tensor(path, x)
+    back = io.read_tensor(path)
+    assert back.flags.c_contiguous and back.flags.writeable
+    assert back.dtype == np.float64 and back.shape == dims
+    assert np.array_equal(back, x)
+
+
+def test_tensor_payload_is_first_index_fastest(tmp_path):
+    x = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "x.pmtc"
+    io.write_tensor(path, x)
+    payload = np.frombuffer(path.read_bytes()[-48:], dtype="<f8")
+    assert list(payload) == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
+
+
+def test_tensor_bad_magic_and_truncation(tmp_path):
+    bad = tmp_path / "bad.pmtc"
+    bad.write_bytes(b"NOPE" + bytes(16))
+    with pytest.raises(ValueError):
+        io.read_tensor(bad)
+    path = tmp_path / "x.pmtc"
+    io.write_tensor(path, np.ones((3, 4)))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError):
+        io.read_tensor(path)
+
+
+def test_matrix_csv_round_trip_exact(tmp_path):
+    a = np.random.default_rng(1).standard_normal((5, 3))
+    path = tmp_path / "a.csv"
+    io.write_matrix_csv(path, a, header=["u", "v", "w"])
+    assert np.array_equal(io.read_matrix_csv(path), a)
+
+
+def test_membership_csv_round_trip(tmp_path):
+    m = Membership(np.array([2, 0, 1, 1, 0]), 3)
+    path = tmp_path / "m.csv"
+    io.write_membership_csv(path, m)
+    back = io.read_membership_csv(path)
+    assert np.array_equal(back.labels, m.labels) and back.num_clusters == 3

@@ -46,6 +46,14 @@ def test_outputs_recomputable_from_bases():
     assert np.allclose(res.bases[0] @ (res.bases[0].T @ data.y), res.y_hat, atol=1e-10)
 
 
+def test_denoised_outputs_computed_on_first_access_and_cached():
+    x, y, _ = _noiseless_coupled(seed=12)
+    res = pchooi(np.asfortranarray(x), y, (3, 2))
+    assert "x_hat" not in vars(res) and "y_hat" not in vars(res)
+    assert res.x_hat is res.x_hat and res.y_hat is res.y_hat
+    assert res.x.flags.c_contiguous
+
+
 def test_stop_rule_reported_consistently():
     data, _ = gen_coupled_lowrank(LowRankDesign(dims=(20, 18), T=12, ranks=(3, 3), seed=3))
     res = pchooi(data.x, data.y, (3, 3), max_iter=50, tol=1e-6)

@@ -146,3 +146,19 @@ def test_validation_errors():
         pmtlloyd(data.x, data.y[:5], truth.memberships)
     with pytest.raises(ValueError):
         pmtlloyd(data.x, data.y, truth.memberships[:1])
+
+
+def test_trace_csv_cells_parse_as_floats(tmp_path):
+    d = SimDesign(dims=(20, 16), T=8, ranks=(2, 2), m1=2, mu_b=(1.0,),
+                  gamma_x=0.0, gamma_y=0.0, seed=4)
+    data, truth = gen_pmtc(d)
+    init = pmtsc(data.x, data.y, d.ranks, seed=4)
+    _, trace = pmtlloyd(data.x, data.y, init.memberships, truth=truth.memberships)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert rows
+    for row in rows:
+        assert len(row) == 4
+        for cell in row:
+            assert math.isfinite(float(cell))

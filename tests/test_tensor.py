@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmtc.tensor import lsvd, matricize, mode_product, refold, subspace_distance
+from pmtc.tensor import (
+    lsvd,
+    matricize,
+    mode_product,
+    multi_mode_product,
+    refold,
+    subspace_distance,
+)
 
 
 def test_index_map_order3_explicit():
@@ -211,3 +218,57 @@ def test_subspace_distance_symmetric_and_triangle():
 def test_subspace_distance_shape_mismatch():
     with pytest.raises(ValueError):
         subspace_distance(np.eye(3)[:, :1], np.eye(3)[:, :2])
+
+
+def _layouts(a):
+    """The same tensor as C-ordered, F-ordered and non-contiguous arrays."""
+    padded = np.zeros(tuple(2 * n for n in a.shape))
+    sliced = padded[tuple(slice(None, None, 2) for _ in a.shape)]
+    sliced[...] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "sliced": sliced}
+
+
+@pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5), (2, 3, 4, 3)])
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+def test_mode_product_matches_unfolding_oracle_any_layout(dims, layout):
+    rng = np.random.default_rng(11)
+    x = _layouts(rng.standard_normal(dims))[layout]
+    for mode in range(len(dims)):
+        u = rng.standard_normal((2, dims[mode]))
+        out = mode_product(x, mode, u)
+        expect = refold(u @ matricize(x, mode), mode, dims[:mode] + (2,) + dims[mode + 1:])
+        assert out.flags.c_contiguous
+        assert np.allclose(out, expect, rtol=0, atol=1e-12)
+
+
+def test_multi_mode_product_chain_stays_c_contiguous():
+    rng = np.random.default_rng(12)
+    x = np.asfortranarray(rng.standard_normal((6, 5, 4)))
+    u, v = rng.standard_normal((2, 6)), rng.standard_normal((3, 5))
+    out = multi_mode_product(x, {0: u, 1: v})
+    assert out.shape == (2, 3, 4) and out.flags.c_contiguous
+    assert np.allclose(out, np.einsum("ia,jb,abk->ijk", u, v, x), rtol=0, atol=1e-12)
+
+
+def test_lsvd_gram_path_between_square_and_four_times_wide():
+    rng = np.random.default_rng(13)
+    a = _gapped_matrix(rng, 40, 120, [9.0, 7.0, 5.0, 3.0, 1.0]) + 1e-3 * rng.standard_normal((40, 120))
+    u = lsvd(a, 4)
+    uf, _, _ = np.linalg.svd(a, full_matrices=False)
+    assert np.allclose(u @ u.T, uf[:, :4] @ uf[:, :4].T, rtol=0, atol=1e-9)
+
+
+def test_lsvd_path_follows_shape(monkeypatch):
+    rng = np.random.default_rng(14)
+    wide, tall = rng.standard_normal((5, 6)), rng.standard_normal((6, 5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("wrong lsvd path")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", forbidden)
+        lsvd(wide, 2)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", forbidden)
+        lsvd(tall, 2)
+        lsvd(tall[:5], 2)  # square
