@@ -3,7 +3,10 @@
 Subcommands: ``simulate`` (preset experiment grids), ``fit`` (estimate
 memberships and loadings on user data), ``eval`` (total R-squared under a
 split or rolling scheme).  Each run writes a ``manifest.json`` that can be
-fed back through ``--config`` to reproduce it bit-identically.
+fed back through ``--config`` to reproduce it bit-identically, under the
+same ``config_hash``.  Each grid preset writes both its clustering-error and
+its loading-error panels (Figs 2/3, A3/A4, A5/A6, A7/A8 from ``fig2``,
+``figA3``, ``figA5``, ``figA7``).
 
 Exit codes: 2 invalid config, 3 infeasible design, 4 shape mismatch,
 5 unreadable input file.  Summary tables go to stdout, diagnostics to stderr.
@@ -89,16 +92,16 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_dir: str, run: dict, overrides: dict, resolved: dict) -> None:
-    payload = {"run": run, "overrides": overrides}
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
-    manifest = dict(payload)
+def _write_manifest(out_dir: str, run: dict, overrides: dict, resolved: dict,
+                    hashed: dict) -> None:
+    """Write manifest.json; ``config_hash`` is the digest of ``hashed``."""
+    manifest = {"run": run, "overrides": overrides}
     manifest["resolved_params"] = {k: list(v) if isinstance(v, tuple) else v
                                    for k, v in resolved.items()}
     manifest["versions"] = _versions()
-    manifest["config_hash"] = digest
+    manifest["config_hash"] = hashlib.sha256(
+        json.dumps(hashed, sort_keys=True).encode()
+    ).hexdigest()
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -127,22 +130,23 @@ def _cmd_simulate(args) -> int:
         run = build_preset(preset, overrides)
     except KeyError as exc:
         raise CliError(_EXIT_CONFIG, str(exc.args[0]))
+    except InfeasibleDesignError as exc:  # a ValueError, but its own exit code
+        raise CliError(_EXIT_INFEASIBLE, f"infeasible design: {exc}")
     except (ValueError, TypeError) as exc:
         raise CliError(_EXIT_CONFIG, f"invalid configuration: {exc}")
 
     os.makedirs(out_dir, exist_ok=True)
     print(f"preset {preset}: {len(run.tasks)} grid points x {run.replications} replications, "
           f"{len(run.methods)} methods, {threads} worker(s)", file=sys.stderr)
-    try:
-        rows = run_experiment(run.tasks, run.methods, run.replications,
-                              threads=threads, progress=args.progress)
-    except InfeasibleDesignError as exc:
-        raise CliError(_EXIT_INFEASIBLE, f"infeasible design: {exc}")
+    rows = run_experiment(run.tasks, run.methods, run.replications,
+                          threads=threads, progress=args.progress)
     write_results_csv(rows, os.path.join(out_dir, "results.csv"))
     panel_files = write_panels(rows, run.tasks, run.panels, run.methods, out_dir)
+    # the hash covers what determines the results, so a replay of this
+    # manifest (which folds seed and replications into the overrides) keeps it
     _write_manifest(out_dir, {"preset": preset, "seed": run.params["seed"],
                               "replications": run.replications},
-                    overrides, run.params)
+                    overrides, run.params, {"preset": preset, "params": run.params})
 
     print(f"preset: {preset}   replications: {run.replications}")
     print("panel,method,mean")
@@ -208,12 +212,14 @@ def _cmd_fit(args) -> int:
     with open(os.path.join(out_dir, "fit_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out_dir, {"seed": args.seed}, {
+    run = {"seed": args.seed}
+    overrides = {
         "command": "fit", "tensor": args.tensor, "returns": args.returns,
         "factors": args.factors or "", "ranks": args.ranks,
         "omega": args.omega, "rank_normalize": bool(args.rank_normalize),
         "factor_mode": args.factor_mode, "demean": args.demean,
-    }, summary)
+    }
+    _write_manifest(out_dir, run, overrides, summary, {"run": run, "overrides": overrides})
 
     print("mode,clusters,sizes")
     for i, m in enumerate(est.memberships):

@@ -23,8 +23,8 @@ import numpy as np
 from . import metrics
 from .factors import estimate_latent, estimate_observed, per_asset_loadings
 from .membership import Membership
-from .pchooi import hooi, pchooi, tensor_informative
-from .pmtlloyd import pmtlloyd
+from .pchooi import hooi, pchooi
+from .pipeline import cluster, refine
 from .pmtsc import pmtsc, spectral_cluster_rows
 from .simulate import (
     BlockDesign,
@@ -121,21 +121,16 @@ def _cluster_rows(rows, task, method, rep, init, final, truth, core_rows, s_y):
 
 
 def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list, list]]:
-    """Initial and final memberships of every clustering method on one draw."""
+    """Initial and final memberships of every clustering method on one draw.
+
+    The coupled methods are :func:`pmtc.pipeline.cluster` with
+    ``omega="auto"``; their oblique variant refines the same warm start with
+    the same coupling weight.
+    """
     init_xy = final_xy = init_x = None
     omega = 1.0
     if any(m.startswith("X+Y:") for m in methods):
-        # The coupled methods drop to the panel-only limit of the weighted
-        # objective when the tensor is spectrally indistinguishable from
-        # noise (it could only drag the shared mode down).  In that limit the
-        # spectral stage's k-means already solves the clustering problem to
-        # Lloyd convergence, so the refinement stage is a fixed point.
-        omega = 1.0 if tensor_informative(x, ranks) else 0.0
-        init_xy = pmtsc(x, y, ranks, seed=seed, omega=omega).memberships
-        if omega > 0:
-            final_xy, _ = pmtlloyd(x, y, init_xy, omega=omega)
-        else:
-            final_xy = init_xy
+        init_xy, final_xy, omega = cluster(x, y, ranks, "auto", seed)
     if any(m.startswith("X: HSC") for m in methods):
         init_x = pmtsc(x, None, ranks, seed=seed).memberships
 
@@ -149,14 +144,10 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list
         elif method == "X+Y: PMTSC+PMTLloyd":
             out[method] = init_xy, final_xy
         elif method == "X+Y: PMTSC+HLloyd":
-            if omega > 0:
-                final, _ = pmtlloyd(x, y, init_xy, projection="oblique", omega=omega)
-            else:
-                final = init_xy
-            out[method] = init_xy, final
+            out[method] = init_xy, refine(x, y, init_xy, omega, projection="oblique")
         else:  # "X: HSC+HLloyd" / "X: HSC+PMTLloyd"
             proj = "oblique" if "HLloyd" in method else "orthogonal"
-            out[method] = init_x, pmtlloyd(x, None, init_x, projection=proj)[0]
+            out[method] = init_x, refine(x, None, init_x, projection=proj)
     return out
 
 

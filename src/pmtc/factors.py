@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import Membership
+from .membership import Membership, block_means
 from .tensor import lsvd
 
 __all__ = ["FactorEstimate", "estimate_latent", "estimate_observed", "per_asset_loadings"]
@@ -35,10 +35,6 @@ class FactorEstimate:
     num_factors: int
 
 
-def _group_means(y: np.ndarray, m1: Membership) -> np.ndarray:
-    return m1.projector().T @ y
-
-
 def estimate_latent(y: np.ndarray, m1: Membership, num_factors: int) -> FactorEstimate:
     """PCA on the pooled second moment of the group-mean panel.
 
@@ -52,7 +48,7 @@ def estimate_latent(y: np.ndarray, m1: Membership, num_factors: int) -> FactorEs
         raise ValueError(
             f"factor count {num_factors} must lie in [1, {m1.num_clusters}]"
         )
-    a = _group_means(y, m1)
+    _, a = block_means(None, y, [m1])
     second_moment = a @ a.T / y.shape[1]
     if not np.any(second_moment):
         raise ValueError("degenerate panel: pooled second moment is zero")

@@ -1,4 +1,5 @@
-"""Cluster label vectors and the derived one-hot, projector, and basis matrices."""
+"""Cluster label vectors, their one-hot, projector, and basis matrices, and
+block averages of data over memberships with the inverse block expansion."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Membership", "EmptyClusterError"]
+from .tensor import multi_mode_product
+
+__all__ = ["Membership", "EmptyClusterError", "block_means", "expand_blocks"]
 
 
 class EmptyClusterError(ValueError):
@@ -80,3 +83,23 @@ class Membership:
         if perm.shape != (r,) or not np.array_equal(np.sort(perm), np.arange(r)):
             raise ValueError("perm must be a permutation of 0..r-1")
         return Membership(perm[self.labels], r)
+
+
+def block_means(
+    x: np.ndarray | None, y: np.ndarray | None, members: list[Membership]
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Block averages ``core`` = x ×_i P_i' of the tensor and group means
+    ``s_y`` = P_1' y of the panel rows, P_i the averaging projectors; either
+    is None when its input is."""
+    core = None if x is None else multi_mode_product(
+        x, {i: m.projector().T for i, m in enumerate(members)})
+    s_y = None if y is None else members[0].projector().T @ y
+    return core, s_y
+
+
+def expand_blocks(core: np.ndarray, members: list[Membership]) -> np.ndarray:
+    """Block-constant tensor whose entry (j_1, j_2, ...) is core[g_1(j_1), g_2(j_2), ...]."""
+    out = core
+    for axis, m in enumerate(members):
+        out = np.take(out, m.labels, axis=axis)
+    return out

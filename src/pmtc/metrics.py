@@ -11,6 +11,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .membership import Membership
+from .pchooi import coupled_block
 from .tensor import matricize, multi_mode_product
 
 __all__ = [
@@ -110,11 +111,7 @@ def rescaled_core_rows(
     """Mode-``mode`` (1-based) unfolding of the core with every other
     clustered mode scaled by its square-root cluster sizes."""
     i = mode - 1
-    scales = {
-        j: np.diag(np.sqrt(m.cluster_sizes.astype(float)))
-        for j, m in enumerate(memberships)
-        if j != i
-    }
+    scales = {j: m.scale() for j, m in enumerate(memberships) if j != i}
     return matricize(multi_mode_product(core, scales), i)
 
 
@@ -141,24 +138,22 @@ def separations(
 ) -> SeparationStats:
     """Separation statistics of a block model with the given memberships."""
     core = np.asarray(core, dtype=float)
+    s_y = None if s_y is None else np.asarray(s_y, dtype=float)
     d = len(memberships)
     delta_x: list[float] = []
     delta: list[float] = []
-    y_sq = None if s_y is None else _min_pairwise_sq(np.asarray(s_y, dtype=float))
+    y_sq = None if s_y is None else _min_pairwise_sq(s_y)
     for i in range(d):
         if memberships[i].num_clusters == 1:
             delta_x.append(math.inf)
             delta.append(math.inf)
             continue
         rows = rescaled_core_rows(core, memberships, i + 1)
+        delta_x.append(_min_pairwise_sq(rows))
         if i == 0 and s_y is not None:
-            joint = np.concatenate([rows, np.asarray(s_y, dtype=float)], axis=1)
-            delta_x.append(_min_pairwise_sq(rows))
-            delta.append(_min_pairwise_sq(joint))
+            delta.append(_min_pairwise_sq(coupled_block(rows, s_y, 1.0)))
         else:
-            dx = _min_pairwise_sq(rows)
-            delta_x.append(dx)
-            delta.append(dx)
+            delta.append(delta_x[-1])
     return SeparationStats(
         tuple(delta),
         tuple(delta_x),

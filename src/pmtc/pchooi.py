@@ -19,7 +19,7 @@ import numpy as np
 
 from .tensor import lsvd, matricize, multi_mode_product, subspace_distance
 
-__all__ = ["PchooiResult", "pchooi", "hooi"]
+__all__ = ["PchooiResult", "pchooi", "hooi", "coupled_block"]
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,13 @@ def _check_inputs(x: np.ndarray, y: np.ndarray | None, ranks) -> int:
     return d
 
 
-def _mode1_block(x_proj: np.ndarray, y: np.ndarray | None, omega: float) -> np.ndarray:
-    # The free C-order reshape; its column order differs from matricize(x_proj, 0),
-    # which leaves the left singular subspace unchanged.
-    block = x_proj.reshape(x_proj.shape[0], -1)
+def coupled_block(z: np.ndarray, y: np.ndarray | None, omega: float) -> np.ndarray:
+    """The coupled mode-1 matrix [sqrt(omega) z, y], or ``z`` alone without a panel."""
     if y is None:
-        return block
+        return z
     if omega != 1.0:
-        block = math.sqrt(omega) * block
-    return np.concatenate([block, y], axis=1)
+        z = math.sqrt(omega) * z
+    return np.concatenate([z, y], axis=1)
 
 
 def pchooi(
@@ -106,7 +104,10 @@ def pchooi(
         raise ValueError("omega must be nonnegative")
     d = _check_inputs(x, y, ranks)
 
-    bases = [lsvd(_mode1_block(x, y, omega), ranks[0])]
+    # Mode 1 takes the free C-order reshape; its column order differs from
+    # matricize(., 0), which leaves the left singular subspace unchanged.
+    p1 = x.shape[0]
+    bases = [lsvd(coupled_block(x.reshape(p1, -1), y, omega), ranks[0])]
     for i in range(1, d):
         bases.append(lsvd(matricize(x, i), ranks[i]))
 
@@ -117,7 +118,8 @@ def pchooi(
         prev = bases
         bases = list(prev)
         others = {j: prev[j].T for j in range(1, d)}
-        bases[0] = lsvd(_mode1_block(multi_mode_product(x, others), y, omega), ranks[0])
+        x_proj = multi_mode_product(x, others).reshape(p1, -1)
+        bases[0] = lsvd(coupled_block(x_proj, y, omega), ranks[0])
         for i in range(1, d):
             others = {j: bases[j].T for j in range(i)}
             others.update({j: prev[j].T for j in range(i + 1, d)})
@@ -134,15 +136,13 @@ def hooi(x: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-6) -> PchooiR
     return pchooi(x, None, ranks, max_iter=max_iter, tol=tol)
 
 
-def tensor_informative(x: np.ndarray, ranks, slack: float = 0.0) -> bool:
+def tensor_informative(x: np.ndarray, ranks) -> bool:
     """Whether every clustered mode's unfolding clears the spectral noise edge.
 
     Checks that the rank-m_i-th singular value of each mode unfolding exceeds
-    (1 + slack) times the i.i.d.-noise bulk edge sigma (sqrt(p_i) +
-    sqrt(cols)), with sigma estimated from the median singular value of the
-    (very wide) unfolding, which is robust to the low-rank signal.  The edge
-    fluctuates on a far smaller scale than ``slack`` at panel sizes, so the
-    test has essentially no false positives.  Below the edge the tensor is
+    the i.i.d.-noise bulk edge sigma (sqrt(p_i) + sqrt(cols)), with sigma
+    estimated from the median singular value of the (very wide) unfolding,
+    which is robust to the low-rank signal.  Below the edge the tensor is
     spectrally indistinguishable from noise, the regime where a
     noise-dominated block should not enter a coupled objective; use the test
     to pick the coupling weight (1 if informative, else 0).
@@ -155,6 +155,6 @@ def tensor_informative(x: np.ndarray, ranks, slack: float = 0.0) -> bool:
         eigs = np.linalg.eigvalsh(unfolded @ unfolded.T)
         s = np.sqrt(np.maximum(eigs[::-1], 0.0))
         sigma = float(np.median(s)) / math.sqrt(cols)
-        if s[m - 1] <= (1.0 + slack) * sigma * (math.sqrt(p) + math.sqrt(cols)):
+        if s[m - 1] <= sigma * (math.sqrt(p) + math.sqrt(cols)):
             return False
     return True

@@ -1,7 +1,9 @@
 """End-to-end fitting and evaluation of coupled panels.
 
-``fit_pmtc`` chains subspace estimation, spectral initialization, Lloyd
-refinement, and factor-loading estimation into one estimate bundle;
+``cluster`` is the one clustering path, shared by ``fit_pmtc`` and the
+Monte Carlo harness: coupling-weight choice, subspace estimation, spectral
+initialization, and Lloyd refinement.  ``fit_pmtc`` adds block centroids and
+factor loadings to form one estimate bundle;
 ``evaluate_split`` and ``evaluate_rolling`` compute in/out-of-sample total
 R-squared against the market-excess benchmark, re-estimating loadings on
 each training window with the fitted memberships held fixed.
@@ -15,14 +17,14 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .factors import FactorEstimate, estimate_latent, estimate_observed
-from .membership import Membership
+from .membership import Membership, block_means
 from .metrics import EvalInput, total_r2
-from .pchooi import pchooi, tensor_informative
+from .pchooi import tensor_informative
 from .pmtlloyd import pmtlloyd
 from .pmtsc import pmtsc
-from .tensor import multi_mode_product
 
-__all__ = ["PmtcEstimate", "fit_pmtc", "rank_normalize", "evaluate_split", "evaluate_rolling"]
+__all__ = ["PmtcEstimate", "cluster", "refine", "fit_pmtc", "rank_normalize",
+           "evaluate_split", "evaluate_rolling"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,47 @@ def rank_normalize(x: np.ndarray) -> np.ndarray:
     return (rankdata(x, method="average", axis=0) - 1.0) / (p1 - 1.0)
 
 
+def refine(
+    x: np.ndarray,
+    y: np.ndarray | None,
+    init: list[Membership],
+    omega: float = 1.0,
+    projection: str = "orthogonal",
+    max_iter: int | None = None,
+) -> list[Membership]:
+    """Lloyd refinement of ``init`` (see :func:`pmtc.pmtlloyd.pmtlloyd`).
+
+    At ``omega=0`` the coupled objective is the panel's alone, which the
+    spectral stage's k-means already solves to Lloyd convergence; the
+    refinement would be a fixed point, so ``init`` is returned as is.
+    """
+    if omega > 0:
+        return pmtlloyd(x, y, init, max_iter=max_iter, projection=projection, omega=omega)[0]
+    return init
+
+
+def cluster(
+    x: np.ndarray,
+    y: np.ndarray | None,
+    ranks,
+    omega: float | str = 1.0,
+    seed: int = 0,
+    lloyd_iters: int | None = None,
+) -> tuple[list[Membership], list[Membership], float]:
+    """PMTC memberships: PCHOOI bases and a PMTSC warm start, then :func:`refine`.
+
+    ``omega="auto"`` keeps the tensor block in the coupled mode only when it
+    clears the spectral noise edge (see :func:`pmtc.pchooi.tensor_informative`),
+    else drops to the panel-only limit (a tensor indistinguishable from noise
+    could only drag the shared mode down).  Returns the warm start, the
+    refined memberships and the coupling weight used.
+    """
+    if omega == "auto":
+        omega = 1.0 if tensor_informative(x, ranks) else 0.0
+    init = pmtsc(x, y, ranks, seed=seed, omega=omega).memberships
+    return init, refine(x, y, init, omega, max_iter=lloyd_iters), omega
+
+
 def fit_pmtc(
     x: np.ndarray,
     y: np.ndarray,
@@ -58,35 +101,20 @@ def fit_pmtc(
     seed: int = 0,
     demean: bool = True,
     lloyd_iters: int | None = None,
-    subspace_ranks=None,
-    restarts: int = 10,
 ) -> PmtcEstimate:
     """Fit memberships, block centroids, and factor loadings to (x, y).
 
-    ``ranks`` are the per-mode cluster counts.  With observed ``factors`` the
-    loadings come from group-level least squares (``demean`` controls the
-    time-series demeaning step); otherwise a latent-factor PCA estimate with
-    ``num_factors`` components (default: the mode-1 cluster count) is
-    returned.  ``omega="auto"`` keeps the tensor block in the coupled mode
-    only when it clears the spectral noise edge (see
-    :func:`pmtc.pchooi.tensor_informative`); in the panel-only limit the
-    spectral stage already solves the clustering to convergence, so the
-    refinement is skipped.
+    ``ranks`` are the per-mode cluster counts; the memberships come from
+    :func:`cluster`.  With observed ``factors`` the loadings come from
+    group-level least squares (``demean`` controls the time-series demeaning
+    step); otherwise a latent-factor PCA estimate with ``num_factors``
+    components (default: the mode-1 cluster count) is returned.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ranks = tuple(int(r) for r in ranks)
-    if omega == "auto":
-        omega = 1.0 if tensor_informative(x, ranks) else 0.0
-    bases = pchooi(x, y, subspace_ranks or ranks, omega=omega).bases
-    init = pmtsc(x, y, ranks, bases=bases, seed=seed, restarts=restarts, omega=omega)
-    if omega > 0:
-        members, _ = pmtlloyd(x, y, init.memberships, max_iter=lloyd_iters, omega=omega)
-    else:
-        members = init.memberships
-
-    core = multi_mode_product(x, {i: m.projector().T for i, m in enumerate(members)})
-    s_y = members[0].projector().T @ y
+    _, members, omega = cluster(x, y, ranks, omega, seed, lloyd_iters)
+    core, s_y = block_means(x, y, members)
     if factors is not None:
         est = estimate_observed(y, members[0], factors, demean=demean)
     else:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import metrics
 from .kmeans import _repair_empty, _sq_distances
-from .membership import Membership
+from .membership import Membership, block_means, expand_blocks
+from .pchooi import coupled_block
 from .tensor import matricize, multi_mode_product
 
 __all__ = ["LloydTrace", "pmtlloyd"]
@@ -46,18 +47,10 @@ class LloydTrace:
                     fh.write(f"{k + 1},{i + 1},{cer},{float(self.losses[k])!r}\n")
 
 
-def _expand(core: np.ndarray, labelings: list[np.ndarray]) -> np.ndarray:
-    out = core
-    for axis, labels in enumerate(labelings):
-        out = np.take(out, labels, axis=axis)
-    return out
-
-
 def _plugin_loss(x, y, members: list[Membership], omega: float) -> float:
-    core = multi_mode_product(x, {i: m.projector().T for i, m in enumerate(members)})
-    loss = omega * float(np.sum((x - _expand(core, [m.labels for m in members])) ** 2))
+    core, s_y = block_means(x, y, members)
+    loss = omega * float(np.sum((x - expand_blocks(core, members)) ** 2))
     if y is not None:
-        s_y = members[0].projector().T @ y
         loss += float(np.sum((y - s_y[members[0].labels]) ** 2))
     return loss
 
@@ -76,8 +69,8 @@ def _repair_init(x, y, members: list[Membership], omega: float) -> list[Membersh
             out.append(m)
             continue
         z = matricize(x, i)
-        if i == 0 and y is not None:
-            z = np.concatenate([math.sqrt(omega) * z, y], axis=1)
+        if i == 0:
+            z = coupled_block(z, y, omega)
         c = np.zeros((m.num_clusters, z.shape[1]))
         for a in np.flatnonzero(m.cluster_sizes > 0):
             c[a] = z[m.labels == a].mean(axis=0)
@@ -122,7 +115,6 @@ def pmtlloyd(
         raise ValueError("max_iter must be >= 1")
 
     members = _repair_init(x, y, init, omega)
-    sqw = math.sqrt(omega)
     trace = LloydTrace([], [], [], None if truth is None else [], 0, False)
 
     for _ in range(max_iter):
@@ -137,8 +129,8 @@ def pmtlloyd(
             zi = matricize(proj_x, i)
             ci = avgs[i].T @ zi
             if i == 0 and y is not None:
-                zi = np.concatenate([sqw * zi, y], axis=1)
-                ci = np.concatenate([sqw * ci, avgs[0].T @ y], axis=1)
+                zi = coupled_block(zi, y, omega)
+                ci = coupled_block(ci, avgs[0].T @ y, omega)
             labels = _assign(zi, ci, members[i].num_clusters)
             new_members.append(Membership(labels, members[i].num_clusters))
             cents.append(ci)

@@ -8,14 +8,13 @@ for clustering panel rows is also provided.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kmeans import default_kappa, kmeans_relaxed
+from .kmeans import kmeans_relaxed
 from .membership import Membership
-from .pchooi import pchooi
+from .pchooi import coupled_block, pchooi
 from .tensor import lsvd, matricize, multi_mode_product
 
 __all__ = ["SpectralInit", "pmtsc", "spectral_cluster_rows"]
@@ -36,28 +35,20 @@ def pmtsc(
     x: np.ndarray,
     y: np.ndarray | None,
     ranks,
-    bases: list[np.ndarray] | None = None,
-    kappa: float | None = None,
     seed: int = 0,
-    restarts: int = 10,
     omega: float = 1.0,
-    pchooi_ranks=None,
 ) -> SpectralInit:
     """Warm-start memberships for every clustered mode of ``x``.
 
-    ``ranks`` are the cluster counts r_i.  ``bases`` may carry precomputed
-    orthonormal bases; otherwise they are estimated here with subspace ranks
-    ``pchooi_ranks`` (defaulting to ``ranks``).  Each mode is clustered by
-    :func:`kmeans_relaxed` on the doubly projected unfolding, deterministic
-    given ``seed``.
+    ``ranks`` are the cluster counts r_i, which are also the subspace ranks
+    of the PCHOOI bases estimated here with coupling weight ``omega``.  Each
+    mode is clustered by :func:`kmeans_relaxed` on the doubly projected
+    unfolding, deterministic given ``seed``.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
     d = len(ranks)
-    if bases is None:
-        bases = pchooi(x, y, pchooi_ranks or ranks, omega=omega).bases
-    if len(bases) != d:
-        raise ValueError(f"expected {d} bases, got {len(bases)}")
+    bases = pchooi(x, y, ranks, omega=omega).bases
 
     memberships: list[Membership] = []
     projected: list[np.ndarray] = []
@@ -66,34 +57,25 @@ def pmtsc(
     for i in range(d):
         others = {j: bases[j].T for j in range(d) if j != i}
         zi = matricize(multi_mode_product(x, others), i)
-        if i == 0 and y is not None:
-            if omega != 1.0:
-                zi = math.sqrt(omega) * zi
-            zi = np.concatenate([zi, y], axis=1)
+        if i == 0:
+            zi = coupled_block(zi, y, omega)
         zi = bases[i] @ (bases[i].T @ zi)
-        res = kmeans_relaxed(zi, ranks[i], kappa or default_kappa(ranks[i]), seeds[i], restarts)
+        res = kmeans_relaxed(zi, ranks[i], seed=seeds[i])
         memberships.append(res.membership)
         projected.append(zi)
         objectives.append(res.objective)
     return SpectralInit(memberships, projected, objectives)
 
 
-def spectral_cluster_rows(
-    y: np.ndarray,
-    r: int,
-    rank: int | None = None,
-    kappa: float | None = None,
-    seed: int = 0,
-    restarts: int = 10,
-) -> Membership:
+def spectral_cluster_rows(y: np.ndarray, r: int, seed: int = 0) -> Membership:
     """Spectral clustering of the rows of a panel matrix.
 
-    Projects onto the top-``rank`` left singular subspace (default ``r``)
-    before running relaxed k-means.  The k-means seed derives from ``seed``
-    the same way as the coupled initializer's mode-1 seed, so a zero coupling
-    weight there reproduces this estimator exactly.
+    Projects onto the top-``r`` left singular subspace before running relaxed
+    k-means.  The k-means seed derives from ``seed`` the same way as the
+    coupled initializer's mode-1 seed, so a zero coupling weight there
+    reproduces this estimator exactly.
     """
     y = np.asarray(y, dtype=float)
-    u = lsvd(y, rank or r)
+    u = lsvd(y, r)
     z = u @ (u.T @ y)
-    return kmeans_relaxed(z, r, kappa or default_kappa(r), _mode_seeds(seed, 1)[0], restarts).membership
+    return kmeans_relaxed(z, r, seed=_mode_seeds(seed, 1)[0]).membership

@@ -4,6 +4,10 @@
 method list, panel specs, and replication count consumed by the harness.
 Override keys are validated against the preset's parameter table; unknown
 keys are rejected.
+
+Each design grid is one preset and is run once: the coupled grids ``fig2``,
+``figA3``, ``figA5`` and ``figA7`` write both their clustering-error panels
+(Figs 2, A3, A5, A7) and their loading-error panels (Figs 3, A4, A6, A8).
 """
 
 from __future__ import annotations
@@ -88,12 +92,6 @@ _PARAMS = {
         "imbalance": None,
     },
 }
-# loading-error presets reuse the CER presets' grids
-_PARAMS["fig3"] = dict(_PARAMS["fig2"])
-_PARAMS["figA4"] = dict(_PARAMS["figA3"])
-_PARAMS["figA6"] = dict(_PARAMS["figA5"])
-_PARAMS["figA8"] = dict(_PARAMS["figA7"])
-
 PRESET_NAMES = tuple(sorted(_PARAMS))
 
 _GRID_KEYS = {"log_cy_grid", "log_cx_grid", "gamma_y_grid", "gamma_x_grid", "scale_grid"}
@@ -150,22 +148,13 @@ def _pmtc_tasks(name: str, q: dict) -> list[Task]:
     return tasks
 
 
-def _cer_panels(name: str) -> list[PanelSpec]:
-    return [
-        PanelSpec(f"{name}_cer_mode1_vs_gamma_y", "vary_gamma_y", 1, "cer", "gamma_y"),
-        PanelSpec(f"{name}_cer_mode1_vs_gamma_x", "vary_gamma_x", 1, "cer", "gamma_x"),
-        PanelSpec(f"{name}_cer_mode2_vs_gamma_y", "vary_gamma_y", 2, "cer", "gamma_y"),
-        PanelSpec(f"{name}_cer_mode2_vs_gamma_x", "vary_gamma_x", 2, "cer", "gamma_x"),
-    ]
-
-
-def _loading_panels(name: str) -> list[PanelSpec]:
-    return [
-        PanelSpec(f"{name}_obs_err_vs_gamma_y", "vary_gamma_y", 1, "loading_err_observed", "gamma_y"),
-        PanelSpec(f"{name}_obs_err_vs_gamma_x", "vary_gamma_x", 1, "loading_err_observed", "gamma_x"),
-        PanelSpec(f"{name}_latent_err_vs_gamma_y", "vary_gamma_y", 1, "loading_err_latent", "gamma_y"),
-        PanelSpec(f"{name}_latent_err_vs_gamma_x", "vary_gamma_x", 1, "loading_err_latent", "gamma_x"),
-    ]
+def _pmtc_panels(name: str) -> list[PanelSpec]:
+    """Clustering-error panels per mode, then loading-error panels, each
+    against gamma_y and gamma_x."""
+    kinds = [("cer_mode1", 1, "cer"), ("cer_mode2", 2, "cer"),
+             ("obs_err", 1, "loading_err_observed"), ("latent_err", 1, "loading_err_latent")]
+    return [PanelSpec(f"{name}_{kind}_vs_{x}", f"vary_{x}", mode, metric, x)
+            for kind, mode, metric in kinds for x in ("gamma_y", "gamma_x")]
 
 
 def _blockmodel_tasks(name: str, q: dict) -> tuple[list[Task], list[PanelSpec]]:
@@ -200,6 +189,6 @@ def build_preset(name: str, overrides: dict | None = None) -> PresetRun:
         methods = ("X: HSC+HLloyd", "X: HSC+PMTLloyd")
     else:
         tasks = _pmtc_tasks(name, q)
-        panels = _cer_panels(name) if name in ("fig2", "figA3", "figA5", "figA7") else _loading_panels(name)
+        panels = _pmtc_panels(name)
         methods = CLUSTER_METHODS
     return PresetRun(name, tasks, methods, panels, q["replications"], q)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .membership import Membership
+from .membership import Membership, expand_blocks
 from .tensor import lsvd, matricize, multi_mode_product
 
 __all__ = [
@@ -202,13 +202,6 @@ def _draw_memberships(rng, dims, ranks, balance) -> list[Membership] | None:
     return members
 
 
-def _expand(core: np.ndarray, members: list[Membership]) -> np.ndarray:
-    out = core
-    for axis, m in enumerate(members):
-        out = np.take(out, m.labels, axis=axis)
-    return out
-
-
 def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
     """Draw one coupled block-model replication.
 
@@ -258,7 +251,7 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
             b = b * math.sqrt(design.snr_y() * design.sigma_y**2 / dy2)
 
         s_y = b @ f
-        x = _expand(core, members) + _noise(
+        x = expand_blocks(core, members) + _noise(
             rng, design.sigma_x, design.dims + (design.T,), design.noise
         )
         y = s_y[members[0].labels] + _noise(
@@ -293,7 +286,7 @@ def gen_tensor_block(design: BlockDesign) -> tuple[np.ndarray, GroundTruth]:
         if stats.degenerate:
             last = "zero separation"
             continue
-        x = _expand(core, members) + _noise(rng, design.sigma, dims, "gaussian")
+        x = expand_blocks(core, members) + _noise(rng, design.sigma, dims, "gaussian")
         return x, GroundTruth(members, core, None, None, None, stats)
     raise InfeasibleDesignError(
         f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"

@@ -1,0 +1,127 @@
+import json
+
+import numpy as np
+import pytest
+
+from pmtc import io
+from pmtc.cli import main
+from pmtc.pipeline import fit_pmtc
+from pmtc.simulate import SimDesign, gen_pmtc
+
+# A figA7 grid small enough to run in about a second: one gamma_y and one
+# gamma_x point, one replication.
+_TINY = ["--preset", "figA7", "--replications", "1", "--override", "p1=20",
+         "--override", "p2=16", "--override", "T=8",
+         "--override", "gamma_y_grid=0.0", "--override", "gamma_x_grid=-0.1"]
+
+
+@pytest.fixture
+def fit_inputs(tmp_path):
+    design = SimDesign(dims=(30, 24), T=30, gamma_x=0.1, seed=2)
+    data, truth = gen_pmtc(design)
+    paths = {name: str(tmp_path / name)
+             for name in ("x.pmtc", "returns.csv", "factors.csv", "market.csv")}
+    io.write_tensor(paths["x.pmtc"], data.x)
+    io.write_matrix_csv(paths["returns.csv"], data.y)
+    io.write_matrix_csv(paths["factors.csv"], truth.f)
+    io.write_matrix_csv(paths["market.csv"], data.y.mean(axis=0))
+    return design, data, truth, paths
+
+
+def _fit_argv(paths, out):
+    return ["fit", "--tensor", paths["x.pmtc"], "--returns", paths["returns.csv"],
+            "--factors", paths["factors.csv"], "--ranks", "5,5", "--out", str(out)]
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def test_fit_then_eval_outputs_parse_back(tmp_path, fit_inputs, capsys):
+    design, data, truth, paths = fit_inputs
+    out = tmp_path / "fit"
+    assert main(_fit_argv(paths, out)) == 0
+    est = fit_pmtc(data.x, data.y, (5, 5), factors=truth.f)
+    for i, m in enumerate(est.memberships):
+        back = io.read_membership_csv(out / f"membership_mode{i + 1}.csv")
+        assert np.array_equal(back.labels, m.labels)
+    loadings = io.read_matrix_csv(out / "loadings.csv")
+    assert np.array_equal(loadings[:, 1:], est.factor_estimate.loadings)
+    per_asset = io.read_matrix_csv(out / "loadings_per_asset.csv")
+    assert per_asset.shape == (30, 2 + design.m1)
+    assert np.array_equal(per_asset[:, 2:], est.factor_estimate.loadings[est.memberships[0].labels])
+    summary = _read_json(out / "fit_summary.json")
+    assert summary["ranks"] == [5, 5] and summary["factor_mode"] == "observed"
+    assert len(_read_json(out / "manifest.json")["config_hash"]) == 64
+
+    for split in ("index:12", "rolling:10"):
+        argv = ["eval", "--estimate", str(out), "--returns", paths["returns.csv"],
+                "--factors", paths["factors.csv"], "--market", paths["market.csv"],
+                "--split", split]
+        assert main(argv) == 0
+        report = _read_json(out / "eval.json")
+        assert np.isfinite(report["ins_r2"]) and np.isfinite(report["oos_r2"])
+    assert report["windows"] == 2.0
+    capsys.readouterr()
+
+
+def test_factors_observed_without_factors_exits_2(tmp_path, fit_inputs):
+    paths = fit_inputs[3]
+    argv = ["fit", "--tensor", paths["x.pmtc"], "--returns", paths["returns.csv"],
+            "--ranks", "5,5", "--factors-observed", "--out", str(tmp_path / "fit")]
+    assert main(argv) == 2
+
+
+def test_returns_with_wrong_row_count_exits_4(tmp_path, fit_inputs):
+    data, paths = fit_inputs[1], fit_inputs[3]
+    io.write_matrix_csv(paths["returns.csv"], data.y[:-1])
+    assert main(_fit_argv(paths, tmp_path / "fit")) == 4
+
+
+@pytest.mark.parametrize("damage", ["missing", "bad_magic"])
+def test_unreadable_tensor_exits_5(tmp_path, fit_inputs, damage):
+    paths = fit_inputs[3]
+    if damage == "missing":
+        paths["x.pmtc"] = str(tmp_path / "absent.pmtc")
+    else:
+        with open(paths["x.pmtc"], "r+b") as fh:
+            fh.write(b"NOPE")
+    assert main(_fit_argv(paths, tmp_path / "fit")) == 5
+
+
+def test_removed_preset_in_config_exits_2(tmp_path):
+    config = tmp_path / "run.json"  # a tiny grid, should the name ever run again
+    config.write_text(json.dumps({
+        "run": {"preset": "fig3", "replications": 1},
+        "overrides": {"p1": 20, "p2": 16, "T": 8, "gamma_y_grid": "0.0", "gamma_x_grid": "-0.1"},
+    }))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_infeasible_design_exits_3_and_unknown_key_exits_2(tmp_path):
+    out = str(tmp_path / "out")
+    base = ["simulate", "--preset", "figA7", "--out", out, "--override", "p1=20"]
+    assert main(base + ["--override", "r1=30"]) == 3
+    assert main(base + ["--override", "no_such_key=1"]) == 2
+
+
+def test_worker_count_does_not_change_results(tmp_path, capsys):
+    for threads in ("1", "2"):
+        argv = ["simulate", *_TINY, "--threads", threads, "--out", str(tmp_path / threads)]
+        assert main(argv) == 0
+    one = (tmp_path / "1" / "results.csv").read_bytes()
+    assert one == (tmp_path / "2" / "results.csv").read_bytes()
+    assert len(one.splitlines()) > 1
+    capsys.readouterr()
+
+
+def test_manifest_replay_keeps_hash_and_results(tmp_path, capsys):
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["simulate", *_TINY, "--out", str(first)]) == 0
+    assert main(["simulate", "--config", str(first / "manifest.json"), "--out", str(replay)]) == 0
+    a, b = _read_json(first / "manifest.json"), _read_json(replay / "manifest.json")
+    assert a["config_hash"] == b["config_hash"]
+    assert a["resolved_params"] == b["resolved_params"]
+    assert (first / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
+    capsys.readouterr()

@@ -1,0 +1,59 @@
+import numpy as np
+import pytest
+
+from pmtc.pipeline import cluster, fit_pmtc
+from pmtc.simulate import SimDesign, gen_pmtc
+
+from test_experiments import _HIGHSNR_MEMBERSHIPS, _LOWSNR_MEMBERSHIPS
+
+_COUPLED = "X+Y: PMTSC+PMTLloyd"
+
+
+def _labels(members) -> tuple[str, ...]:
+    return tuple("".join(map(str, m.labels)) for m in members)
+
+
+def _draw(gamma_x):
+    design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
+    return design, *gen_pmtc(design)
+
+
+@pytest.mark.parametrize("gamma_x, expected, omega", [
+    (-0.5, _LOWSNR_MEMBERSHIPS[_COUPLED], 0.0),  # below the noise edge
+    (0.1, _HIGHSNR_MEMBERSHIPS[_COUPLED], 1.0),
+])
+def test_fit_matches_harness_coupled_method(gamma_x, expected, omega):
+    design, data, truth = _draw(gamma_x)
+    est = fit_pmtc(data.x, data.y, design.ranks, factors=truth.f, omega="auto", seed=1)
+    assert _labels(est.memberships) == expected
+    assert est.omega == omega
+
+
+def test_fixed_omega_labels_pinned():
+    design, data, truth = _draw(-0.5)
+    est = fit_pmtc(data.x, data.y, design.ranks, factors=truth.f, omega=1.0, seed=1)
+    assert _labels(est.memberships) == (
+        "422432423122343104022241213203221232134242432022034031020232",
+        "14112023300421214041412034423231020231302410421110",
+    )
+
+
+def test_zero_omega_skips_refinement():
+    design, data, _ = _draw(-0.5)
+    init, final, omega = cluster(data.x, data.y, design.ranks, "auto", seed=1)
+    assert omega == 0.0 and final is init
+
+
+def test_estimate_bundle_is_consistent():
+    design, data, truth = _draw(0.1)
+    est = fit_pmtc(data.x, data.y, design.ranks, factors=truth.f, omega=1.0, seed=1)
+    m1, m2 = est.memberships
+    assert est.core.shape == (5, 5, design.T) and est.s_y.shape == (5, design.T)
+    block = data.x[np.ix_(m1.labels == 2, m2.labels == 3)]
+    assert np.allclose(est.core[2, 3], block.mean(axis=(0, 1)))
+    assert np.allclose(est.s_y[2], data.y[m1.labels == 2].mean(axis=0))
+    assert est.factor_estimate.mode == "observed"
+    assert est.factor_estimate.loadings.shape == (5, design.m1)
+    latent = fit_pmtc(data.x, data.y, design.ranks, num_factors=2, omega=1.0, seed=1)
+    assert latent.factor_estimate.mode == "latent"
+    assert latent.factor_estimate.loadings.shape == (5, 2)

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from pmtc.metrics import cer
 from pmtc.pmtsc import pmtsc, spectral_cluster_rows
@@ -65,13 +64,6 @@ def test_hsc_without_panel():
     init = pmtsc(data.x, None, d.ranks, seed=6)
     for i in range(2):
         assert cer(init.memberships[i], truth.memberships[i])[0] == 0.0
-
-
-def test_bases_length_validation():
-    d = SimDesign(dims=(12, 10), T=6, ranks=(2, 2), m1=2, mu_b=(1.0,), seed=7)
-    data, _ = gen_pmtc(d)
-    with pytest.raises(ValueError):
-        pmtsc(data.x, data.y, d.ranks, bases=[np.eye(12)[:, :2]], seed=7)
 
 
 def test_spectral_cluster_rows_matches_zero_coupling():
