@@ -57,6 +57,7 @@ def _read_config(path: str) -> dict:
             raise CliError(_EXIT_CONFIG, f"invalid JSON config: {exc}")
     else:
         parser = configparser.ConfigParser()
+        parser.optionxform = str  # keep key case: the override ``T`` is not ``t``
         try:
             parser.read_string(text)
         except configparser.Error as exc:

@@ -63,9 +63,16 @@ def _check_inputs(x: np.ndarray, y: np.ndarray | None, ranks) -> int:
 
 
 def coupled_block(z: np.ndarray, y: np.ndarray | None, omega: float) -> np.ndarray:
-    """The coupled mode-1 matrix [sqrt(omega) z, y], or ``z`` alone without a panel."""
+    """The coupled mode-1 matrix [sqrt(omega) z, y].
+
+    Without a panel it is ``z`` alone; at ``omega=0`` the tensor block carries
+    no weight, so it is the panel ``y`` alone (the same left singular subspace
+    and the same row distances as [0, y], without forming the zeros).
+    """
     if y is None:
         return z
+    if omega == 0.0:
+        return y
     if omega != 1.0:
         z = math.sqrt(omega) * z
     return np.concatenate([z, y], axis=1)
@@ -90,7 +97,8 @@ def pchooi(
     ``x`` is brought into C order once here, so every mode product of the
     iteration runs on the free reshape of the full tensor.  Each basis update
     is :func:`~pmtc.tensor.lsvd` of a wide block (projected unfolding, plus
-    ``y`` on mode 1), i.e. the top eigenvectors of its Gram matrix.
+    ``y`` on mode 1), i.e. the top eigenvectors of its Gram matrix; at
+    omega=0 the mode-1 block is ``y`` alone and never changes.
 
     Iterations stop once the per-mode projector movement
     max_i ||U_i U_i' - U_i_prev U_i_prev'||_2^2 falls below ``tol``.  Returns

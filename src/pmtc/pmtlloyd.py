@@ -13,7 +13,8 @@ serving as the comparison baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +30,26 @@ __all__ = ["LloydTrace", "pmtlloyd"]
 @dataclass
 class LloydTrace:
     """Per-sweep record: memberships and centroids per mode, plug-in loss,
-    and (when the truth is supplied) clustering error per mode."""
+    and (when the truth is supplied) clustering error per mode.
+
+    ``x``, ``y`` and ``omega`` are the refined data and coupling weight; the
+    plug-in losses are computed from them and the stored memberships when
+    ``losses`` is first read, so a caller that discards the trace never pays
+    for a full-tensor block expansion per sweep.
+    """
 
     memberships: list[list[Membership]]
     centroids: list[list[np.ndarray]]
-    losses: list[float]
     cers: list[list[float]] | None
     iterations_used: int
     converged: bool
+    x: np.ndarray = field(repr=False, compare=False)
+    y: np.ndarray | None = field(repr=False, compare=False)
+    omega: float
+
+    @cached_property
+    def losses(self) -> list[float]:
+        return [_plugin_loss(self.x, self.y, m, self.omega) for m in self.memberships]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -115,7 +128,7 @@ def pmtlloyd(
         raise ValueError("max_iter must be >= 1")
 
     members = _repair_init(x, y, init, omega)
-    trace = LloydTrace([], [], [], None if truth is None else [], 0, False)
+    trace = LloydTrace([], [], None if truth is None else [], 0, False, x, y, omega)
 
     for _ in range(max_iter):
         projs = [m.normalized_basis() if projection == "orthogonal" else m.projector()
@@ -142,7 +155,6 @@ def pmtlloyd(
         trace.iterations_used += 1
         trace.memberships.append(members)
         trace.centroids.append(cents)
-        trace.losses.append(_plugin_loss(x, y, members, omega))
         if truth is not None:
             trace.cers.append(
                 [metrics.cer(members[i], truth[i])[0] for i in range(d)]

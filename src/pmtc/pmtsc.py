@@ -27,6 +27,16 @@ class SpectralInit:
     kmeans_objectives: list[float]
 
 
+def _scores(u: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Rank-r rows with the same pairwise distances as ``u @ coords``.
+
+    With ``coords.T = Q R`` (thin QR, Q orthonormal), u @ coords = (u R') Q',
+    and right-multiplying by Q' preserves row distances, so k-means on the
+    p x r matrix u R' sees the p x n feature matrix's geometry.
+    """
+    return u @ np.linalg.qr(coords.T, mode="r").T
+
+
 def _mode_seeds(seed: int, d: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(d)]
 
@@ -42,8 +52,10 @@ def pmtsc(
 
     ``ranks`` are the cluster counts r_i, which are also the subspace ranks
     of the PCHOOI bases estimated here with coupling weight ``omega``.  Each
-    mode is clustered by :func:`kmeans_relaxed` on the doubly projected
-    unfolding, deterministic given ``seed``.
+    mode is clustered by :func:`kmeans_relaxed`, deterministic given
+    ``seed``, on p_i x r_i isometric scores of the doubly projected unfolding
+    (same pairwise row distances, see :func:`_scores`); ``projected`` still
+    holds the full p_i x n_i feature matrices.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
@@ -59,10 +71,10 @@ def pmtsc(
         zi = matricize(multi_mode_product(x, others), i)
         if i == 0:
             zi = coupled_block(zi, y, omega)
-        zi = bases[i] @ (bases[i].T @ zi)
-        res = kmeans_relaxed(zi, ranks[i], seed=seeds[i])
+        coords = bases[i].T @ zi
+        res = kmeans_relaxed(_scores(bases[i], coords), ranks[i], seed=seeds[i])
         memberships.append(res.membership)
-        projected.append(zi)
+        projected.append(bases[i] @ coords)
         objectives.append(res.objective)
     return SpectralInit(memberships, projected, objectives)
 
@@ -70,12 +82,12 @@ def pmtsc(
 def spectral_cluster_rows(y: np.ndarray, r: int, seed: int = 0) -> Membership:
     """Spectral clustering of the rows of a panel matrix.
 
-    Projects onto the top-``r`` left singular subspace before running relaxed
-    k-means.  The k-means seed derives from ``seed`` the same way as the
-    coupled initializer's mode-1 seed, so a zero coupling weight there
-    reproduces this estimator exactly.
+    Projects onto the top-``r`` left singular subspace and runs relaxed
+    k-means on the p x r isometric scores of the projected panel (same
+    pairwise row distances as the p x T projection).  The k-means seed
+    derives from ``seed`` the same way as the coupled initializer's mode-1
+    seed, so a zero coupling weight there reproduces this estimator exactly.
     """
     y = np.asarray(y, dtype=float)
     u = lsvd(y, r)
-    z = u @ (u.T @ y)
-    return kmeans_relaxed(z, r, seed=_mode_seeds(seed, 1)[0]).membership
+    return kmeans_relaxed(_scores(u, u.T @ y), r, seed=_mode_seeds(seed, 1)[0]).membership

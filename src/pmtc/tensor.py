@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "matricize",
@@ -113,10 +114,11 @@ def multi_mode_product(x: np.ndarray, mats: dict[int, np.ndarray]) -> np.ndarray
 def lsvd(a: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of the top-``rank`` left singular subspace of ``a``.
 
-    A wide matrix (more columns than rows) takes the top eigenvectors of its
-    rows x rows Gram matrix ``a @ a.T``; a square or tall one takes the thin
-    SVD.  The sign of each column is fixed so its largest-magnitude entry is
-    positive (ties broken by lowest row index), making results deterministic.
+    A wide matrix (more columns than rows) takes the top-``rank`` eigenpairs
+    of its rows x rows Gram matrix ``a @ a.T`` (only those are solved for); a
+    square or tall one takes the thin SVD.  The sign of each column is fixed
+    so its largest-magnitude entry is positive (ties broken by lowest row
+    index), making results deterministic.
     When singular values are repeated at the rank boundary the returned
     subspace is one valid choice; compare projectors, not raw bases.
     """
@@ -129,8 +131,8 @@ def lsvd(a: np.ndarray, rank: int) -> np.ndarray:
         raise ValueError(f"rank {rank} invalid for matrix of shape {a.shape}")
     m, n = a.shape
     if n > m:
-        _, vecs = np.linalg.eigh(a @ a.T)
-        u = vecs[:, ::-1][:, :rank].copy()
+        _, vecs = scipy.linalg.eigh(a @ a.T, subset_by_index=[m - rank, m - 1])
+        u = vecs[:, ::-1].copy()
     else:
         u, _, _ = np.linalg.svd(a, full_matrices=False)
         u = u[:, :rank].copy()

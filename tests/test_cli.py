@@ -125,3 +125,20 @@ def test_manifest_replay_keeps_hash_and_results(tmp_path, capsys):
     assert a["resolved_params"] == b["resolved_params"]
     assert (first / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
     capsys.readouterr()
+
+
+def test_ini_config_keeps_key_case_and_matches_json(tmp_path, capsys):
+    overrides = {"p1": "20", "p2": "16", "T": "8", "gamma_y_grid": "0.0", "gamma_x_grid": "-0.1"}
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\npreset = figA7\nreplications = 1\n\n[overrides]\n"
+                   + "".join(f"{k} = {v}\n" for k, v in overrides.items()))
+    js = tmp_path / "run.json"
+    js.write_text(json.dumps({"run": {"preset": "figA7", "replications": 1},
+                              "overrides": overrides}))
+    for config in (ini, js):
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / config.suffix)]
+        assert main(argv) == 0
+    csv = (tmp_path / ".ini" / "results.csv").read_bytes()
+    assert csv == (tmp_path / ".json" / "results.csv").read_bytes()
+    assert len(csv.splitlines()) > 1
+    capsys.readouterr()

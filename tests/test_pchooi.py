@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pmtc.pchooi import hooi, pchooi, tensor_informative
+from pmtc.pchooi import coupled_block, hooi, pchooi, tensor_informative
 from pmtc.simulate import LowRankDesign, SimDesign, gen_coupled_lowrank, gen_pmtc
 from pmtc.tensor import lsvd, multi_mode_product, subspace_distance
 
@@ -84,6 +84,14 @@ def test_omega_zero_reduces_to_panel_svd():
     data, _ = gen_coupled_lowrank(LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2), seed=7))
     res = pchooi(data.x, data.y, (3, 2), omega=0.0)
     assert subspace_distance(res.bases[0], lsvd(data.y, 3)) < 1e-8
+
+
+def test_coupled_block_at_zero_weight_is_the_panel():
+    rng = np.random.default_rng(3)
+    z, y = rng.standard_normal((6, 20)), rng.standard_normal((6, 4))
+    assert coupled_block(z, y, 0.0) is y
+    assert coupled_block(z, None, 0.0) is z
+    assert np.array_equal(coupled_block(z, y, 1.0), np.concatenate([z, y], axis=1))
 
 
 def test_large_omega_approaches_hooi():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from pmtc.kmeans import nns
 from pmtc.membership import Membership
 from pmtc.metrics import cer
-from pmtc.pmtlloyd import pmtlloyd
+from pmtc.pmtlloyd import _plugin_loss, pmtlloyd
 from pmtc.pmtsc import pmtsc
 from pmtc.simulate import SimDesign, gen_pmtc
 from pmtc.tensor import matricize, multi_mode_product
@@ -88,6 +89,27 @@ def test_loss_recorded_and_non_increasing_at_moderate_snr():
     for a, b in zip(trace.losses[:-1], trace.losses[1:]):
         assert b <= a * (1 + 1e-9)
     assert trace.cers is not None and len(trace.cers) == trace.iterations_used
+
+
+def test_loss_computed_only_when_read(monkeypatch):
+    d = SimDesign(dims=(40, 30), T=20, ranks=(3, 2), m1=2, mu_b=(1.0,),
+                  gamma_x=0.4, gamma_y=0.3, seed=4)
+    data, _ = gen_pmtc(d)
+    init = pmtsc(data.x, data.y, d.ranks, seed=4)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _plugin_loss(*args)
+
+    # the package exports the function under the module's name
+    module = importlib.import_module("pmtc.pmtlloyd")
+    monkeypatch.setattr(module, "_plugin_loss", counted)
+    _, trace = pmtlloyd(data.x, data.y, init.memberships, omega=0.5)
+    assert calls == []
+    expect = [_plugin_loss(data.x, data.y, m, 0.5) for m in trace.memberships]
+    assert trace.losses == expect and len(expect) == trace.iterations_used
+    assert trace.losses is trace.losses and len(calls) == trace.iterations_used
 
 
 def test_oblique_variant_differs_only_in_projection():

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
+from pmtc.kmeans import kmeans_relaxed
 from pmtc.metrics import cer
-from pmtc.pmtsc import pmtsc, spectral_cluster_rows
+from pmtc.pmtsc import _mode_seeds, pmtsc, spectral_cluster_rows
 from pmtc.simulate import SimDesign, gen_pmtc
+from pmtc.tensor import lsvd
 
 
 def test_noiseless_exact_recovery_all_modes():
@@ -73,3 +76,22 @@ def test_spectral_cluster_rows_matches_zero_coupling():
     ysc = spectral_cluster_rows(data.y, 3, seed=42)
     coupled = pmtsc(data.x, data.y, d.ranks, seed=42, omega=0.0)
     assert np.array_equal(ysc.labels, coupled.memberships[0].labels)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_kmeans_on_scores_matches_full_features(seed, omega):
+    # k-means runs on p x r isometric scores; the p x n projected features
+    # it replaces must give the same labels and objective
+    d = SimDesign(dims=(40, 30), T=20, ranks=(3, 2), m1=2, mu_b=(1.0,),
+                  gamma_x=-0.1, gamma_y=0.0, seed=seed)
+    data, _ = gen_pmtc(d)
+    init = pmtsc(data.x, data.y, d.ranks, seed=seed, omega=omega)
+    for i, r in enumerate(d.ranks):
+        full = kmeans_relaxed(init.projected[i], r, seed=_mode_seeds(seed, 2)[i])
+        assert np.array_equal(init.memberships[i].labels, full.membership.labels)
+        assert init.kmeans_objectives[i] == pytest.approx(full.objective, rel=1e-9)
+    u = lsvd(data.y, 3)
+    full = kmeans_relaxed(u @ (u.T @ data.y), 3, seed=_mode_seeds(seed, 1)[0])
+    rows = spectral_cluster_rows(data.y, 3, seed=seed)
+    assert np.array_equal(rows.labels, full.membership.labels)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,9 +267,15 @@ def test_lsvd_path_follows_shape(monkeypatch):
         raise AssertionError("wrong lsvd path")
 
     with monkeypatch.context() as m:
+        # the wide path solves only the top eigenpairs, with scipy's eigh
         m.setattr(np.linalg, "svd", forbidden)
+        m.setattr(np.linalg, "eigh", forbidden)
         lsvd(wide, 2)
+        full = lsvd(wide, 5)  # rank == rows: every eigenpair
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigh", forbidden)
+        m.setattr(scipy.linalg, "eigh", forbidden)
         lsvd(tall, 2)
         lsvd(tall[:5], 2)  # square
+    uf, _, _ = np.linalg.svd(wide, full_matrices=False)  # descending singular values
+    assert np.allclose(np.abs(full.T @ uf), np.eye(5), rtol=0, atol=1e-9)
