@@ -27,11 +27,11 @@ from .simulate import (
     gen_pmtc,
     gen_tensor_block,
 )
-from .tensor import lsvd, matricize, mode_product, refold, subspace_distance
+from .tensor import UnfoldingGrams, lsvd, matricize, mode_product, refold, subspace_distance
 
 __all__ = [
     "__version__",
-    "matricize", "refold", "mode_product", "lsvd", "subspace_distance",
+    "matricize", "refold", "mode_product", "lsvd", "subspace_distance", "UnfoldingGrams",
     "Membership", "EmptyClusterError",
     "KmeansResult", "kmeans_relaxed", "nns",
     "PchooiResult", "pchooi", "hooi",

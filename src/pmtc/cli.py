@@ -8,8 +8,8 @@ same ``config_hash``.  Each grid preset writes both its clustering-error and
 its loading-error panels (Figs 2/3, A3/A4, A5/A6, A7/A8 from ``fig2``,
 ``figA3``, ``figA5``, ``figA7``).
 
-Exit codes: 2 invalid config, 3 infeasible design, 4 shape mismatch,
-5 unreadable input file.  Summary tables go to stdout, diagnostics to stderr.
+Exit codes: 2 invalid config or option value, 3 infeasible design, 4 shape
+mismatch, 5 unreadable input file.  Summary tables go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -70,6 +71,38 @@ def _read_config(path: str) -> dict:
         if key not in _RUN_KEYS:
             raise CliError(_EXIT_CONFIG, f"unknown [run] key {key!r}")
     return data
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value!r}")
+        return n
+    return parse
+
+
+def _ranks(value: str) -> str:
+    """A comma-separated list of positive cluster counts, kept as given."""
+    for part in value.split(","):
+        _int_at_least(1)(part)
+    return value
+
+
+def _omega(value: str) -> float | str:
+    if value == "auto":
+        return value
+    try:
+        w = float(value)
+    except ValueError:
+        w = math.nan
+    if not (math.isfinite(w) and w >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0 or 'auto', got {value!r}")
+    return w
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -274,18 +307,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--tensor", required=True, help="binary tensor container")
     fit.add_argument("--returns", required=True, help="p1 x T returns CSV")
     fit.add_argument("--factors", help="m1 x T factor CSV (observed factors)")
-    fit.add_argument("--ranks", required=True, help="comma-separated cluster counts r1,r2[,..]")
-    fit.add_argument("--num-factors", type=int)
+    fit.add_argument("--ranks", required=True, type=_ranks,
+                     help="comma-separated cluster counts r1,r2[,..]")
+    fit.add_argument("--num-factors", type=_int_at_least(1))
     fit.add_argument("--factors-observed", dest="explicit_observed", action="store_true")
     fit.add_argument("--factors-latent", dest="factor_mode", action="store_const",
                      const="latent", default="observed")
-    fit.add_argument("--omega", type=lambda v: v if v == "auto" else float(v),
-                     default=1.0, help="coupling weight (number or 'auto')")
+    fit.add_argument("--omega", type=_omega, default=1.0,
+                     help="coupling weight (a finite number >= 0, or 'auto')")
     fit.add_argument("--demean", choices=("on", "off"), default="on")
     fit.add_argument("--rank-normalize", action="store_true",
                      help="cross-sectional rank normalization of the tensor")
-    fit.add_argument("--lloyd-iters", type=int)
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--lloyd-iters", type=_int_at_least(1))
+    fit.add_argument("--seed", type=_int_at_least(0), default=0)
     fit.add_argument("--out", default="fit_out")
     fit.set_defaults(func=_cmd_fit)
 

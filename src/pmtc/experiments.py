@@ -34,7 +34,7 @@ from .simulate import (
     gen_pmtc,
     gen_tensor_block,
 )
-from .tensor import lsvd, subspace_distance
+from .tensor import UnfoldingGrams, lsvd, subspace_distance
 
 __all__ = [
     "CLUSTER_METHODS",
@@ -125,14 +125,17 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list
 
     The coupled methods are :func:`pmtc.pipeline.cluster` with
     ``omega="auto"``; their oblique variant refines the same warm start with
-    the same coupling weight.
+    the same coupling weight.  All methods share one set of unfolding Grams,
+    so each mode's full-tensor Gram is formed once per draw.
     """
+    x = np.ascontiguousarray(x, dtype=float)
     init_xy = final_xy = init_x = None
     omega = 1.0
+    grams = UnfoldingGrams(x)
     if any(m.startswith("X+Y:") for m in methods):
-        init_xy, final_xy, omega = cluster(x, y, ranks, "auto", seed)
+        init_xy, final_xy, omega = cluster(x, y, ranks, "auto", seed, grams=grams)
     if any(m.startswith("X: HSC") for m in methods):
-        init_x = pmtsc(x, None, ranks, seed=seed).memberships
+        init_x = pmtsc(x, None, ranks, seed=seed, grams=grams).memberships
 
     out = {}
     for method in methods:
@@ -179,12 +182,13 @@ def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
 def _run_subspace_task(task: Task, rep: int, methods) -> list[Row]:
     design = replace(task.design, seed=task.design.seed + rep)
     data, truth = gen_coupled_lowrank(design)
+    grams = UnfoldingGrams(data.x)  # PCHOOI and HOOI start from the same Grams
     rows: list[Row] = []
     for method in methods:
         if method == "PCHOOI":
-            bases = pchooi(data.x, data.y, design.ranks).bases
+            bases = pchooi(data.x, data.y, design.ranks, grams=grams).bases
         elif method == "HOOI":
-            bases = hooi(data.x, design.ranks).bases
+            bases = hooi(data.x, design.ranks, grams=grams).bases
         else:  # SVD-Y
             bases = [lsvd(data.y, design.ranks[0])]
         for i, u in enumerate(bases):

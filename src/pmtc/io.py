@@ -38,12 +38,22 @@ _VERSION = 1
 
 
 def write_tensor(path, x: np.ndarray) -> None:
+    """Write ``x`` as a tensor container (any layout and order).
+
+    The column-major payload is written one last-axis slab at a time (the
+    transpose of a slab, in C order, is that slab in column-major order), so
+    writing holds one slab in memory beside ``x``, not a full copy.
+    """
     x = np.asarray(x, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, x.ndim))
         fh.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-        fh.write(x.flatten(order="F").tobytes())
+        if x.ndim <= 1:  # a vector's C order is its column-major order
+            fh.write(x.tobytes())
+            return
+        for k in range(x.shape[-1]):
+            fh.write(np.ascontiguousarray(x[..., k].T).tobytes())
 
 
 def read_tensor(path) -> np.ndarray:

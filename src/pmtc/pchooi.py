@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import lsvd, matricize, multi_mode_product, subspace_distance
+from .tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product, subspace_distance
 
 __all__ = ["PchooiResult", "pchooi", "hooi", "coupled_block"]
 
@@ -26,6 +26,11 @@ __all__ = ["PchooiResult", "pchooi", "hooi", "coupled_block"]
 class PchooiResult:
     """Fitted bases and stopping record; ``x`` and ``y`` are the inputs.
 
+    ``last_unfolding`` is the last mode's projected unfolding
+    matricize(x ×_{j<d} U_j', d) from the last iteration, which used the
+    final bases of every other mode (None when ``max_iter`` was 0 or ``x``
+    has a single clustered mode); PMTSC clusters that mode on it without
+    projecting the full tensor again.
     The denoised tensor ``x_hat`` = x ×_i U_i U_i' and panel ``y_hat`` =
     U_1 U_1' y are computed on first access and cached.
     """
@@ -33,6 +38,7 @@ class PchooiResult:
     bases: list[np.ndarray]
     iterations_used: int
     converged: bool
+    last_unfolding: np.ndarray | None = field(repr=False, compare=False)
     x: np.ndarray = field(repr=False, compare=False)
     y: np.ndarray | None = field(repr=False, compare=False)
 
@@ -85,6 +91,7 @@ def pchooi(
     max_iter: int = 50,
     tol: float = 1e-6,
     omega: float = 1.0,
+    grams: UnfoldingGrams | None = None,
 ) -> PchooiResult:
     """Estimate per-mode orthonormal bases for the clustered modes of ``x``.
 
@@ -97,8 +104,13 @@ def pchooi(
     ``x`` is brought into C order once here, so every mode product of the
     iteration runs on the free reshape of the full tensor.  Each basis update
     is :func:`~pmtc.tensor.lsvd` of a wide block (projected unfolding, plus
-    ``y`` on mode 1), i.e. the top eigenvectors of its Gram matrix; at
-    omega=0 the mode-1 block is ``y`` alone and never changes.
+    ``y`` on mode 1), i.e. the top eigenvectors of its Gram matrix.  The
+    start takes the top eigenvectors of each mode's unfolding Gram from
+    ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams` of ``x``, built here when
+    not given; pass one to share the Grams with other calls on the same
+    tensor), except the coupled mode-1 start, the lsvd of [sqrt(omega) x_(1), y].
+    At omega=0 the mode-1 block is ``y`` alone, so its basis never changes and
+    the iterations neither project for it nor recompute it.
 
     Iterations stop once the per-mode projector movement
     max_i ||U_i U_i' - U_i_prev U_i_prev'||_2^2 falls below ``tol``.  Returns
@@ -111,40 +123,49 @@ def pchooi(
     if omega < 0:
         raise ValueError("omega must be nonnegative")
     d = _check_inputs(x, y, ranks)
+    grams = UnfoldingGrams.of(x, grams)
 
     # Mode 1 takes the free C-order reshape; its column order differs from
     # matricize(., 0), which leaves the left singular subspace unchanged.
     p1 = x.shape[0]
-    bases = [lsvd(coupled_block(x.reshape(p1, -1), y, omega), ranks[0])]
-    for i in range(1, d):
-        bases.append(lsvd(matricize(x, i), ranks[i]))
+    if y is None:
+        bases = [grams.lsvd(0, ranks[0])]
+    else:
+        bases = [lsvd(coupled_block(x.reshape(p1, -1), y, omega), ranks[0])]
+    bases += [grams.lsvd(i, ranks[i]) for i in range(1, d)]
 
+    fixed_mode1 = y is not None and omega == 0.0
     iterations = 0
     converged = max_iter == 0
+    last = None
     for _ in range(max_iter):
         iterations += 1
         prev = bases
         bases = list(prev)
-        others = {j: prev[j].T for j in range(1, d)}
-        x_proj = multi_mode_product(x, others).reshape(p1, -1)
-        bases[0] = lsvd(coupled_block(x_proj, y, omega), ranks[0])
+        if not fixed_mode1:
+            others = {j: prev[j].T for j in range(1, d)}
+            x_proj = multi_mode_product(x, others).reshape(p1, -1)
+            bases[0] = lsvd(coupled_block(x_proj, y, omega), ranks[0])
         for i in range(1, d):
             others = {j: bases[j].T for j in range(i)}
             others.update({j: prev[j].T for j in range(i + 1, d)})
-            bases[i] = lsvd(matricize(multi_mode_product(x, others), i), ranks[i])
+            last = matricize(multi_mode_product(x, others), i)
+            bases[i] = lsvd(last, ranks[i])
         move = max(subspace_distance(bases[i], prev[i]) ** 2 for i in range(d))
         if move <= tol:
             converged = True
             break
-    return PchooiResult(bases, iterations, converged, x, y)
+    return PchooiResult(bases, iterations, converged, last, x, y)
 
 
-def hooi(x: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-6) -> PchooiResult:
-    """Plain higher-order orthogonal iteration on the tensor alone."""
-    return pchooi(x, None, ranks, max_iter=max_iter, tol=tol)
+def hooi(x: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-6,
+         grams: UnfoldingGrams | None = None) -> PchooiResult:
+    """Plain higher-order orthogonal iteration on the tensor alone (``grams``
+    as in :func:`pchooi`)."""
+    return pchooi(x, None, ranks, max_iter=max_iter, tol=tol, grams=grams)
 
 
-def tensor_informative(x: np.ndarray, ranks) -> bool:
+def tensor_informative(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None) -> bool:
     """Whether every clustered mode's unfolding clears the spectral noise edge.
 
     Checks that the rank-m_i-th singular value of each mode unfolding exceeds
@@ -153,14 +174,17 @@ def tensor_informative(x: np.ndarray, ranks) -> bool:
     which is robust to the low-rank signal.  Below the edge the tensor is
     spectrally indistinguishable from noise, the regime where a
     noise-dominated block should not enter a coupled objective; use the test
-    to pick the coupling weight (1 if informative, else 0).
+    to pick the coupling weight (1 if informative, else 0).  The singular
+    values come from the unfolding Grams in ``grams``
+    (:class:`~pmtc.tensor.UnfoldingGrams` of ``x``, built here when not
+    given), which a later PCHOOI or HOOI start on ``x`` can reuse.
     """
     x = np.ascontiguousarray(x, dtype=float)
+    grams = UnfoldingGrams.of(x, grams)
     for i, m in enumerate(ranks):
-        # the spectrum does not depend on column order: mode 1 uses the free reshape
-        unfolded = x.reshape(x.shape[0], -1) if i == 0 else matricize(x, i)
-        p, cols = unfolded.shape
-        eigs = np.linalg.eigvalsh(unfolded @ unfolded.T)
+        p = x.shape[i]
+        cols = x.size // p
+        eigs = np.linalg.eigvalsh(grams[i])
         s = np.sqrt(np.maximum(eigs[::-1], 0.0))
         sigma = float(np.median(s)) / math.sqrt(cols)
         if s[m - 1] <= sigma * (math.sqrt(p) + math.sqrt(cols)):

@@ -22,6 +22,7 @@ from .metrics import EvalInput, total_r2
 from .pchooi import tensor_informative
 from .pmtlloyd import pmtlloyd
 from .pmtsc import pmtsc
+from .tensor import UnfoldingGrams
 
 __all__ = ["PmtcEstimate", "cluster", "refine", "fit_pmtc", "rank_normalize",
            "evaluate_split", "evaluate_rolling"]
@@ -76,18 +77,23 @@ def cluster(
     omega: float | str = 1.0,
     seed: int = 0,
     lloyd_iters: int | None = None,
+    grams: UnfoldingGrams | None = None,
 ) -> tuple[list[Membership], list[Membership], float]:
     """PMTC memberships: PCHOOI bases and a PMTSC warm start, then :func:`refine`.
 
     ``omega="auto"`` keeps the tensor block in the coupled mode only when it
     clears the spectral noise edge (see :func:`pmtc.pchooi.tensor_informative`),
     else drops to the panel-only limit (a tensor indistinguishable from noise
-    could only drag the shared mode down).  Returns the warm start, the
-    refined memberships and the coupling weight used.
+    could only drag the shared mode down).  The test and PCHOOI's start share
+    the unfolding Grams in ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams` of
+    ``x``, built here when not given).  Returns the warm start, the refined
+    memberships and the coupling weight used.
     """
+    x = np.ascontiguousarray(x, dtype=float)
+    grams = UnfoldingGrams.of(x, grams)
     if omega == "auto":
-        omega = 1.0 if tensor_informative(x, ranks) else 0.0
-    init = pmtsc(x, y, ranks, seed=seed, omega=omega).memberships
+        omega = 1.0 if tensor_informative(x, ranks, grams) else 0.0
+    init = pmtsc(x, y, ranks, seed=seed, omega=omega, grams=grams).memberships
     return init, refine(x, y, init, omega, max_iter=lloyd_iters), omega
 
 
@@ -118,7 +124,7 @@ def fit_pmtc(
     if factors is not None:
         est = estimate_observed(y, members[0], factors, demean=demean)
     else:
-        est = estimate_latent(y, members[0], num_factors or ranks[0])
+        est = estimate_latent(y, members[0], ranks[0] if num_factors is None else num_factors)
     return PmtcEstimate(members, core, s_y, est, ranks, omega)
 
 

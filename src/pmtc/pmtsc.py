@@ -15,7 +15,7 @@ import numpy as np
 from .kmeans import kmeans_relaxed
 from .membership import Membership
 from .pchooi import coupled_block, pchooi
-from .tensor import lsvd, matricize, multi_mode_product
+from .tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product
 
 __all__ = ["SpectralInit", "pmtsc", "spectral_cluster_rows"]
 
@@ -47,30 +47,40 @@ def pmtsc(
     ranks,
     seed: int = 0,
     omega: float = 1.0,
+    grams: UnfoldingGrams | None = None,
 ) -> SpectralInit:
     """Warm-start memberships for every clustered mode of ``x``.
 
     ``ranks`` are the cluster counts r_i, which are also the subspace ranks
-    of the PCHOOI bases estimated here with coupling weight ``omega``.  Each
-    mode is clustered by :func:`kmeans_relaxed`, deterministic given
-    ``seed``, on p_i x r_i isometric scores of the doubly projected unfolding
-    (same pairwise row distances, see :func:`_scores`); ``projected`` still
-    holds the full p_i x n_i feature matrices.
+    of the PCHOOI bases estimated here with coupling weight ``omega``
+    (``grams`` is passed on to :func:`~pmtc.pchooi.pchooi`).  Each mode is
+    clustered by :func:`kmeans_relaxed`, deterministic given ``seed``, on
+    p_i x r_i isometric scores of the doubly projected unfolding (same
+    pairwise row distances, see :func:`_scores`); ``projected`` still holds
+    the full p_i x n_i feature matrices.  The last mode's projected unfolding
+    is PCHOOI's own from its last iteration, and at ``omega=0`` the mode-1
+    features are the panel alone, so neither projects the full tensor again.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
     d = len(ranks)
-    bases = pchooi(x, y, ranks, omega=omega).bases
+    fit = pchooi(x, y, ranks, omega=omega, grams=grams)
+    bases = fit.bases
 
     memberships: list[Membership] = []
     projected: list[np.ndarray] = []
     objectives: list[float] = []
     seeds = _mode_seeds(seed, d)
     for i in range(d):
-        others = {j: bases[j].T for j in range(d) if j != i}
-        zi = matricize(multi_mode_product(x, others), i)
-        if i == 0:
-            zi = coupled_block(zi, y, omega)
+        if i == 0 and y is not None and omega == 0.0:
+            zi = y
+        elif i == d - 1 and fit.last_unfolding is not None:
+            zi = fit.last_unfolding
+        else:
+            others = {j: bases[j].T for j in range(d) if j != i}
+            zi = matricize(multi_mode_product(x, others), i)
+            if i == 0:
+                zi = coupled_block(zi, y, omega)
         coords = bases[i].T @ zi
         res = kmeans_relaxed(_scores(bases[i], coords), ranks[i], seed=seeds[i])
         memberships.append(res.membership)

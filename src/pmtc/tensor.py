@@ -10,13 +10,13 @@ full tensor.
 
 :func:`matricize` defines the unfolding, and :func:`refold` inverts it.  They
 are not on the hot path: the kernel does not use them, and the algorithms
-apply them to small projected tensors (a full tensor is unfolded, at the
-cost of one copy, only to start PCHOOI or test a mode's spectrum; mode 1
-then uses the free C-order reshape, whose column order differs but whose
-left singular subspace is the same).  The columns of the mode-k unfolding
-enumerate the remaining modes in the cyclic order (k+1, k+2, ..., K, 1, ...,
-k-1), with the first of these varying fastest.  For an order-3 tensor A this
-gives
+apply them to small projected tensors (on the hot path a full tensor is
+unfolded, at the cost of one copy, only by :class:`UnfoldingGrams`, to form
+a mode's Gram matrix once; mode 1 then uses the free C-order reshape, whose
+column order differs but whose left singular subspace is the same).  The
+columns of the mode-k unfolding enumerate the remaining modes in the cyclic
+order (k+1, k+2, ..., K, 1, ..., k-1), with the first of these varying
+fastest.  For an order-3 tensor A this gives
 
     mat1(A)[i, j + n2*k] == mat2(A)[j, k + n3*i] == mat3(A)[k, i + n1*j]
         == A[i, j, k]
@@ -37,6 +37,8 @@ __all__ = [
     "refold",
     "mode_product",
     "lsvd",
+    "top_eigvecs",
+    "UnfoldingGrams",
     "subspace_distance",
 ]
 
@@ -114,11 +116,10 @@ def multi_mode_product(x: np.ndarray, mats: dict[int, np.ndarray]) -> np.ndarray
 def lsvd(a: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of the top-``rank`` left singular subspace of ``a``.
 
-    A wide matrix (more columns than rows) takes the top-``rank`` eigenpairs
-    of its rows x rows Gram matrix ``a @ a.T`` (only those are solved for); a
-    square or tall one takes the thin SVD.  The sign of each column is fixed
-    so its largest-magnitude entry is positive (ties broken by lowest row
-    index), making results deterministic.
+    A wide matrix (more columns than rows) takes :func:`top_eigvecs` of its
+    rows x rows Gram matrix ``a @ a.T``; a square or tall one takes the thin
+    SVD.  The sign of each column is fixed so its largest-magnitude entry is
+    positive (ties broken by lowest row index), making results deterministic.
     When singular values are repeated at the rank boundary the returned
     subspace is one valid choice; compare projectors, not raw bases.
     """
@@ -131,16 +132,77 @@ def lsvd(a: np.ndarray, rank: int) -> np.ndarray:
         raise ValueError(f"rank {rank} invalid for matrix of shape {a.shape}")
     m, n = a.shape
     if n > m:
-        _, vecs = scipy.linalg.eigh(a @ a.T, subset_by_index=[m - rank, m - 1])
-        u = vecs[:, ::-1].copy()
-    else:
-        u, _, _ = np.linalg.svd(a, full_matrices=False)
-        u = u[:, :rank].copy()
-    for j in range(rank):
+        return top_eigvecs(a @ a.T, rank)
+    u, _, _ = np.linalg.svd(a, full_matrices=False)
+    return _fix_signs(u[:, :rank].copy())
+
+
+def top_eigvecs(g: np.ndarray, rank: int) -> np.ndarray:
+    """Top-``rank`` eigenvectors of the symmetric matrix ``g``, largest first.
+
+    Only those eigenpairs are solved for (``scipy.linalg.eigh`` with
+    ``subset_by_index``, which rejects non-finite entries).  Signs follow
+    :func:`lsvd`'s rule, so for a Gram matrix ``g = a @ a.T`` of a wide ``a``
+    the result is ``lsvd(a, rank)`` bit for bit.
+    """
+    m = g.shape[0]
+    _, vecs = scipy.linalg.eigh(g, subset_by_index=[m - rank, m - 1])
+    return _fix_signs(vecs[:, ::-1].copy())
+
+
+def _fix_signs(u: np.ndarray) -> np.ndarray:
+    """Flip each column of ``u`` in place so its largest-magnitude entry is positive."""
+    for j in range(u.shape[1]):
         i = int(np.argmax(np.abs(u[:, j])))
         if u[i, j] < 0:
             u[:, j] = -u[:, j]
     return u
+
+
+class UnfoldingGrams:
+    """The Gram matrices ``a @ a.T`` of the mode unfoldings of one tensor.
+
+    ``grams[i]`` is computed on first access and kept, so the algorithms
+    that start from a mode's spectrum (PCHOOI/HOOI and
+    :func:`~pmtc.pchooi.tensor_informative`) pass over the full tensor once
+    per mode, however many of them run on the same draw.  Mode 1 unfolds by
+    the free C-order reshape, the other modes by :func:`matricize` (one copy);
+    the column order does not change the Gram matrix's spectrum or
+    eigenvectors.  The Grams are p_i x p_i, small next to the tensor.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.x = np.ascontiguousarray(x, dtype=float)
+        self._grams: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def of(cls, x: np.ndarray, grams: UnfoldingGrams | None) -> UnfoldingGrams:
+        """``grams`` when given (it must belong to a tensor of ``x``'s shape),
+        else a new holder for ``x``."""
+        if grams is None:
+            return cls(x)
+        if grams.x.shape != np.shape(x):
+            raise ValueError(f"Grams of a {grams.x.shape} tensor given for a {np.shape(x)} tensor")
+        return grams
+
+    def unfolding(self, mode: int) -> np.ndarray:
+        x = self.x
+        return x.reshape(x.shape[0], -1) if mode == 0 else matricize(x, mode)
+
+    def __getitem__(self, mode: int) -> np.ndarray:
+        g = self._grams.get(mode)
+        if g is None:
+            a = self.unfolding(mode)
+            g = self._grams[mode] = a @ a.T
+        return g
+
+    def lsvd(self, mode: int, rank: int) -> np.ndarray:
+        """``lsvd(self.unfolding(mode), rank)``: from the kept Gram when the
+        unfolding is wide (the usual case), else by the unfolding's SVD."""
+        p = self.x.shape[mode]
+        if self.x.size // p > p:
+            return top_eigvecs(self[mode], rank)
+        return lsvd(self.unfolding(mode), rank)
 
 
 def subspace_distance(u: np.ndarray, v: np.ndarray) -> float:

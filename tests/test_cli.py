@@ -142,3 +142,22 @@ def test_ini_config_keeps_key_case_and_matches_json(tmp_path, capsys):
     assert csv == (tmp_path / ".json" / "results.csv").read_bytes()
     assert len(csv.splitlines()) > 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--ranks", "a,b"],
+    ["--ranks", "0,5"],
+    ["--omega", "-1"],
+    ["--omega", "nan"],
+    ["--omega", "inf"],
+    ["--lloyd-iters", "0"],
+    ["--num-factors", "0", "--factors-latent"],
+    ["--seed", "-1"],
+])
+def test_invalid_fit_option_values_exit_2(tmp_path, fit_inputs, capsys, extra):
+    out = tmp_path / "fit"
+    with pytest.raises(SystemExit) as exc:
+        main(_fit_argv(fit_inputs[3], out) + extra)
+    assert exc.value.code == 2
+    assert f"argument {extra[0]}" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,10 +1,20 @@
+import importlib
 import math
 
+import numpy as np
 import pytest
 
 from pmtc import experiments
-from pmtc.experiments import CLUSTER_METHODS, Task, run_experiment, write_results_csv
-from pmtc.simulate import SimDesign, gen_pmtc
+from pmtc.experiments import (
+    CLUSTER_METHODS,
+    SUBSPACE_METHODS,
+    Task,
+    run_experiment,
+    write_results_csv,
+)
+from pmtc.pchooi import hooi, pchooi
+from pmtc.simulate import LowRankDesign, SimDesign, gen_coupled_lowrank, gen_pmtc
+from pmtc.tensor import UnfoldingGrams, subspace_distance
 
 
 def test_results_csv_cells_parse_as_floats(tmp_path):
@@ -59,3 +69,45 @@ def test_six_method_memberships_unchanged(gamma_x, expected):
     labels = {method: tuple("".join(map(str, m.labels)) for m in final)
               for method, (_, final) in got.items()}
     assert labels == expected
+
+
+@pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
+def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
+    design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
+    data, _ = gen_pmtc(design)
+    x = data.x
+    grams_formed = []  # mode of every full-tensor unfolding Gram formed
+
+    original_unfolding = UnfoldingGrams.unfolding
+
+    def unfolding(self, mode):
+        grams_formed.append(mode)
+        return original_unfolding(self, mode)
+
+    monkeypatch.setattr(UnfoldingGrams, "unfolding", unfolding)
+    for name in ("pmtc.pchooi", "pmtc.pmtsc"):  # the package exports functions of these names
+        module = importlib.import_module(name)
+        original_lsvd = module.lsvd
+
+        def lsvd(a, rank, original_lsvd=original_lsvd):
+            a = np.asarray(a)
+            if a.size == x.size:  # an unfolding of the whole tensor, outside the holder
+                grams_formed.append(x.shape.index(a.shape[0]))
+            return original_lsvd(a, rank)
+
+        monkeypatch.setattr(module, "lsvd", lsvd)
+    experiments._method_memberships(x, data.y, design.ranks, design.seed, CLUSTER_METHODS)
+    assert sorted(grams_formed) == [0, 1]
+
+
+def test_subspace_methods_share_grams_without_changing_bits():
+    design = LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2), seed=4)
+    rows = run_experiment([Task("lowrank", design)], SUBSPACE_METHODS, replications=1)
+    data, truth = gen_coupled_lowrank(design)
+    alone = {"PCHOOI": pchooi(data.x, data.y, design.ranks).bases,
+             "HOOI": hooi(data.x, design.ranks).bases}
+    for row in rows:
+        if row.method in alone:
+            u = alone[row.method][row.mode - 1]
+            assert row.value == subspace_distance(u, truth.bases[row.mode - 1])
+    assert {r.method for r in rows} == set(SUBSPACE_METHODS)

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,38 @@ def test_tensor_round_trip_exact_and_c_ordered(tmp_path, dims, layout):
     assert back.flags.c_contiguous and back.flags.writeable
     assert back.dtype == np.float64 and back.shape == dims
     assert np.array_equal(back, x)
+
+
+def _layout(x, layout):
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "sliced":
+        padded = np.zeros(tuple(2 * n for n in x.shape))
+        padded[tuple(slice(None, None, 2) for _ in x.shape)] = x
+        return padded[tuple(slice(None, None, 2) for _ in x.shape)]
+    return x
+
+
+@pytest.mark.parametrize("dims", [(), (3,), (4, 5), (3, 4, 5), (2, 3, 2, 4), (3, 0, 2)])
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+def test_tensor_file_bytes_are_the_column_major_layout(tmp_path, dims, layout):
+    x = _layout(np.random.default_rng(2).standard_normal(dims), layout)
+    path = tmp_path / "x.pmtc"
+    io.write_tensor(path, x)
+    expected = (b"PMTC" + struct.pack("<II", 1, x.ndim) + struct.pack(f"<{x.ndim}Q", *x.shape)
+                + np.asarray(x, dtype="<f8").flatten(order="F").tobytes())
+    assert path.read_bytes() == expected
+
+
+def test_tensor_write_holds_no_full_copy(tmp_path):
+    x = np.random.default_rng(3).standard_normal((100, 100, 60))
+    tracemalloc.start()
+    try:
+        io.write_tensor(tmp_path / "x.pmtc", x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 10
 
 
 def test_tensor_payload_is_first_index_fastest(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from pmtc import tensor
 from pmtc.pchooi import coupled_block, hooi, pchooi, tensor_informative
 from pmtc.simulate import LowRankDesign, SimDesign, gen_coupled_lowrank, gen_pmtc
-from pmtc.tensor import lsvd, multi_mode_product, subspace_distance
+from pmtc.tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product, subspace_distance
 
 
 def _noiseless_coupled(seed=0, p1=12, p2=10, t=8, m=(3, 2)):
@@ -139,3 +140,68 @@ def test_tensor_informative_extremes():
                   sigma_x=0.0, sigma_y=0.0, seed=11)
     data, _ = gen_pmtc(d)
     assert tensor_informative(data.x, d.ranks)
+
+
+def small_draw():
+    """The 60 x 50 x 30 coupled draw whose six-method labels are pinned."""
+    design = SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1)
+    data, _ = gen_pmtc(design)
+    return data.x, data.y, design.ranks
+
+
+def record_products(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+    """Record (mode, input shape) of every mode product from here on."""
+    calls = []
+    original = tensor.mode_product
+
+    def counted(x, mode, u):
+        calls.append((mode, np.shape(x)))
+        return original(x, mode, u)
+
+    monkeypatch.setattr(tensor, "mode_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("omega", [None, 0.0, 1.0])  # None: HOOI, the tensor alone
+def test_shared_grams_change_no_bits(omega):
+    x, y, ranks = small_draw()
+    y, omega = (None, 1.0) if omega is None else (y, omega)
+    grams = UnfoldingGrams(x)
+    tensor_informative(x, ranks, grams)  # fills every mode's Gram
+    own = pchooi(x, y, ranks, omega=omega)
+    shared = pchooi(x, y, ranks, omega=omega, grams=grams)
+    assert own.iterations_used == shared.iterations_used
+    for a, b in zip(own.bases, shared.bases):
+        assert np.array_equal(a, b)
+    # the start is the lsvd of each unfolding, as computed without any holder
+    start = pchooi(x, y, ranks, omega=omega, max_iter=0, grams=grams).bases
+    assert np.array_equal(start[1], lsvd(matricize(x, 1), ranks[1]))
+    if y is None:
+        assert np.array_equal(start[0], lsvd(x.reshape(x.shape[0], -1), ranks[0]))
+    elif omega == 0.0:
+        assert np.array_equal(own.bases[0], lsvd(y, ranks[0]))
+    # the kept projection is the one PMTSC would otherwise recompute
+    again = matricize(multi_mode_product(x, {0: own.bases[0].T}), 1)
+    assert np.array_equal(own.last_unfolding, again)
+
+
+def test_last_unfolding_absent_without_iterations():
+    x, y, ranks = small_draw()
+    assert pchooi(x, y, ranks, max_iter=0).last_unfolding is None
+
+
+def test_grams_of_another_shape_rejected():
+    x, y, ranks = small_draw()
+    with pytest.raises(ValueError):
+        pchooi(x, y, ranks, grams=UnfoldingGrams(x[:-1]))
+
+
+def test_zero_weight_iterations_skip_the_mode1_projection(monkeypatch):
+    x, y, ranks = small_draw()
+    calls = record_products(monkeypatch)
+    res = pchooi(x, y, ranks, omega=0.0)
+    # only mode 2's update projects (along mode 1); mode 1's basis is lsvd(y)
+    assert calls == [(0, x.shape)] * res.iterations_used
+    calls.clear()
+    res = pchooi(x, y, ranks, omega=1.0)
+    assert sorted(calls) == sorted([(0, x.shape), (1, x.shape)] * res.iterations_used)

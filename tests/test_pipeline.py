@@ -57,3 +57,9 @@ def test_estimate_bundle_is_consistent():
     latent = fit_pmtc(data.x, data.y, design.ranks, num_factors=2, omega=1.0, seed=1)
     assert latent.factor_estimate.mode == "latent"
     assert latent.factor_estimate.loadings.shape == (5, 2)
+
+
+def test_zero_latent_factor_count_is_rejected_not_defaulted():
+    design, data, _ = _draw(0.1)
+    with pytest.raises(ValueError):
+        fit_pmtc(data.x, data.y, design.ranks, num_factors=0, omega=1.0, seed=1)

@@ -5,7 +5,10 @@ from pmtc.kmeans import kmeans_relaxed
 from pmtc.metrics import cer
 from pmtc.pmtsc import _mode_seeds, pmtsc, spectral_cluster_rows
 from pmtc.simulate import SimDesign, gen_pmtc
-from pmtc.tensor import lsvd
+from pmtc.pchooi import pchooi, tensor_informative
+from pmtc.tensor import UnfoldingGrams, lsvd
+
+from test_pchooi import small_draw, record_products
 
 
 def test_noiseless_exact_recovery_all_modes():
@@ -95,3 +98,31 @@ def test_kmeans_on_scores_matches_full_features(seed, omega):
     full = kmeans_relaxed(u @ (u.T @ data.y), 3, seed=_mode_seeds(seed, 1)[0])
     rows = spectral_cluster_rows(data.y, 3, seed=seed)
     assert np.array_equal(rows.labels, full.membership.labels)
+
+
+@pytest.mark.parametrize("omega", [None, 0.0, 1.0])  # None: HOSC, the tensor alone
+def test_shared_grams_change_no_labels(omega):
+    x, y, ranks = small_draw()
+    y, omega = (None, 1.0) if omega is None else (y, omega)
+    grams = UnfoldingGrams(x)
+    tensor_informative(x, ranks, grams)
+    own = pmtsc(x, y, ranks, seed=1, omega=omega)
+    shared = pmtsc(x, y, ranks, seed=1, omega=omega, grams=grams)
+    for a, b in zip(own.memberships, shared.memberships):
+        assert np.array_equal(a.labels, b.labels)
+    for a, b in zip(own.projected, shared.projected):
+        assert np.array_equal(a, b)
+    assert own.kmeans_objectives == shared.kmeans_objectives
+
+
+@pytest.mark.parametrize("omega, own_products", [(None, 1), (0.0, 0), (1.0, 1)])
+def test_warm_start_reuses_the_subspace_fit_projection(monkeypatch, omega, own_products):
+    x, y, ranks = small_draw()
+    y, omega = (None, 1.0) if omega is None else (y, omega)
+    calls = record_products(monkeypatch)
+    pchooi(x, y, ranks, omega=omega)
+    fit_products = len(calls)
+    calls.clear()
+    pmtsc(x, y, ranks, seed=1, omega=omega)
+    assert all(shape == x.shape for _, shape in calls)
+    assert len(calls) - fit_products == own_products
