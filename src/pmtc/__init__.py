@@ -9,7 +9,7 @@ loading estimation, and a reproducible Monte Carlo harness.
 __version__ = "0.1.0"
 
 from .factors import FactorEstimate, estimate_latent, estimate_observed, per_asset_loadings
-from .kmeans import KmeansResult, kmeans_relaxed, nns
+from .kmeans import KmeansResult, kmeans_relaxed
 from .membership import EmptyClusterError, Membership
 from .metrics import EvalInput, SeparationStats, cer, misclustering_loss, separations, total_r2
 from .pchooi import PchooiResult, hooi, pchooi
@@ -27,13 +27,13 @@ from .simulate import (
     gen_pmtc,
     gen_tensor_block,
 )
-from .tensor import UnfoldingGrams, lsvd, matricize, mode_product, refold, subspace_distance
+from .tensor import UnfoldingGrams, lsvd, matricize, mode_product, subspace_distance
 
 __all__ = [
     "__version__",
-    "matricize", "refold", "mode_product", "lsvd", "subspace_distance", "UnfoldingGrams",
+    "matricize", "mode_product", "lsvd", "subspace_distance", "UnfoldingGrams",
     "Membership", "EmptyClusterError",
-    "KmeansResult", "kmeans_relaxed", "nns",
+    "KmeansResult", "kmeans_relaxed",
     "PchooiResult", "pchooi", "hooi",
     "SpectralInit", "pmtsc", "spectral_cluster_rows",
     "LloydTrace", "pmtlloyd",

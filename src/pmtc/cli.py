@@ -36,6 +36,7 @@ _EXIT_SHAPE = 4
 _EXIT_UNREADABLE = 5
 
 _RUN_KEYS = {"preset", "seed", "threads", "out", "replications"}
+_RUN_INTS = {"seed": 0, "replications": 1, "threads": 1}  # key: least value
 _META_KEYS = {"versions", "config_hash", "resolved_params"}
 
 
@@ -105,6 +106,16 @@ def _omega(value: str) -> float | str:
     return w
 
 
+def _split(value: str) -> str:
+    """``index:K`` or ``rolling[:W]`` with K, W >= 1, kept as given."""
+    kind, _, n = value.partition(":")
+    if value != "rolling":
+        if kind not in ("index", "rolling"):
+            raise argparse.ArgumentTypeError(f"expected index:K or rolling[:W], got {value!r}")
+        _int_at_least(1)(n)
+    return value
+
+
 def _parse_overrides(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs or []:
@@ -150,14 +161,19 @@ def _cmd_simulate(args) -> int:
     preset = args.preset or run_cfg.get("preset")
     if not preset:
         raise CliError(_EXIT_CONFIG, "no preset given (use --preset or a config file)")
-    if args.seed is not None:
-        run_cfg["seed"] = args.seed
-    if args.replications is not None:
-        run_cfg["replications"] = args.replications
+    for key, low in _RUN_INTS.items():
+        value = getattr(args, key)
+        if value is None and key in run_cfg:
+            try:
+                value = _int_at_least(low)(str(run_cfg[key]))
+            except argparse.ArgumentTypeError as exc:
+                raise CliError(_EXIT_CONFIG, f"[run] {key}: {exc}")
+        if value is not None:
+            run_cfg[key] = value
     for key in ("seed", "replications"):
         if key in run_cfg:
-            overrides[key] = int(run_cfg[key])
-    threads = args.threads or int(run_cfg.get("threads", 1))
+            overrides[key] = run_cfg[key]
+    threads = run_cfg.get("threads", 1)
     out_dir = args.out or run_cfg.get("out", "out")
 
     try:
@@ -270,13 +286,12 @@ def _cmd_eval(args) -> int:
     market = _load(args.market, io.read_matrix_csv).ravel()
     demean = args.demean == "on"
     try:
-        if args.split.startswith("rolling"):
-            window = int(args.split.split(":", 1)[1]) if ":" in args.split else 12
-            report = evaluate_rolling(y, factors, market, member, window=window,
+        kind, _, n = args.split.partition(":")
+        if kind == "rolling":
+            report = evaluate_rolling(y, factors, market, member, window=int(n or 12),
                                       demean=demean)
         else:
-            split = int(args.split.split(":", 1)[-1])
-            report = evaluate_split(y, factors, market, member, split, demean=demean)
+            report = evaluate_split(y, factors, market, member, int(n), demean=demean)
     except ValueError as exc:
         raise CliError(_EXIT_SHAPE, f"inconsistent inputs: {exc}")
 
@@ -296,9 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--preset", choices=PRESET_NAMES)
     sim.add_argument("--config", help="INI or JSON config (or a previous manifest.json)")
     sim.add_argument("--out", help="output directory (default out)")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--replications", type=int)
-    sim.add_argument("--threads", type=int)
+    sim.add_argument("--seed", type=_int_at_least(0))
+    sim.add_argument("--replications", type=_int_at_least(1))
+    sim.add_argument("--threads", type=_int_at_least(1))
     sim.add_argument("--override", action="append", metavar="KEY=VALUE")
     sim.add_argument("--progress", action="store_true")
     sim.set_defaults(func=_cmd_simulate)
@@ -328,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--returns", required=True)
     ev.add_argument("--factors", required=True)
     ev.add_argument("--market", required=True, help="length-T market-excess CSV")
-    ev.add_argument("--split", required=True, help="index:K or rolling[:window]")
+    ev.add_argument("--split", required=True, type=_split, help="index:K or rolling[:window]")
     ev.add_argument("--demean", choices=("on", "off"), default="on")
     ev.set_defaults(func=_cmd_eval)
     return parser

@@ -3,9 +3,7 @@
 Both estimators act on the group-mean panel (each cluster's rows of ``y``
 averaged), so group loadings come out free of cluster-size scaling: in the
 noiseless observed-factor model the least-squares estimate reproduces the
-loading matrix exactly.  The ``weighting="sqrt_size"`` variant aggregates
-with the orthonormal group-indicator basis instead, which multiplies group
-k's loadings by the square root of its size.
+loading matrix exactly.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ def estimate_observed(
     m1: Membership,
     factors: np.ndarray,
     demean: bool = True,
-    weighting: str = "mean",
 ) -> FactorEstimate:
     """Least squares of the group-mean panel on observed factors.
 
@@ -74,16 +71,13 @@ def estimate_observed(
     f = np.asarray(factors, dtype=float)
     if f.ndim != 2 or f.shape[1] != y.shape[1]:
         raise ValueError(f"factor shape {f.shape} does not match panel columns {y.shape[1]}")
-    if weighting not in ("mean", "sqrt_size"):
-        raise ValueError("weighting must be 'mean' or 'sqrt_size'")
     if demean:
         y = y - y.mean(axis=1, keepdims=True)
         f = f - f.mean(axis=1, keepdims=True)
     gram = f @ f.T
     if np.linalg.cond(gram) > _MAX_CONDITION:
         raise np.linalg.LinAlgError("factor second-moment matrix is numerically singular")
-    agg = m1.projector().T if weighting == "mean" else m1.normalized_basis().T
-    b_hat = np.linalg.solve(gram, (agg @ y @ f.T).T).T
+    b_hat = np.linalg.solve(gram, (m1.projector().T @ y @ f.T).T).T
     return FactorEstimate("observed", b_hat, None, f.shape[0])
 
 

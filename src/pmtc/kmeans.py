@@ -1,29 +1,23 @@
-"""Relaxed k-means (k-means++ seeding plus Lloyd sweeps) and nearest-neighbor assignment.
+"""Relaxed k-means: k-means++ seeding plus Lloyd sweeps, best of several restarts.
 
-The relaxed solver targets the clustering subproblem of the spectral
-initialization: across restarts it returns labels whose objective is within
-the relaxation factor kappa of the optimum (and in practice almost always the
-best local optimum found).  Ties in assignments always break toward the
-lowest cluster index so results are reproducible.
+The solver targets the clustering subproblem of the spectral initialization,
+where a relaxed (approximate) k-means solution suffices; across restarts it
+returns the best local optimum found.  Ties in assignments always break
+toward the lowest cluster index so results are reproducible.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .membership import Membership
 
-__all__ = ["KmeansResult", "kmeans_relaxed", "nns", "default_kappa"]
+__all__ = ["KmeansResult", "kmeans_relaxed"]
 
 _MAX_SWEEPS = 100
-
-
-def default_kappa(r: int) -> float:
-    """Default relaxation factor 1 + log(r)."""
-    return 1.0 + math.log(r)
+_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -40,19 +34,6 @@ def _sq_distances(z: np.ndarray, c: np.ndarray) -> np.ndarray:
         diff = z - c[a]
         d2[:, a] = np.einsum("ij,ij->i", diff, diff)
     return d2
-
-
-def nns(z: np.ndarray, c: np.ndarray) -> Membership:
-    """Assign each row of ``z`` to the nearest row of ``c`` (squared distance).
-
-    Ties break toward the smallest cluster index.
-    """
-    z = np.asarray(z, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if z.ndim != 2 or c.ndim != 2 or z.shape[1] != c.shape[1]:
-        raise ValueError(f"incompatible shapes {z.shape} and {c.shape}")
-    labels = np.argmin(_sq_distances(z, c), axis=1)
-    return Membership(labels, c.shape[0])
 
 
 def _plusplus_seed(z: np.ndarray, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,20 +86,12 @@ def _lloyd(z: np.ndarray, centers: np.ndarray, r: int):
     return labels, centers, obj
 
 
-def kmeans_relaxed(
-    z: np.ndarray,
-    r: int,
-    kappa: float | None = None,
-    seed: int = 0,
-    restarts: int = 10,
-) -> KmeansResult:
+def kmeans_relaxed(z: np.ndarray, r: int, seed: int = 0) -> KmeansResult:
     """Cluster the rows of ``z`` into ``r`` groups.
 
-    Runs ``restarts`` independent k-means++ seedings, each followed by Lloyd
-    sweeps until the assignment stabilizes, and returns the best result
-    (ties broken by restart index).  Deterministic given ``seed``.  ``kappa``
-    is the relaxation factor of the contract objective <= kappa * optimum; it
-    does not alter the computation.
+    Runs ten independent k-means++ seedings, each followed by Lloyd sweeps
+    until the assignment stabilizes, and returns the best result (ties broken
+    by restart index).  Deterministic given ``seed``.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
@@ -128,15 +101,9 @@ def kmeans_relaxed(
     p = z.shape[0]
     if not 1 <= r <= p:
         raise ValueError(f"cluster count {r} invalid for {p} rows")
-    if kappa is None:
-        kappa = default_kappa(r)
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
 
     best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
+    for child in np.random.SeedSequence(seed).spawn(_RESTARTS):
         rng = np.random.default_rng(child)
         centers = _plusplus_seed(z, r, rng)
         labels, centers, obj = _lloyd(z, centers, r)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -24,31 +23,19 @@ __all__ = ["PchooiResult", "pchooi", "hooi", "coupled_block"]
 
 @dataclass(frozen=True)
 class PchooiResult:
-    """Fitted bases and stopping record; ``x`` and ``y`` are the inputs.
+    """Fitted bases and stopping record.
 
     ``last_unfolding`` is the last mode's projected unfolding
     matricize(x ×_{j<d} U_j', d) from the last iteration, which used the
     final bases of every other mode (None when ``max_iter`` was 0 or ``x``
     has a single clustered mode); PMTSC clusters that mode on it without
     projecting the full tensor again.
-    The denoised tensor ``x_hat`` = x ×_i U_i U_i' and panel ``y_hat`` =
-    U_1 U_1' y are computed on first access and cached.
     """
 
     bases: list[np.ndarray]
     iterations_used: int
     converged: bool
     last_unfolding: np.ndarray | None = field(repr=False, compare=False)
-    x: np.ndarray = field(repr=False, compare=False)
-    y: np.ndarray | None = field(repr=False, compare=False)
-
-    @cached_property
-    def x_hat(self) -> np.ndarray:
-        return multi_mode_product(self.x, {i: u @ u.T for i, u in enumerate(self.bases)})
-
-    @cached_property
-    def y_hat(self) -> np.ndarray | None:
-        return None if self.y is None else self.bases[0] @ self.bases[0].T @ self.y
 
 
 def _check_inputs(x: np.ndarray, y: np.ndarray | None, ranks) -> int:
@@ -114,9 +101,7 @@ def pchooi(
 
     Iterations stop once the per-mode projector movement
     max_i ||U_i U_i' - U_i_prev U_i_prev'||_2^2 falls below ``tol``.  Returns
-    the bases and the stopping record; the denoised tensor x ×_i U_i U_i' and
-    panel U_1 U_1' y are computed only when the result's ``x_hat`` and
-    ``y_hat`` are read.
+    the bases and the stopping record.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
@@ -155,7 +140,7 @@ def pchooi(
         if move <= tol:
             converged = True
             break
-    return PchooiResult(bases, iterations, converged, last, x, y)
+    return PchooiResult(bases, iterations, converged, last)
 
 
 def hooi(x: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-6,

@@ -162,29 +162,19 @@ def evaluate_rolling(
     membership: Membership,
     window: int = 12,
     demean: bool = True,
-    years: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Rolling evaluation: each window trains the loadings, the next validates.
 
-    Windows are consecutive ``window``-period blocks, or calendar years when a
-    per-period ``years`` vector is supplied; in- and out-of-sample values are
-    averaged over windows.
+    Windows are consecutive ``window``-period blocks; in- and out-of-sample
+    values are averaged over windows.
     """
     y = np.asarray(y, dtype=float)
     factors = np.asarray(factors, dtype=float)
     market = np.asarray(market, dtype=float).ravel()
     t = y.shape[1]
-    if years is not None:
-        years = np.asarray(years)
-        if years.shape != (t,):
-            raise ValueError("years vector must have one entry per period")
-        blocks = [np.flatnonzero(years == yv) for yv in np.unique(years)]
-    else:
-        if not 1 <= window < t:
-            raise ValueError(f"window {window} must lie in [1, {t - 1}]")
-        blocks = [np.arange(s, min(s + window, t)) for s in range(0, t, window)]
-    if len(blocks) < 2:
-        raise ValueError("rolling evaluation needs at least two windows")
+    if not 1 <= window < t:
+        raise ValueError(f"window {window} must lie in [1, {t - 1}]")
+    blocks = [np.arange(s, min(s + window, t)) for s in range(0, t, window)]
     ins_vals, oos_vals = [], []
     for train, test in zip(blocks[:-1], blocks[1:]):
         ins, oos = _window_r2(y, factors, market, membership, train, test, demean)

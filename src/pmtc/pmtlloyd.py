@@ -13,14 +13,12 @@ serving as the comparison baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
 from .kmeans import _repair_empty, _sq_distances
-from .membership import Membership, block_means, expand_blocks
+from .membership import Membership
 from .pchooi import coupled_block
 from .tensor import matricize, multi_mode_product
 
@@ -29,43 +27,10 @@ __all__ = ["LloydTrace", "pmtlloyd"]
 
 @dataclass
 class LloydTrace:
-    """Per-sweep record: memberships and centroids per mode, plug-in loss,
-    and (when the truth is supplied) clustering error per mode.
+    """Stopping record: sweeps run, and whether the last left every label as it was."""
 
-    ``x``, ``y`` and ``omega`` are the refined data and coupling weight; the
-    plug-in losses are computed from them and the stored memberships when
-    ``losses`` is first read, so a caller that discards the trace never pays
-    for a full-tensor block expansion per sweep.
-    """
-
-    memberships: list[list[Membership]]
-    centroids: list[list[np.ndarray]]
-    cers: list[list[float]] | None
-    iterations_used: int
-    converged: bool
-    x: np.ndarray = field(repr=False, compare=False)
-    y: np.ndarray | None = field(repr=False, compare=False)
-    omega: float
-
-    @cached_property
-    def losses(self) -> list[float]:
-        return [_plugin_loss(self.x, self.y, m, self.omega) for m in self.memberships]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("iteration,mode,cer,loss\n")
-            for k in range(self.iterations_used):
-                for i in range(len(self.memberships[k])):
-                    cer = "" if self.cers is None else repr(float(self.cers[k][i]))
-                    fh.write(f"{k + 1},{i + 1},{cer},{float(self.losses[k])!r}\n")
-
-
-def _plugin_loss(x, y, members: list[Membership], omega: float) -> float:
-    core, s_y = block_means(x, y, members)
-    loss = omega * float(np.sum((x - expand_blocks(core, members)) ** 2))
-    if y is not None:
-        loss += float(np.sum((y - s_y[members[0].labels]) ** 2))
-    return loss
+    iterations_used: int = 0
+    converged: bool = False
 
 
 def _assign(z: np.ndarray, c: np.ndarray, r: int) -> np.ndarray:
@@ -99,7 +64,6 @@ def pmtlloyd(
     max_iter: int | None = None,
     projection: str = "orthogonal",
     omega: float = 1.0,
-    truth: list[Membership] | None = None,
 ) -> tuple[list[Membership], LloydTrace]:
     """Refine ``init`` memberships on the clustered modes of ``x`` (and ``y``).
 
@@ -108,7 +72,7 @@ def pmtlloyd(
     changes.  Every sweep uses only the previous sweep's memberships; modes
     are reassigned in order within the sweep.  ``omega`` scales the
     tensor-block term of the coupled mode-1 assignment distance.  Returns the
-    final memberships and the full trace.
+    final memberships and the stopping record.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
@@ -128,14 +92,13 @@ def pmtlloyd(
         raise ValueError("max_iter must be >= 1")
 
     members = _repair_init(x, y, init, omega)
-    trace = LloydTrace([], [], None if truth is None else [], 0, False, x, y, omega)
+    trace = LloydTrace()
 
     for _ in range(max_iter):
         projs = [m.normalized_basis() if projection == "orthogonal" else m.projector()
                  for m in members]
         avgs = [m.projector() for m in members]
         new_members: list[Membership] = []
-        cents: list[np.ndarray] = []
         for i in range(d):
             others = {j: projs[j].T for j in range(d) if j != i}
             proj_x = multi_mode_product(x, others)
@@ -146,19 +109,12 @@ def pmtlloyd(
                 ci = coupled_block(ci, avgs[0].T @ y, omega)
             labels = _assign(zi, ci, members[i].num_clusters)
             new_members.append(Membership(labels, members[i].num_clusters))
-            cents.append(ci)
 
         unchanged = all(
             np.array_equal(new_members[i].labels, members[i].labels) for i in range(d)
         )
         members = new_members
         trace.iterations_used += 1
-        trace.memberships.append(members)
-        trace.centroids.append(cents)
-        if truth is not None:
-            trace.cers.append(
-                [metrics.cer(members[i], truth[i])[0] for i in range(d)]
-            )
         if unchanged:
             trace.converged = True
             break

@@ -23,7 +23,6 @@ __all__ = ["SpectralInit", "pmtsc", "spectral_cluster_rows"]
 @dataclass(frozen=True)
 class SpectralInit:
     memberships: list[Membership]
-    projected: list[np.ndarray]
     kmeans_objectives: list[float]
 
 
@@ -55,11 +54,11 @@ def pmtsc(
     of the PCHOOI bases estimated here with coupling weight ``omega``
     (``grams`` is passed on to :func:`~pmtc.pchooi.pchooi`).  Each mode is
     clustered by :func:`kmeans_relaxed`, deterministic given ``seed``, on
-    p_i x r_i isometric scores of the doubly projected unfolding (same
-    pairwise row distances, see :func:`_scores`); ``projected`` still holds
-    the full p_i x n_i feature matrices.  The last mode's projected unfolding
-    is PCHOOI's own from its last iteration, and at ``omega=0`` the mode-1
-    features are the panel alone, so neither projects the full tensor again.
+    p_i x r_i isometric scores of the doubly projected p_i x n_i unfolding
+    (same pairwise row distances, see :func:`_scores`), which is itself never
+    formed.  The last mode's projected unfolding is PCHOOI's own from its last
+    iteration, and at ``omega=0`` the mode-1 features are the panel alone, so
+    neither projects the full tensor again.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
@@ -68,7 +67,6 @@ def pmtsc(
     bases = fit.bases
 
     memberships: list[Membership] = []
-    projected: list[np.ndarray] = []
     objectives: list[float] = []
     seeds = _mode_seeds(seed, d)
     for i in range(d):
@@ -84,9 +82,8 @@ def pmtsc(
         coords = bases[i].T @ zi
         res = kmeans_relaxed(_scores(bases[i], coords), ranks[i], seed=seeds[i])
         memberships.append(res.membership)
-        projected.append(bases[i] @ coords)
         objectives.append(res.objective)
-    return SpectralInit(memberships, projected, objectives)
+    return SpectralInit(memberships, objectives)
 
 
 def spectral_cluster_rows(y: np.ndarray, r: int, seed: int = 0) -> Membership:

@@ -113,6 +113,8 @@ def _resolve(name: str, overrides: dict | None) -> dict:
             params[key] = None if value in (None, "", "none") else _parse_grid(value)
         else:
             params[key] = float(value)
+    if params["replications"] < 1 or params["seed"] < 0:
+        raise ValueError("replications must be >= 1 and seed >= 0")
     return params
 
 

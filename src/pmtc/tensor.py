@@ -8,12 +8,12 @@ on the free reshape of ``x`` to ``(prod(shape[:k]), p_k, prod(shape[k+1:]))``
 and returns a C-contiguous result, so chains of products never copy the
 full tensor.
 
-:func:`matricize` defines the unfolding, and :func:`refold` inverts it.  They
-are not on the hot path: the kernel does not use them, and the algorithms
-apply them to small projected tensors (on the hot path a full tensor is
-unfolded, at the cost of one copy, only by :class:`UnfoldingGrams`, to form
-a mode's Gram matrix once; mode 1 then uses the free C-order reshape, whose
-column order differs but whose left singular subspace is the same).  The
+:func:`matricize` defines the unfolding.  It is not on the hot path: the
+kernel does not use it, and the algorithms apply it to small projected
+tensors (on the hot path a full tensor is unfolded, at the cost of one copy,
+only by :class:`UnfoldingGrams`, to form a mode's Gram matrix once; mode 1
+then uses the free C-order reshape, whose column order differs but whose
+left singular subspace is the same).  The
 columns of the mode-k unfolding enumerate the remaining modes in the cyclic
 order (k+1, k+2, ..., K, 1, ..., k-1), with the first of these varying
 fastest.  For an order-3 tensor A this gives
@@ -34,7 +34,6 @@ import scipy.linalg
 
 __all__ = [
     "matricize",
-    "refold",
     "mode_product",
     "lsvd",
     "top_eigvecs",
@@ -59,20 +58,6 @@ def matricize(x: np.ndarray, mode: int) -> np.ndarray:
     _check_mode(x.ndim, mode)
     perm = np.roll(np.arange(x.ndim), -mode)
     return x.transpose(perm).reshape((x.shape[mode], -1), order="F")
-
-
-def refold(m: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`matricize`: rebuild the tensor with shape ``dims``."""
-    m = np.asarray(m)
-    dims = tuple(int(d) for d in dims)
-    _check_mode(len(dims), mode)
-    other = int(np.prod(dims)) // dims[mode]
-    if m.shape != (dims[mode], other):
-        raise ValueError(f"matrix shape {m.shape} does not refold into {dims} at mode {mode}")
-    order = int(len(dims))
-    perm = np.roll(np.arange(order), -mode)
-    cyclic_dims = tuple(dims[p] for p in perm)
-    return m.reshape(cyclic_dims, order="F").transpose(np.roll(np.arange(order), mode))
 
 
 def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:

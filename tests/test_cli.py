@@ -33,6 +33,15 @@ def _fit_argv(paths, out):
             "--factors", paths["factors.csv"], "--ranks", "5,5", "--out", str(out)]
 
 
+def _eval_argv(paths, estimate, split):
+    return ["eval", "--estimate", str(estimate), "--returns", paths["returns.csv"],
+            "--factors", paths["factors.csv"], "--market", paths["market.csv"], "--split", split]
+
+
+def _last_line(err: str) -> str:
+    return err.strip().splitlines()[-1]
+
+
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -56,10 +65,7 @@ def test_fit_then_eval_outputs_parse_back(tmp_path, fit_inputs, capsys):
     assert len(_read_json(out / "manifest.json")["config_hash"]) == 64
 
     for split in ("index:12", "rolling:10"):
-        argv = ["eval", "--estimate", str(out), "--returns", paths["returns.csv"],
-                "--factors", paths["factors.csv"], "--market", paths["market.csv"],
-                "--split", split]
-        assert main(argv) == 0
+        assert main(_eval_argv(paths, out, split)) == 0
         report = _read_json(out / "eval.json")
         assert np.isfinite(report["ins_r2"]) and np.isfinite(report["oos_r2"])
     assert report["windows"] == 2.0
@@ -161,3 +167,60 @@ def test_invalid_fit_option_values_exit_2(tmp_path, fit_inputs, capsys, extra):
     assert exc.value.code == 2
     assert f"argument {extra[0]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--replications", "0"],
+    ["--replications", "-1"],
+    ["--threads", "0"],
+    ["--threads", "abc"],
+    ["--seed", "-1"],
+])
+def test_invalid_simulate_option_values_exit_2(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *_TINY, "--out", str(out)] + extra)
+    assert exc.value.code == 2
+    assert f"error: argument {extra[0]}" in _last_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "replications", "0"),
+    ("run", "replications", "x"),
+    ("run", "threads", "abc"),
+    ("run", "threads", "0"),
+    ("run", "seed", "-1"),
+    ("overrides", "replications", "0"),
+])
+def test_invalid_simulate_config_values_exit_2(tmp_path, capsys, section, key, value):
+    config = {"run": {"preset": "figA7"},
+              "overrides": {"replications": "1", "p1": "20", "p2": "16", "T": "8",
+                            "gamma_y_grid": "0.0", "gamma_x_grid": "-0.1"}}
+    config[section][key] = value
+    ini = tmp_path / "run.ini"
+    ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in config.items()))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["index:abc", "index:0", "index", "rolling:abc", "rolling:0",
+                                   "rolling:", "month:3"])
+def test_malformed_eval_split_exits_2(tmp_path, fit_inputs, capsys, split):
+    with pytest.raises(SystemExit) as exc:
+        main(_eval_argv(fit_inputs[3], tmp_path, split))
+    assert exc.value.code == 2
+    assert "error: argument --split" in _last_line(capsys.readouterr().err)
+
+
+def test_eval_split_beyond_the_panel_exits_4(tmp_path, fit_inputs, capsys):
+    design, paths = fit_inputs[0], fit_inputs[3]
+    out = tmp_path / "fit"
+    assert main(_fit_argv(paths, out)) == 0
+    for split in (f"index:{design.T}", f"rolling:{design.T}"):
+        assert main(_eval_argv(paths, out, split)) == 4
+        assert _last_line(capsys.readouterr().err).startswith("error: inconsistent inputs")

@@ -68,14 +68,6 @@ def test_observed_identity_factors_give_period_means():
         assert np.allclose(est.loadings[a], y[member.labels == a].mean(axis=0), atol=1e-12)
 
 
-def test_observed_sqrt_size_weighting():
-    rng = np.random.default_rng(5)
-    y, member, b, f = _panel(rng)
-    est = estimate_observed(y, member, f, demean=False, weighting="sqrt_size")
-    lam = np.sqrt(member.cluster_sizes.astype(float))
-    assert np.allclose(est.loadings, lam[:, np.newaxis] * b, atol=1e-8)
-
-
 def test_observed_demean_invariance_to_time_constant():
     rng = np.random.default_rng(6)
     y, member, b, f = _panel(rng, noise=0.3)
@@ -98,8 +90,6 @@ def test_observed_shape_validation():
     y, member, _, f = _panel(rng)
     with pytest.raises(ValueError):
         estimate_observed(y, member, f[:, :10])
-    with pytest.raises(ValueError):
-        estimate_observed(y, member, f, weighting="nope")
 
 
 def test_per_asset_loadings_gather():

@@ -1,7 +1,15 @@
+import gc
+import importlib
+import pkgutil
+import weakref
+
 import numpy as np
 import pytest
 
+import pmtc
+from pmtc.pchooi import pchooi
 from pmtc.pipeline import cluster, fit_pmtc
+from pmtc.pmtlloyd import pmtlloyd
 from pmtc.simulate import SimDesign, gen_pmtc
 
 from test_experiments import _HIGHSNR_MEMBERSHIPS, _LOWSNR_MEMBERSHIPS
@@ -63,3 +71,25 @@ def test_zero_latent_factor_count_is_rejected_not_defaulted():
     design, data, _ = _draw(0.1)
     with pytest.raises(ValueError):
         fit_pmtc(data.x, data.y, design.ranks, num_factors=0, omega=1.0, seed=1)
+
+
+def test_fit_results_do_not_keep_the_input_tensor_alive():
+    design = SimDesign(dims=(20, 16), T=8, ranks=(3, 2), m1=2, mu_b=(1.0,), seed=3)
+    data, truth = gen_pmtc(design)
+    x = data.x.copy()
+    assert x.flags.c_contiguous and x.dtype == float
+    ref = weakref.ref(x)
+    results = [pchooi(x, data.y, design.ranks), pmtlloyd(x, data.y, truth.memberships)]
+    del x
+    gc.collect()
+    assert ref() is None, "a fit result still refers to its input tensor"
+    assert results[0].bases and results[1][1].iterations_used >= 1
+
+
+def test_every_exported_name_resolves():
+    for name in pmtc.__all__:
+        assert hasattr(pmtc, name), name
+    for info in pkgutil.iter_modules(pmtc.__path__):
+        module = importlib.import_module(f"pmtc.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"pmtc.{info.name}.{name}"

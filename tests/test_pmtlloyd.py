@@ -1,13 +1,11 @@
-import importlib
 import math
 
 import numpy as np
 import pytest
 
-from pmtc.kmeans import nns
-from pmtc.membership import Membership
+from pmtc.membership import Membership, block_means, expand_blocks
 from pmtc.metrics import cer
-from pmtc.pmtlloyd import _plugin_loss, pmtlloyd
+from pmtc.pmtlloyd import pmtlloyd
 from pmtc.pmtsc import pmtsc
 from pmtc.simulate import SimDesign, gen_pmtc
 from pmtc.tensor import matricize, multi_mode_product
@@ -46,19 +44,9 @@ def test_noiseless_corrupted_init_recovers_exactly():
             assert cer(final[i], truth.memberships[i])[0] == 0.0
 
 
-def test_noiseless_centroids_match_rescaled_centers():
-    (data, truth), d = _noiseless(seed=2)
-    _, trace = pmtlloyd(data.x, data.y, truth.memberships, max_iter=1)
-    lam2 = np.diag(np.sqrt(truth.memberships[1].cluster_sizes.astype(float)))
-    expect_x = matricize(np.einsum("abt,bc->act", truth.core, lam2), 0)
-    c1 = trace.centroids[0][0]
-    assert np.allclose(c1[:, : expect_x.shape[1]], expect_x, atol=1e-10)
-    assert np.allclose(c1[:, expect_x.shape[1] :], truth.s_y, atol=1e-10)
-
-
 def test_mode1_distance_is_sum_of_blocks():
     # the coupled assignment minimizes tensor-block distance plus panel-block
-    # distance: recompute both terms separately and compare to the joint rule
+    # distance: recompute both terms separately and compare to the first sweep
     d = SimDesign(dims=(20, 16), T=8, ranks=(3, 2), m1=2, mu_b=(1.0,),
                   gamma_x=0.3, gamma_y=0.3, seed=3)
     data, truth = gen_pmtc(d)
@@ -69,47 +57,32 @@ def test_mode1_distance_is_sum_of_blocks():
     z_x = matricize(proj, 0)
     c_x = p1.T @ z_x
     s_y = p1.T @ data.y
-    joint = nns(np.concatenate([z_x, data.y], axis=1),
-                np.concatenate([c_x, s_y], axis=1)).labels
-    for j in range(20):
-        dists = [
-            np.sum((z_x[j] - c_x[a]) ** 2) + np.sum((data.y[j] - s_y[a]) ** 2)
-            for a in range(3)
-        ]
-        assert dists[joint[j]] <= min(dists) + 1e-12
+    dists = (np.sum((z_x[:, None] - c_x[None]) ** 2, axis=2)
+             + np.sum((data.y[:, None] - s_y[None]) ** 2, axis=2))
+    labels = pmtlloyd(data.x, data.y, members, max_iter=1)[0][0].labels
+    assert np.all(dists[np.arange(20), labels] <= dists.min(axis=1) + 1e-12)
+
+
+def _plugin_loss(x, y, members):
+    """Coupled plug-in loss at omega=1: tensor and panel residuals from block means."""
+    core, s_y = block_means(x, y, members)
+    return (float(np.sum((x - expand_blocks(core, members)) ** 2))
+            + float(np.sum((y - s_y[members[0].labels]) ** 2)))
 
 
 def test_loss_recorded_and_non_increasing_at_moderate_snr():
     d = SimDesign(dims=(40, 30), T=20, ranks=(3, 2), m1=2, mu_b=(1.0,),
                   gamma_x=0.4, gamma_y=0.3, seed=4)
-    data, truth = gen_pmtc(d)
-    init = pmtsc(data.x, data.y, d.ranks, seed=4)
-    _, trace = pmtlloyd(data.x, data.y, init.memberships, truth=truth.memberships)
-    assert len(trace.losses) == trace.iterations_used
-    for a, b in zip(trace.losses[:-1], trace.losses[1:]):
-        assert b <= a * (1 + 1e-9)
-    assert trace.cers is not None and len(trace.cers) == trace.iterations_used
-
-
-def test_loss_computed_only_when_read(monkeypatch):
-    d = SimDesign(dims=(40, 30), T=20, ranks=(3, 2), m1=2, mu_b=(1.0,),
-                  gamma_x=0.4, gamma_y=0.3, seed=4)
     data, _ = gen_pmtc(d)
     init = pmtsc(data.x, data.y, d.ranks, seed=4)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _plugin_loss(*args)
-
-    # the package exports the function under the module's name
-    module = importlib.import_module("pmtc.pmtlloyd")
-    monkeypatch.setattr(module, "_plugin_loss", counted)
-    _, trace = pmtlloyd(data.x, data.y, init.memberships, omega=0.5)
-    assert calls == []
-    expect = [_plugin_loss(data.x, data.y, m, 0.5) for m in trace.memberships]
-    assert trace.losses == expect and len(expect) == trace.iterations_used
-    assert trace.losses is trace.losses and len(calls) == trace.iterations_used
+    _, trace = pmtlloyd(data.x, data.y, init.memberships)
+    # each sweep uses only the previous one's memberships, so sweep k of the
+    # run is the run capped at k sweeps
+    losses = [_plugin_loss(data.x, data.y, pmtlloyd(data.x, data.y, init.memberships,
+                                                    max_iter=k)[0])
+              for k in range(1, trace.iterations_used + 1)]
+    for a, b in zip(losses[:-1], losses[1:]):
+        assert b <= a * (1 + 1e-9)
 
 
 def test_oblique_variant_differs_only_in_projection():
@@ -145,19 +118,6 @@ def test_tensor_only_refinement():
         assert cer(final[i], truth.memberships[i])[0] == 0.0
 
 
-def test_trace_csv_export(tmp_path):
-    d = SimDesign(dims=(20, 16), T=8, ranks=(2, 2), m1=2, mu_b=(1.0,),
-                  gamma_x=0.2, gamma_y=0.2, seed=9)
-    data, truth = gen_pmtc(d)
-    init = pmtsc(data.x, data.y, d.ranks, seed=9)
-    _, trace = pmtlloyd(data.x, data.y, init.memberships, truth=truth.memberships)
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,mode,cer,loss"
-    assert len(lines) == 1 + 2 * trace.iterations_used
-
-
 def test_validation_errors():
     (data, truth), d = _noiseless(seed=10)
     with pytest.raises(ValueError):
@@ -169,18 +129,3 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         pmtlloyd(data.x, data.y, truth.memberships[:1])
 
-
-def test_trace_csv_cells_parse_as_floats(tmp_path):
-    d = SimDesign(dims=(20, 16), T=8, ranks=(2, 2), m1=2, mu_b=(1.0,),
-                  gamma_x=0.0, gamma_y=0.0, seed=4)
-    data, truth = gen_pmtc(d)
-    init = pmtsc(data.x, data.y, d.ranks, seed=4)
-    _, trace = pmtlloyd(data.x, data.y, init.memberships, truth=truth.memberships)
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    assert rows
-    for row in rows:
-        assert len(row) == 4
-        for cell in row:
-            assert math.isfinite(float(cell))

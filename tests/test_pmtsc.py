@@ -5,8 +5,8 @@ from pmtc.kmeans import kmeans_relaxed
 from pmtc.metrics import cer
 from pmtc.pmtsc import _mode_seeds, pmtsc, spectral_cluster_rows
 from pmtc.simulate import SimDesign, gen_pmtc
-from pmtc.pchooi import pchooi, tensor_informative
-from pmtc.tensor import UnfoldingGrams, lsvd
+from pmtc.pchooi import coupled_block, pchooi, tensor_informative
+from pmtc.tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product
 
 from test_pchooi import small_draw, record_products
 
@@ -28,15 +28,6 @@ def test_single_cluster_modes_trivial():
     for m in init.memberships:
         assert m.num_clusters == 1
         assert np.all(m.labels == 0)
-
-
-def test_projected_matrix_shapes():
-    d = SimDesign(dims=(18, 14), T=9, ranks=(3, 2), m1=2, mu_b=(1.0,), seed=2)
-    data, truth = gen_pmtc(d)
-    init = pmtsc(data.x, data.y, d.ranks, seed=2)
-    # mode-1 features concatenate the projected tensor block with the panel
-    assert init.projected[0].shape == (18, 2 * 9 + 9)
-    assert init.projected[1].shape == (14, 3 * 9)
 
 
 def test_deterministic_given_seed():
@@ -90,8 +81,14 @@ def test_kmeans_on_scores_matches_full_features(seed, omega):
                   gamma_x=-0.1, gamma_y=0.0, seed=seed)
     data, _ = gen_pmtc(d)
     init = pmtsc(data.x, data.y, d.ranks, seed=seed, omega=omega)
+    bases = pchooi(data.x, data.y, d.ranks, omega=omega).bases
     for i, r in enumerate(d.ranks):
-        full = kmeans_relaxed(init.projected[i], r, seed=_mode_seeds(seed, 2)[i])
+        others = {j: bases[j].T for j in range(2) if j != i}
+        z = matricize(multi_mode_product(data.x, others), i)
+        if i == 0:  # mode-1 features: the projected tensor block with the panel
+            z = coupled_block(z, data.y, omega)
+        features = bases[i] @ (bases[i].T @ z)
+        full = kmeans_relaxed(features, r, seed=_mode_seeds(seed, 2)[i])
         assert np.array_equal(init.memberships[i].labels, full.membership.labels)
         assert init.kmeans_objectives[i] == pytest.approx(full.objective, rel=1e-9)
     u = lsvd(data.y, 3)
@@ -110,8 +107,6 @@ def test_shared_grams_change_no_labels(omega):
     shared = pmtsc(x, y, ranks, seed=1, omega=omega, grams=grams)
     for a, b in zip(own.memberships, shared.memberships):
         assert np.array_equal(a.labels, b.labels)
-    for a, b in zip(own.projected, shared.projected):
-        assert np.array_equal(a, b)
     assert own.kmeans_objectives == shared.kmeans_objectives
 
 
