@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .factors import FactorEstimate, estimate_latent, estimate_observed, per_asset_loadings
 from .kmeans import KmeansResult, kmeans_relaxed
 from .membership import EmptyClusterError, Membership
-from .metrics import EvalInput, SeparationStats, cer, misclustering_loss, separations, total_r2
+from .metrics import SeparationStats, cer, misclustering_loss, separations, total_r2
 from .pchooi import PchooiResult, hooi, pchooi
 from .pipeline import PmtcEstimate, evaluate_rolling, evaluate_split, fit_pmtc, rank_normalize
 from .pmtlloyd import LloydTrace, pmtlloyd
@@ -38,8 +38,7 @@ __all__ = [
     "SpectralInit", "pmtsc", "spectral_cluster_rows",
     "LloydTrace", "pmtlloyd",
     "FactorEstimate", "estimate_latent", "estimate_observed", "per_asset_loadings",
-    "cer", "misclustering_loss", "separations", "SeparationStats",
-    "EvalInput", "total_r2",
+    "cer", "misclustering_loss", "separations", "SeparationStats", "total_r2",
     "SimDesign", "BlockDesign", "LowRankDesign", "CoupledData", "GroundTruth",
     "InfeasibleDesignError", "gen_pmtc", "gen_tensor_block", "gen_coupled_lowrank",
     "PmtcEstimate", "fit_pmtc", "rank_normalize", "evaluate_split", "evaluate_rolling",

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import metrics
 from .factors import estimate_latent, estimate_observed, per_asset_loadings
-from .membership import Membership
 from .pchooi import hooi, pchooi
 from .pipeline import cluster, refine
 from .pmtsc import pmtsc, spectral_cluster_rows

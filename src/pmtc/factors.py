@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import Membership, block_means
+from .membership import Membership
 from .tensor import lsvd
 
 __all__ = ["FactorEstimate", "estimate_latent", "estimate_observed", "per_asset_loadings"]
@@ -46,7 +46,7 @@ def estimate_latent(y: np.ndarray, m1: Membership, num_factors: int) -> FactorEs
         raise ValueError(
             f"factor count {num_factors} must lie in [1, {m1.num_clusters}]"
         )
-    _, a = block_means(None, y, [m1])
+    a = m1.projector().T @ y
     second_moment = a @ a.T / y.shape[1]
     if not np.any(second_moment):
         raise ValueError("degenerate panel: pooled second moment is zero")
@@ -81,10 +81,8 @@ def estimate_observed(
     return FactorEstimate("observed", b_hat, None, f.shape[0])
 
 
-def per_asset_loadings(loadings: np.ndarray | FactorEstimate, m1: Membership) -> np.ndarray:
+def per_asset_loadings(loadings: np.ndarray, m1: Membership) -> np.ndarray:
     """Expand group loadings to a p1 x m1 matrix, row j taking its cluster's row."""
-    if isinstance(loadings, FactorEstimate):
-        loadings = loadings.loadings
     loadings = np.asarray(loadings, dtype=float)
     if loadings.shape[0] != m1.num_clusters:
         raise ValueError("loading rows must equal the cluster count")

@@ -11,8 +11,8 @@ Tensor container layout (all little-endian):
 :func:`read_tensor` returns the tensor in C order, the package's one layout.
 
 Matrices travel as CSV (row-major, optional header row); memberships as
-``id,cluster`` CSV with 1-based cluster labels; loadings as cluster-by-factor
-CSV with an optional per-asset expansion.
+``id,cluster`` CSV with 1-based cluster labels, every cluster nonempty;
+loadings as cluster-by-factor CSV with an optional per-asset expansion.
 """
 
 from __future__ import annotations
@@ -100,6 +100,10 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_membership_csv(path, m: Membership) -> None:
+    """Write ``id,cluster`` rows.  The file holds no cluster count, so a
+    membership with an empty cluster raises :class:`EmptyClusterError` rather
+    than be written as one that reads back with fewer clusters."""
+    m._require_nonempty()
     with open(path, "w", newline="") as fh:
         fh.write("id,cluster\n")
         for j, a in enumerate(m.labels):
@@ -107,6 +111,7 @@ def write_membership_csv(path, m: Membership) -> None:
 
 
 def read_membership_csv(path) -> Membership:
+    """Read an ``id,cluster`` file; its clusters must be 1..r with none skipped."""
     with open(path, "r", newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0].lower() != "id,cluster":
@@ -117,7 +122,10 @@ def read_membership_csv(path) -> Membership:
         if ident != j + 1:
             raise ValueError(f"{path}: ids must be 1..p in order")
         labels[j] = cluster - 1
-    return Membership(labels, int(labels.max()) + 1)
+    m = Membership(labels, int(labels.max()) + 1)
+    if m.cluster_sizes.min() == 0:
+        raise ValueError(f"{path}: clusters must be numbered 1..r with none skipped")
+    return m
 
 
 def write_loadings_csv(path, loadings: np.ndarray, m: Membership | None = None) -> None:

@@ -2,8 +2,9 @@
 
 The solver targets the clustering subproblem of the spectral initialization,
 where a relaxed (approximate) k-means solution suffices; across restarts it
-returns the best local optimum found.  Ties in assignments always break
-toward the lowest cluster index so results are reproducible.
+returns the labels and objective of the best local optimum found.  Ties in
+assignments always break toward the lowest cluster index so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ _RESTARTS = 10
 @dataclass(frozen=True)
 class KmeansResult:
     membership: Membership
-    centroids: np.ndarray
     objective: float
 
 
@@ -83,7 +83,7 @@ def _lloyd(z: np.ndarray, centers: np.ndarray, r: int):
             break
         labels = new_labels
     obj = float(np.sum((z - centers[labels]) ** 2))
-    return labels, centers, obj
+    return labels, obj
 
 
 def kmeans_relaxed(z: np.ndarray, r: int, seed: int = 0) -> KmeansResult:
@@ -106,8 +106,7 @@ def kmeans_relaxed(z: np.ndarray, r: int, seed: int = 0) -> KmeansResult:
     for child in np.random.SeedSequence(seed).spawn(_RESTARTS):
         rng = np.random.default_rng(child)
         centers = _plusplus_seed(z, r, rng)
-        labels, centers, obj = _lloyd(z, centers, r)
-        if best is None or obj < best[2]:
-            best = (labels, centers, obj)
-    labels, centers, obj = best
-    return KmeansResult(Membership(labels, r), centers, obj)
+        labels, obj = _lloyd(z, centers, r)
+        if best is None or obj < best[1]:
+            best = (labels, obj)
+    return KmeansResult(Membership(best[0], r), best[1])

@@ -1,5 +1,5 @@
 """Cluster label vectors, their one-hot, projector, and basis matrices, and
-block averages of data over memberships with the inverse block expansion."""
+the expansion of a block core into a block-constant tensor."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import multi_mode_product
-
-__all__ = ["Membership", "EmptyClusterError", "block_means", "expand_blocks"]
+__all__ = ["Membership", "EmptyClusterError", "expand_blocks"]
 
 
 class EmptyClusterError(ValueError):
@@ -75,26 +73,6 @@ class Membership:
         """p x r orthonormal matrix W of normalized one-hot columns (M = W @ scale)."""
         self._require_nonempty()
         return self.one_hot() / np.sqrt(self.cluster_sizes.astype(float))[np.newaxis, :]
-
-    def permute(self, perm) -> "Membership":
-        """Relabel clusters: new label of an item in cluster a is perm[a]."""
-        perm = np.asarray(perm, dtype=np.int64)
-        r = self.num_clusters
-        if perm.shape != (r,) or not np.array_equal(np.sort(perm), np.arange(r)):
-            raise ValueError("perm must be a permutation of 0..r-1")
-        return Membership(perm[self.labels], r)
-
-
-def block_means(
-    x: np.ndarray | None, y: np.ndarray | None, members: list[Membership]
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Block averages ``core`` = x ×_i P_i' of the tensor and group means
-    ``s_y`` = P_1' y of the panel rows, P_i the averaging projectors; either
-    is None when its input is."""
-    core = None if x is None else multi_mode_product(
-        x, {i: m.projector().T for i, m in enumerate(members)})
-    s_y = None if y is None else members[0].projector().T @ y
-    return core, s_y
 
 
 def expand_blocks(core: np.ndarray, members: list[Membership]) -> np.ndarray:

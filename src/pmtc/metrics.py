@@ -1,5 +1,7 @@
 """Clustering and estimation metrics: permutation-aligned error rate,
-misclustering loss, block-center separations, and total R-squared."""
+misclustering loss, the block-center separations the simulation designs are
+normalized by, and total R-squared of group loadings against a market-excess
+benchmark."""
 
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ __all__ = [
     "misclustering_loss",
     "separations",
     "SeparationStats",
-    "EvalInput",
     "total_r2",
     "rescaled_core_rows",
 ]
@@ -34,35 +35,31 @@ def _confusion(g_hat: Membership, g_true: Membership) -> np.ndarray:
     return c
 
 
-def cer(g_hat: Membership, g_true: Membership, method: str = "auto") -> tuple[float, np.ndarray]:
+def cer(g_hat: Membership, g_true: Membership) -> tuple[float, np.ndarray]:
     """Misclustering error rate and the permutation achieving it.
 
     Minimizes the fraction of items with ``g_hat != perm(g_true)`` over all
     relabelings; the returned ``perm`` maps each true label to its matched
-    estimated label.  ``method`` selects the matcher: exhaustive enumeration
-    (the oracle, default for r <= 8) or maximum-weight bipartite matching on
-    the confusion matrix.
+    estimated label.  Up to r = 8 clusters every permutation is enumerated;
+    above that, maximum-weight bipartite matching on the confusion matrix
+    finds the same optimum.
     """
     if g_hat.size != g_true.size or g_hat.num_clusters != g_true.num_clusters:
         raise ValueError("labelings must have equal length and cluster count")
     c = _confusion(g_hat, g_true)
     r = g_true.num_clusters
-    if method == "auto":
-        method = "exhaustive" if r <= _EXHAUSTIVE_MAX else "hungarian"
-    if method == "exhaustive":
+    if r <= _EXHAUSTIVE_MAX:
         best, best_perm = -1, None
         for perm in itertools.permutations(range(r)):
             hits = sum(c[perm[a], a] for a in range(r))
             if hits > best:
                 best, best_perm = hits, perm
         perm = np.array(best_perm, dtype=np.int64)
-    elif method == "hungarian":
+    else:
         rows, cols = linear_sum_assignment(-c)
         perm = np.empty(r, dtype=np.int64)
         perm[cols] = rows
         best = int(c[rows, cols].sum())
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return 1.0 - best / g_true.size, perm
 
 
@@ -126,7 +123,6 @@ class SeparationStats:
     delta_sq: tuple[float, ...]
     delta_x_sq: tuple[float, ...]
     delta_y_sq: float | None
-    delta_min: float
 
     @property
     def degenerate(self) -> bool:
@@ -154,49 +150,33 @@ def separations(
             delta.append(_min_pairwise_sq(coupled_block(rows, s_y, 1.0)))
         else:
             delta.append(delta_x[-1])
-    return SeparationStats(
-        tuple(delta),
-        tuple(delta_x),
-        y_sq,
-        math.sqrt(min(delta)) if delta else math.inf,
-    )
+    return SeparationStats(tuple(delta), tuple(delta_x), y_sq)
 
 
-@dataclass(frozen=True)
-class EvalInput:
-    """Aligned panel, factor realizations, market-excess benchmark,
-    mode-1 membership, and group-level loadings."""
-
-    y: np.ndarray
-    factors: np.ndarray
-    market_excess: np.ndarray
-    membership: Membership
-    loadings: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        f = np.asarray(self.factors, dtype=float)
-        mkt = np.asarray(self.market_excess, dtype=float).ravel()
-        b = np.asarray(self.loadings, dtype=float)
-        if y.shape[1] != f.shape[1] or y.shape[1] != mkt.size:
-            raise ValueError("time dimensions of returns, factors, market differ")
-        if self.membership.size != y.shape[0]:
-            raise ValueError("membership length does not match panel rows")
-        if b.shape != (self.membership.num_clusters, f.shape[0]):
-            raise ValueError("loadings shape must be (clusters, factors)")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "factors", f)
-        object.__setattr__(self, "market_excess", mkt)
-        object.__setattr__(self, "loadings", b)
-
-
-def total_r2(inp: EvalInput) -> float:
+def total_r2(
+    y: np.ndarray,
+    factors: np.ndarray,
+    market_excess: np.ndarray,
+    membership: Membership,
+    loadings: np.ndarray,
+) -> float:
     """One minus the factor-model residual sum of squares over the residuals
-    against the market-excess benchmark.  May be negative; the CLI reports it
-    in percent."""
-    fitted = inp.loadings[inp.membership.labels] @ inp.factors
-    num = float(np.sum((inp.y - fitted) ** 2))
-    den = float(np.sum((inp.y - inp.market_excess[np.newaxis, :]) ** 2))
+    against the market-excess benchmark.  ``y`` is the panel, ``factors`` the
+    factor realizations, ``membership`` the mode-1 groups and ``loadings`` the
+    group-level loadings.  May be negative; the CLI reports it in percent."""
+    y = np.asarray(y, dtype=float)
+    f = np.asarray(factors, dtype=float)
+    mkt = np.asarray(market_excess, dtype=float).ravel()
+    b = np.asarray(loadings, dtype=float)
+    if y.shape[1] != f.shape[1] or y.shape[1] != mkt.size:
+        raise ValueError("time dimensions of returns, factors, market differ")
+    if membership.size != y.shape[0]:
+        raise ValueError("membership length does not match panel rows")
+    if b.shape != (membership.num_clusters, f.shape[0]):
+        raise ValueError("loadings shape must be (clusters, factors)")
+    fitted = b[membership.labels] @ f
+    num = float(np.sum((y - fitted) ** 2))
+    den = float(np.sum((y - mkt[np.newaxis, :]) ** 2))
     if den == 0.0:
         raise ZeroDivisionError("market benchmark explains the panel exactly")
     return 1.0 - num / den

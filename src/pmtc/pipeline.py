@@ -2,11 +2,11 @@
 
 ``cluster`` is the one clustering path, shared by ``fit_pmtc`` and the
 Monte Carlo harness: coupling-weight choice, subspace estimation, spectral
-initialization, and Lloyd refinement.  ``fit_pmtc`` adds block centroids and
-factor loadings to form one estimate bundle;
-``evaluate_split`` and ``evaluate_rolling`` compute in/out-of-sample total
-R-squared against the market-excess benchmark, re-estimating loadings on
-each training window with the fitted memberships held fixed.
+initialization, and Lloyd refinement.  ``fit_pmtc`` adds group-level factor
+loadings to form one estimate bundle; ``evaluate_split`` and
+``evaluate_rolling`` compute in/out-of-sample total R-squared against the
+market-excess benchmark, re-estimating loadings on each training window with
+the fitted memberships held fixed.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .factors import FactorEstimate, estimate_latent, estimate_observed
-from .membership import Membership, block_means
-from .metrics import EvalInput, total_r2
+from .membership import Membership
+from .metrics import total_r2
 from .pchooi import tensor_informative
 from .pmtlloyd import pmtlloyd
 from .pmtsc import pmtsc
@@ -31,8 +31,6 @@ __all__ = ["PmtcEstimate", "cluster", "refine", "fit_pmtc", "rank_normalize",
 @dataclass(frozen=True)
 class PmtcEstimate:
     memberships: list[Membership]
-    core: np.ndarray
-    s_y: np.ndarray
     factor_estimate: FactorEstimate | None
     ranks: tuple[int, ...]
     omega: float
@@ -108,7 +106,7 @@ def fit_pmtc(
     demean: bool = True,
     lloyd_iters: int | None = None,
 ) -> PmtcEstimate:
-    """Fit memberships, block centroids, and factor loadings to (x, y).
+    """Fit memberships and group-level factor loadings to (x, y).
 
     ``ranks`` are the per-mode cluster counts; the memberships come from
     :func:`cluster`.  With observed ``factors`` the loadings come from
@@ -116,22 +114,20 @@ def fit_pmtc(
     step); otherwise a latent-factor PCA estimate with ``num_factors``
     components (default: the mode-1 cluster count) is returned.
     """
-    x = np.ascontiguousarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ranks = tuple(int(r) for r in ranks)
     _, members, omega = cluster(x, y, ranks, omega, seed, lloyd_iters)
-    core, s_y = block_means(x, y, members)
     if factors is not None:
         est = estimate_observed(y, members[0], factors, demean=demean)
     else:
         est = estimate_latent(y, members[0], ranks[0] if num_factors is None else num_factors)
-    return PmtcEstimate(members, core, s_y, est, ranks, omega)
+    return PmtcEstimate(members, est, ranks, omega)
 
 
 def _window_r2(y, factors, market, membership, train, test, demean) -> tuple[float, float]:
     b = estimate_observed(y[:, train], membership, factors[:, train], demean=demean).loadings
-    ins = total_r2(EvalInput(y[:, train], factors[:, train], market[train], membership, b))
-    oos = total_r2(EvalInput(y[:, test], factors[:, test], market[test], membership, b))
+    ins = total_r2(y[:, train], factors[:, train], market[train], membership, b)
+    oos = total_r2(y[:, test], factors[:, test], market[test], membership, b)
     return ins, oos
 
 

@@ -38,25 +38,6 @@ def _assign(z: np.ndarray, c: np.ndarray, r: int) -> np.ndarray:
     return _repair_empty(np.argmin(d2, axis=1), d2, r)
 
 
-def _repair_init(x, y, members: list[Membership], omega: float) -> list[Membership]:
-    """Move farthest points into any empty clusters of the initializer,
-    measuring distances to raw block means in data space."""
-    out = []
-    for i, m in enumerate(members):
-        if m.cluster_sizes.min() > 0:
-            out.append(m)
-            continue
-        z = matricize(x, i)
-        if i == 0:
-            z = coupled_block(z, y, omega)
-        c = np.zeros((m.num_clusters, z.shape[1]))
-        for a in np.flatnonzero(m.cluster_sizes > 0):
-            c[a] = z[m.labels == a].mean(axis=0)
-        d2 = _sq_distances(z, c)
-        out.append(Membership(_repair_empty(m.labels, d2, m.num_clusters), m.num_clusters))
-    return out
-
-
 def pmtlloyd(
     x: np.ndarray,
     y: np.ndarray | None,
@@ -71,8 +52,9 @@ def pmtlloyd(
     exact recovery in well-separated regimes), stopping early once no label
     changes.  Every sweep uses only the previous sweep's memberships; modes
     are reassigned in order within the sweep.  ``omega`` scales the
-    tensor-block term of the coupled mode-1 assignment distance.  Returns the
-    final memberships and the stopping record.
+    tensor-block term of the coupled mode-1 assignment distance.  Every
+    cluster of ``init`` must be nonempty (else :class:`EmptyClusterError`).
+    Returns the final memberships and the stopping record.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
@@ -91,7 +73,7 @@ def pmtlloyd(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    members = _repair_init(x, y, init, omega)
+    members = init
     trace = LloydTrace()
 
     for _ in range(max_iter):

@@ -12,7 +12,7 @@ design, including the seed; degenerate draws are retried on derived sub-seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class GroundTruth:
     b: np.ndarray | None
     f: np.ndarray | None
     s_y: np.ndarray | None
-    separations: metrics.SeparationStats
 
     # low-rank designs carry bases instead of memberships
     bases: list[np.ndarray] | None = None
@@ -257,10 +256,7 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
         y = s_y[members[0].labels] + _noise(
             rng, design.sigma_y, (design.dims[0], design.T), design.noise
         )
-        truth = GroundTruth(
-            members, core, b, f, s_y, metrics.separations(core, members, s_y)
-        )
-        return CoupledData(x, y), truth
+        return CoupledData(x, y), GroundTruth(members, core, b, f, s_y)
     raise InfeasibleDesignError(
         f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"
     )
@@ -287,7 +283,7 @@ def gen_tensor_block(design: BlockDesign) -> tuple[np.ndarray, GroundTruth]:
             last = "zero separation"
             continue
         x = expand_blocks(core, members) + _noise(rng, design.sigma, dims, "gaussian")
-        return x, GroundTruth(members, core, None, None, None, stats)
+        return x, GroundTruth(members, core, None, None, None)
     raise InfeasibleDesignError(
         f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"
     )
@@ -327,8 +323,5 @@ def gen_coupled_lowrank(design: LowRankDesign) -> tuple[CoupledData, GroundTruth
     signal = multi_mode_product(core, dict(enumerate(bases)))
     x = signal + rng.normal(0.0, design.sigma_x, size=signal.shape)
     y = bases[0] @ f_y + rng.normal(0.0, design.sigma_y, size=(design.dims[0], design.T))
-    truth = GroundTruth(
-        [], core, None, None, f_y,
-        metrics.SeparationStats((), (), None, math.inf), bases=bases,
-    )
+    truth = GroundTruth([], core, None, None, f_y, bases=bases)
     return CoupledData(x, y), truth

@@ -217,6 +217,13 @@ def test_malformed_eval_split_exits_2(tmp_path, fit_inputs, capsys, split):
     assert "error: argument --split" in _last_line(capsys.readouterr().err)
 
 
+def test_eval_membership_skipping_a_cluster_exits_5(tmp_path, fit_inputs, capsys):
+    (tmp_path / "membership_mode1.csv").write_text(
+        "id,cluster\n" + "".join(f"{j + 1},{1 + 2 * (j % 2)}\n" for j in range(30)))
+    assert main(_eval_argv(fit_inputs[3], tmp_path, "index:12")) == 5
+    assert _last_line(capsys.readouterr().err).startswith("error: cannot parse")
+
+
 def test_eval_split_beyond_the_panel_exits_4(tmp_path, fit_inputs, capsys):
     design, paths = fit_inputs[0], fit_inputs[3]
     out = tmp_path / "fit"

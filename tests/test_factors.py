@@ -135,7 +135,7 @@ def test_grouping_advantage_over_per_asset_regression():
         data, truth = gen_pmtc(d)
         member = truth.memberships[0]
         grouped = estimate_observed(data.y, member, truth.f, demean=True)
-        g_rows = per_asset_loadings(grouped, member)
+        g_rows = per_asset_loadings(grouped.loadings, member)
         fd = truth.f - truth.f.mean(axis=1, keepdims=True)
         yd = data.y - data.y.mean(axis=1, keepdims=True)
         ungrouped = np.linalg.solve(fd @ fd.T, fd @ yd.T).T

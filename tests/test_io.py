@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pmtc import io
-from pmtc.membership import Membership
+from pmtc.membership import EmptyClusterError, Membership
 
 
 @pytest.mark.parametrize("dims", [(3,), (4, 5), (3, 4, 5), (2, 3, 2, 4)])
@@ -91,3 +91,25 @@ def test_membership_csv_round_trip(tmp_path):
     io.write_membership_csv(path, m)
     back = io.read_membership_csv(path)
     assert np.array_equal(back.labels, m.labels) and back.num_clusters == 3
+
+
+def test_membership_csv_round_trip_random(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "m.csv"
+    for _ in range(20):
+        r = int(rng.integers(1, 8))
+        labels = np.concatenate([np.arange(r), rng.integers(0, r, int(rng.integers(0, 30)))])
+        m = Membership(rng.permutation(labels), r)
+        io.write_membership_csv(path, m)
+        back = io.read_membership_csv(path)
+        assert np.array_equal(back.labels, m.labels) and back.num_clusters == r
+
+
+def test_membership_csv_refuses_an_empty_cluster(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(EmptyClusterError):
+        io.write_membership_csv(path, Membership(np.array([0, 1, 0, 1]), 3))
+    assert not path.exists()
+    path.write_text("id,cluster\n1,1\n2,3\n3,1\n")
+    with pytest.raises(ValueError, match="skipped"):
+        io.read_membership_csv(path)

@@ -75,32 +75,6 @@ def test_empty_cluster_errors():
     m.one_hot()  # one-hot is fine with empty clusters
 
 
-def test_permute_identity_and_swap():
-    m = Membership(np.array([0, 1, 0]), 2)
-    assert np.array_equal(m.permute([0, 1]).labels, m.labels)
-    flipped = m.permute([1, 0])
-    assert np.array_equal(flipped.labels, [1, 0, 1])
-    assert np.array_equal(flipped.cluster_sizes, [1, 2])
-
-
-def test_permute_rejects_non_bijection():
-    m = Membership(np.array([0, 1]), 2)
-    with pytest.raises(ValueError):
-        m.permute([0, 0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
-def test_permute_composition_law(r, seed):
-    rng = np.random.default_rng(seed)
-    m = Membership(rng.integers(0, r, size=12), r)
-    pi = rng.permutation(r)
-    rho = rng.permutation(r)
-    lhs = m.permute(pi).permute(rho)
-    rhs = m.permute(rho[pi])
-    assert np.array_equal(lhs.labels, rhs.labels)
-
-
 def test_label_validation():
     with pytest.raises(ValueError):
         Membership(np.array([0, 3]), 2)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pmtc.membership import Membership
 from pmtc.metrics import (
-    EvalInput,
     cer,
     misclustering_loss,
     rescaled_core_rows,
@@ -31,7 +30,7 @@ def test_cer_zero_under_relabeling():
     g = Membership(rng.integers(0, 3, 30), 3)
     for _ in range(5):
         perm = rng.permutation(3)
-        value, _ = cer(g.permute(perm), g)
+        value, _ = cer(Membership(perm[g.labels], 3), g)
         assert value == 0.0
 
 
@@ -51,15 +50,30 @@ def test_cer_matches_exhaustive_oracle():
         idx = rng.choice(30, rng.integers(0, 15), replace=False)
         g_hat[idx] = rng.integers(0, 4, idx.size)
         a, b = Membership(g_hat, 4), Membership(g_true, 4)
-        expected = brute_force_cer(g_hat, g_true, 4)
-        for method in ("exhaustive", "hungarian"):
-            value, _ = cer(a, b, method=method)
-            assert abs(value - expected) < 1e-15
+        value, _ = cer(a, b)
+        assert abs(value - brute_force_cer(g_hat, g_true, 4)) < 1e-15
+
+
+def test_cer_matching_above_exhaustive_limit():
+    # relabel r = 10 balanced clusters by sigma and move k items, k below half
+    # the smallest cluster: sigma is then the unique best matching, at CER k/p
+    rng = np.random.default_rng(9)
+    p, r = 200, 10
+    for trial in range(10):
+        g_true = rng.permutation(np.arange(p) % r)
+        sigma = rng.permutation(r)
+        moved = g_true.copy()
+        k = int(rng.integers(0, p // r // 2))
+        idx = rng.choice(p, k, replace=False)
+        moved[idx] = (moved[idx] + rng.integers(1, r, k)) % r
+        value, perm = cer(Membership(sigma[moved], r), Membership(g_true, r))
+        assert abs(value - k / p) < 1e-15
+        assert np.array_equal(perm, sigma)
 
 
 def test_cer_perm_direction():
     g_true = Membership(np.array([0, 1, 0, 1]), 2)
-    g_hat = g_true.permute([1, 0])
+    g_hat = Membership(np.array([1, 0])[g_true.labels], 2)
     value, perm = cer(g_hat, g_true)
     assert value == 0.0
     assert np.array_equal(perm[g_true.labels], g_hat.labels)
@@ -80,8 +94,8 @@ def test_cer_pseudometric(r, seed):
     assert d01 <= cer(ms[0], ms[2])[0] + cer(ms[2], ms[1])[0] + 1e-15
     # invariance to relabeling either argument
     perm = rng.permutation(r)
-    assert abs(d01 - cer(ms[0].permute(perm), ms[1])[0]) < 1e-15
-    assert abs(d01 - cer(ms[0], ms[1].permute(perm))[0]) < 1e-15
+    assert abs(d01 - cer(Membership(perm[ms[0].labels], r), ms[1])[0]) < 1e-15
+    assert abs(d01 - cer(ms[0], Membership(perm[ms[1].labels], r))[0]) < 1e-15
 
 
 def test_misclustering_loss_trivial_cases():
@@ -152,7 +166,6 @@ def test_separations_pairwise_oracle():
     assert abs(stats.delta_sq[0] - min_pairwise(joint)) < 1e-12
     assert abs(stats.delta_x_sq[0] - min_pairwise(rows1)) < 1e-12
     assert abs(stats.delta_y_sq - min_pairwise(s_y)) < 1e-12
-    assert abs(stats.delta_min - math.sqrt(min(stats.delta_sq))) < 1e-12
 
 
 def test_separations_coupled_inequality():
@@ -182,13 +195,13 @@ def test_separations_degenerate_flag():
     assert stats.degenerate
 
 
-def _eval_input(rng, p=6, m=2, t=8):
+def _eval_args(rng, p=6, m=2, t=8):
     y = rng.standard_normal((p, t))
     f = rng.standard_normal((m, t))
     mkt = rng.standard_normal(t)
     member = Membership(rng.integers(0, 2, p), 2)
     b = rng.standard_normal((2, m))
-    return EvalInput(y, f, mkt, member, b)
+    return y, f, mkt, member, b
 
 
 def test_total_r2_perfect_fit():
@@ -197,8 +210,7 @@ def test_total_r2_perfect_fit():
     b = rng.standard_normal((2, 2))
     member = Membership(np.array([0, 1, 0, 1]), 2)
     y = b[member.labels] @ f
-    inp = EvalInput(y, f, rng.standard_normal(8), member, b)
-    assert total_r2(inp) == 1.0
+    assert total_r2(y, f, rng.standard_normal(8), member, b) == 1.0
 
 
 def test_total_r2_benchmark_equal_fit():
@@ -209,27 +221,38 @@ def test_total_r2_benchmark_equal_fit():
     member = Membership(np.array([0, 1, 0]), 2)
     b = np.ones((2, 1))
     y = rng.standard_normal((3, t))
-    inp = EvalInput(y, f, mkt, member, b)
-    assert abs(total_r2(inp)) < 1e-12
+    assert abs(total_r2(y, f, mkt, member, b)) < 1e-12
 
 
 def test_total_r2_direct_sum_oracle():
     rng = np.random.default_rng(8)
-    inp = _eval_input(rng)
-    got = total_r2(inp)
+    y, f, mkt, member, b = _eval_args(rng)
+    got = total_r2(y, f, mkt, member, b)
     num = den = 0.0
-    for i in range(inp.y.shape[0]):
-        for t in range(inp.y.shape[1]):
-            fit = float(inp.loadings[inp.membership.labels[i]] @ inp.factors[:, t])
-            num += (inp.y[i, t] - fit) ** 2
-            den += (inp.y[i, t] - inp.market_excess[t]) ** 2
+    for i in range(y.shape[0]):
+        for t in range(y.shape[1]):
+            fit = float(b[member.labels[i]] @ f[:, t])
+            num += (y[i, t] - fit) ** 2
+            den += (y[i, t] - mkt[t]) ** 2
     assert abs(got - (1 - num / den)) < 1e-12
+
+
+@pytest.mark.parametrize("arg, bad", [
+    (1, lambda f: f[:, :-1]),  # factors one period short
+    (2, lambda mkt: mkt[:-1]),  # market one period short
+    (3, lambda m: Membership(np.zeros(m.size + 1, dtype=int), 2)),  # membership too long
+    (4, lambda b: b[:, :1]),  # loadings miss a factor
+])
+def test_total_r2_shape_checks(arg, bad):
+    args = list(_eval_args(np.random.default_rng(10)))
+    args[arg] = bad(args[arg])
+    with pytest.raises(ValueError):
+        total_r2(*args)
 
 
 def test_total_r2_zero_denominator():
     member = Membership(np.array([0]), 1)
     mkt = np.array([1.0, 2.0])
     y = mkt[np.newaxis, :]
-    inp = EvalInput(y, np.ones((1, 2)), mkt, member, np.zeros((1, 1)))
     with pytest.raises(ZeroDivisionError):
-        total_r2(inp)
+        total_r2(y, np.ones((1, 2)), mkt, member, np.zeros((1, 1)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pmtc.membership import Membership, block_means, expand_blocks
+from pmtc.membership import EmptyClusterError, Membership, expand_blocks
 from pmtc.metrics import cer
 from pmtc.pmtlloyd import pmtlloyd
 from pmtc.pmtsc import pmtsc
@@ -65,7 +65,8 @@ def test_mode1_distance_is_sum_of_blocks():
 
 def _plugin_loss(x, y, members):
     """Coupled plug-in loss at omega=1: tensor and panel residuals from block means."""
-    core, s_y = block_means(x, y, members)
+    core = multi_mode_product(x, {i: m.projector().T for i, m in enumerate(members)})
+    s_y = members[0].projector().T @ y
     return (float(np.sum((x - expand_blocks(core, members)) ** 2))
             + float(np.sum((y - s_y[members[0].labels]) ** 2)))
 
@@ -73,16 +74,18 @@ def _plugin_loss(x, y, members):
 def test_loss_recorded_and_non_increasing_at_moderate_snr():
     d = SimDesign(dims=(40, 30), T=20, ranks=(3, 2), m1=2, mu_b=(1.0,),
                   gamma_x=0.4, gamma_y=0.3, seed=4)
-    data, _ = gen_pmtc(d)
-    init = pmtsc(data.x, data.y, d.ranks, seed=4)
-    _, trace = pmtlloyd(data.x, data.y, init.memberships)
+    data, truth = gen_pmtc(d)
+    rng = np.random.default_rng(4)
+    init = [_corrupt(m, 0.3, rng) for m in truth.memberships]
+    _, trace = pmtlloyd(data.x, data.y, init)
     # each sweep uses only the previous one's memberships, so sweep k of the
     # run is the run capped at k sweeps
-    losses = [_plugin_loss(data.x, data.y, pmtlloyd(data.x, data.y, init.memberships,
-                                                    max_iter=k)[0])
-              for k in range(1, trace.iterations_used + 1)]
+    losses = [_plugin_loss(data.x, data.y, init)]
+    losses += [_plugin_loss(data.x, data.y, pmtlloyd(data.x, data.y, init, max_iter=k)[0])
+               for k in range(1, trace.iterations_used + 1)]
     for a, b in zip(losses[:-1], losses[1:]):
         assert b <= a * (1 + 1e-9)
+    assert any(b < a for a, b in zip(losses[:-1], losses[1:]))
 
 
 def test_oblique_variant_differs_only_in_projection():
@@ -99,12 +102,11 @@ def test_oblique_variant_differs_only_in_projection():
     assert a[0].num_clusters == b[0].num_clusters == 2
 
 
-def test_empty_cluster_init_repaired():
+def test_empty_cluster_init_raises():
     (data, truth), d = _noiseless(seed=6)
     bad = Membership(np.zeros(d.dims[0], dtype=int), d.ranks[0])  # clusters 1,2 empty
-    init = [bad, truth.memberships[1]]
-    final, _ = pmtlloyd(data.x, data.y, init, max_iter=8)
-    assert final[0].cluster_sizes.min() >= 1
+    with pytest.raises(EmptyClusterError):
+        pmtlloyd(data.x, data.y, [bad, truth.memberships[1]], max_iter=8)
 
 
 def test_tensor_only_refinement():
