@@ -24,7 +24,7 @@ from . import metrics
 from .factors import estimate_latent, estimate_observed, per_asset_loadings
 from .pchooi import hooi, pchooi
 from .pipeline import cluster, refine
-from .pmtsc import pmtsc, spectral_cluster_rows
+from .pmtsc import spectral_cluster_rows
 from .simulate import (
     BlockDesign,
     LowRankDesign,
@@ -122,34 +122,32 @@ def _cluster_rows(rows, task, method, rep, init, final, truth, core_rows, s_y):
 def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list, list]]:
     """Initial and final memberships of every clustering method on one draw.
 
-    The coupled methods are :func:`pmtc.pipeline.cluster` with
-    ``omega="auto"``; their oblique variant refines the same warm start with
-    the same coupling weight.  All methods share one set of unfolding Grams,
-    so each mode's full-tensor Gram is formed once per draw.
+    Each family is one :func:`pmtc.pipeline.cluster` call: the coupled
+    methods with ``omega="auto"``, the ``X: HSC`` methods on the tensor alone.
+    A family's ``HLloyd`` variant refines the same warm start with the oblique
+    projection and the same coupling weight.  All methods share one set of
+    unfolding Grams, so each mode's full-tensor Gram is formed once per draw.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    init_xy = final_xy = init_x = None
-    omega = 1.0
     grams = UnfoldingGrams(x)
+    xy = hsc = None  # (panel, warm start, PMTLloyd memberships, coupling weight)
     if any(m.startswith("X+Y:") for m in methods):
-        init_xy, final_xy, omega = cluster(x, y, ranks, "auto", seed, grams=grams)
+        xy = (y, *cluster(x, y, ranks, "auto", seed, grams=grams))
     if any(m.startswith("X: HSC") for m in methods):
-        init_x = pmtsc(x, None, ranks, seed=seed, grams=grams).memberships
+        hsc = (None, *cluster(x, None, ranks, 1.0, seed, grams=grams))
 
     out = {}
     for method in methods:
         if method == "Y: SC":
             m1 = spectral_cluster_rows(y, ranks[0], seed=seed)
             out[method] = [m1], [m1]
+            continue
+        panel, init, final, omega = xy if method.startswith("X+Y:") else hsc
+        if method.endswith("HLloyd"):
+            final = refine(x, panel, init, omega, projection="oblique")
         elif method == "X+Y: PMTSC":
-            out[method] = init_xy, init_xy
-        elif method == "X+Y: PMTSC+PMTLloyd":
-            out[method] = init_xy, final_xy
-        elif method == "X+Y: PMTSC+HLloyd":
-            out[method] = init_xy, refine(x, y, init_xy, omega, projection="oblique")
-        else:  # "X: HSC+HLloyd" / "X: HSC+PMTLloyd"
-            proj = "oblique" if "HLloyd" in method else "orthogonal"
-            out[method] = init_x, refine(x, None, init_x, projection=proj)
+            final = init
+        out[method] = init, final
     return out
 
 
@@ -159,11 +157,10 @@ def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
     if coupled:
         data, truth = gen_pmtc(design)
         x, y = data.x, data.y
-        ranks = design.ranks
     else:
         x, truth = gen_tensor_block(design)
         y = None
-        ranks = design.ranks()
+    ranks = design.ranks
     d = len(ranks)
     core_rows = [metrics.rescaled_core_rows(truth.core, truth.memberships, i + 1)
                  for i in range(d)]

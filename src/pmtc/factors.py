@@ -42,6 +42,8 @@ def estimate_latent(y: np.ndarray, m1: Membership, num_factors: int) -> FactorEs
     raw entries.
     """
     y = np.asarray(y, dtype=float)
+    if m1.size != y.shape[0]:
+        raise ValueError("membership length does not match panel rows")
     if not 1 <= num_factors <= m1.num_clusters:
         raise ValueError(
             f"factor count {num_factors} must lie in [1, {m1.num_clusters}]"
@@ -69,6 +71,8 @@ def estimate_observed(
     """
     y = np.asarray(y, dtype=float)
     f = np.asarray(factors, dtype=float)
+    if m1.size != y.shape[0]:
+        raise ValueError("membership length does not match panel rows")
     if f.ndim != 2 or f.shape[1] != y.shape[1]:
         raise ValueError(f"factor shape {f.shape} does not match panel columns {y.shape[1]}")
     if demean:

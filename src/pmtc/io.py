@@ -72,11 +72,9 @@ def read_tensor(path) -> np.ndarray:
     return np.ascontiguousarray(data.reshape(dims, order="F"))
 
 
-def write_matrix_csv(path, a: np.ndarray, header: list[str] | None = None) -> None:
+def write_matrix_csv(path, a: np.ndarray) -> None:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     with open(path, "w", newline="") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
         for row in a:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
@@ -117,6 +115,8 @@ def read_membership_csv(path) -> Membership:
     if not lines or lines[0].lower() != "id,cluster":
         raise ValueError(f"{path}: expected an 'id,cluster' membership file")
     pairs = [tuple(int(v) for v in ln.split(",")) for ln in lines[1:]]
+    if not pairs:
+        raise ValueError(f"{path}: empty membership (no id,cluster rows)")
     labels = np.empty(len(pairs), dtype=np.int64)
     for j, (ident, cluster) in enumerate(pairs):
         if ident != j + 1:

@@ -124,10 +124,6 @@ class SeparationStats:
     delta_x_sq: tuple[float, ...]
     delta_y_sq: float | None
 
-    @property
-    def degenerate(self) -> bool:
-        return any(v == 0.0 for v in self.delta_sq if math.isfinite(v))
-
 
 def separations(
     core: np.ndarray, memberships: list[Membership], s_y: np.ndarray | None = None

@@ -143,11 +143,10 @@ def pchooi(
     return PchooiResult(bases, iterations, converged, last)
 
 
-def hooi(x: np.ndarray, ranks, max_iter: int = 50, tol: float = 1e-6,
-         grams: UnfoldingGrams | None = None) -> PchooiResult:
+def hooi(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None) -> PchooiResult:
     """Plain higher-order orthogonal iteration on the tensor alone (``grams``
     as in :func:`pchooi`)."""
-    return pchooi(x, None, ranks, max_iter=max_iter, tol=tol, grams=grams)
+    return pchooi(x, None, ranks, grams=grams)
 
 
 def tensor_informative(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None) -> bool:

@@ -161,10 +161,10 @@ def _pmtc_panels(name: str) -> list[PanelSpec]:
 
 def _blockmodel_tasks(name: str, q: dict) -> tuple[list[Task], list[PanelSpec]]:
     settings = [
-        ("balanced_p80", dict(d=3, p=80, r=5, balance=None)),
-        ("balanced_p100", dict(d=3, p=100, r=5, balance=None)),
-        ("imbalanced_15_85", dict(d=3, p=100, r=2, balance=(0.15, 0.85))),
-        ("imbalanced_25_75", dict(d=3, p=100, r=2, balance=(0.25, 0.75))),
+        ("balanced_p80", dict(dims=(80,) * 3, ranks=(5,) * 3, balance=None)),
+        ("balanced_p100", dict(dims=(100,) * 3, ranks=(5,) * 3, balance=None)),
+        ("imbalanced_15_85", dict(dims=(100,) * 3, ranks=(2,) * 3, balance=(0.15, 0.85))),
+        ("imbalanced_25_75", dict(dims=(100,) * 3, ranks=(2,) * 3, balance=(0.25, 0.75))),
     ]
     tasks, panels = [], []
     for scen, kw in settings:

@@ -5,8 +5,9 @@ clustering experiments (tensor with block structure plus a factor-driven
 panel sharing mode 1, with the block separations normalized to target
 signal-to-noise levels), the pure Gaussian tensor block model used by the
 co-clustering comparisons, and the coupled low-rank Tucker model used by the
-subspace-estimation experiments.  Every generator is a pure function of its
-design, including the seed; degenerate draws are retried on derived sub-seeds.
+subspace-estimation experiments, all with Gaussian noise.  Every generator is
+a pure function of its design, including the seed; degenerate draws are
+retried on derived sub-seeds.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _MAX_ATTEMPTS = 100
+_MU_F = 0.03  # mean of every factor in the coupled block model
 
 
 class InfeasibleDesignError(ValueError):
@@ -59,14 +61,17 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class SimDesign:
-    """Coupled block-model design.
+    """Coupled block-model design of the clustering experiments.
 
-    ``balance`` holds per-mode cluster probabilities (None = uniform).  After
-    drawing the core and loadings, both are rescaled so the minimum rescaled
-    block separations hit the targets
-    c_x * (T + max p) * (prod p)^gamma_x  (tensor) and
-    c_y * (T + max p) * (prod p)^gamma_y / r_2  (panel);
-    a zero noise level skips the corresponding normalization.
+    The core (mean 0), the loadings ``b`` (mean ``mu_b``) and the factors
+    (mean 0.03) are unit-variance normal draws, and the noise is Gaussian
+    with standard deviations ``sigma_x`` and ``sigma_y``.  ``balance`` holds per-mode
+    cluster probabilities (None = uniform).  The core and the loadings are
+    rescaled so the minimum rescaled block separations hit the targets
+    (T + max p) * (prod p)^gamma_x  (tensor) and
+    (T + max p) * (prod p)^gamma_y / r_2  (panel);
+    a zero noise level skips the corresponding normalization, so
+    ``sigma_x=0, sigma_y=0`` gives the noiseless signal itself.
     """
 
     dims: tuple[int, ...] = (200, 200)
@@ -75,17 +80,10 @@ class SimDesign:
     m1: int = 5
     sigma_x: float = 1.0
     sigma_y: float = 1.0
-    sigma_s: float = 1.0
-    sigma_b: float = 1.0
-    sigma_f: float = 1.0
     mu_b: tuple[float, ...] = (1.0, 1.0, 1.0, 0.0, 0.0)
-    mu_f: tuple[float, ...] | float = 0.03
-    c_x: float = 1.0
-    c_y: float = 1.0
     gamma_x: float = -0.5
     gamma_y: float = -0.1
     balance: tuple[tuple[float, ...], ...] | None = None
-    noise: str = "gaussian"
     seed: int = 0
 
     def __post_init__(self):
@@ -104,8 +102,6 @@ class SimDesign:
             raise InfeasibleDesignError("mu_b must be scalar or length m1")
         if not (math.isfinite(self.gamma_x) and math.isfinite(self.gamma_y)):
             raise InfeasibleDesignError("SNR exponents must be finite")
-        if self.noise not in ("gaussian", "rademacher"):
-            raise InfeasibleDesignError(f"unknown noise law {self.noise!r}")
         if self.balance is not None:
             balance = tuple(tuple(float(w) for w in ws) for ws in self.balance)
             if len(balance) != len(self.dims):
@@ -115,48 +111,30 @@ class SimDesign:
                     raise InfeasibleDesignError("balance weights must be positive and sum to 1")
             object.__setattr__(self, "balance", balance)
 
-    @property
-    def d(self) -> int:
-        return len(self.dims)
-
-    def mu_f_vector(self) -> np.ndarray:
-        mu = np.atleast_1d(np.asarray(self.mu_f, dtype=float))
-        if mu.size == 1:
-            return np.full(self.m1, float(mu[0]))
-        if mu.size != self.m1:
-            raise InfeasibleDesignError("mu_f must be scalar or length m1")
-        return mu
-
     def snr_x(self) -> float:
-        return self.c_x * (self.T + max(self.dims)) * float(np.prod(self.dims)) ** self.gamma_x
+        return (self.T + max(self.dims)) * float(np.prod(self.dims)) ** self.gamma_x
 
     def snr_y(self) -> float:
-        r2 = self.ranks[1] if self.d >= 2 else 1
-        return (
-            self.c_y
-            * (self.T + max(self.dims))
-            * float(np.prod(self.dims)) ** self.gamma_y
-            / r2
-        )
+        r2 = self.ranks[1] if len(self.ranks) >= 2 else 1
+        return (self.T + max(self.dims)) * float(np.prod(self.dims)) ** self.gamma_y / r2
 
 
 @dataclass(frozen=True)
 class BlockDesign:
-    """Gaussian tensor block model: d clustered modes, no panel, no time mode."""
+    """Gaussian tensor block model (Han, Luo, Wang & Zhang, 2022): one
+    clustered mode per entry of ``dims``, no panel and no time mode.
 
-    d: int = 3
-    p: tuple[int, ...] | int = 100
-    r: tuple[int, ...] | int = 2
+    The core is normal with standard deviation ``core_scale``, the noise
+    normal with standard deviation ``sigma``; ``balance`` holds the cluster
+    probabilities of every mode (None = uniform).
+    """
+
+    dims: tuple[int, ...] = (100, 100, 100)
+    ranks: tuple[int, ...] = (2, 2, 2)
     sigma: float = 1.0
     core_scale: float = 1.0
     balance: tuple[float, ...] | None = None
     seed: int = 0
-
-    def dims(self) -> tuple[int, ...]:
-        return self.p if isinstance(self.p, tuple) else (int(self.p),) * self.d
-
-    def ranks(self) -> tuple[int, ...]:
-        return self.r if isinstance(self.r, tuple) else (int(self.r),) * self.d
 
 
 @dataclass(frozen=True)
@@ -182,12 +160,10 @@ def _rng_for(seed: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(attempt))))
 
 
-def _noise(rng: np.random.Generator, sigma: float, shape, law: str) -> np.ndarray:
+def _noise(rng: np.random.Generator, sigma: float, shape) -> np.ndarray:
     if sigma == 0.0:
         return np.zeros(shape)
-    if law == "gaussian":
-        return rng.normal(0.0, sigma, size=shape)
-    return sigma * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
+    return rng.normal(0.0, sigma, size=shape)
 
 
 def _draw_memberships(rng, dims, ranks, balance) -> list[Membership] | None:
@@ -205,15 +181,8 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
     """Draw one coupled block-model replication.
 
     Deterministic given ``design.seed``; draws with an empty cluster or zero
-    separation are retried on derived sub-seeds (bounded, then error).  A
-    signal that is zero by design -- the core when ``sigma_s=0``, the panel
-    centroids when the loadings (``sigma_b=0``, ``mu_b=0``) or the factors
-    (``sigma_f=0``, ``mu_f=0``) vanish -- is neither retried nor rescaled.
+    separation are retried on derived sub-seeds (bounded, then error).
     """
-    zero_x = design.sigma_s == 0.0
-    zero_y = (design.sigma_b == 0.0 and not any(design.mu_b)) or (
-        design.sigma_f == 0.0 and not design.mu_f_vector().any()
-    )
     last = "no attempts made"
     for attempt in range(_MAX_ATTEMPTS):
         rng = _rng_for(design.seed, attempt)
@@ -222,40 +191,29 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
             last = "empty cluster"
             continue
 
-        core = rng.normal(0.0, design.sigma_s, size=design.ranks + (design.T,))
-        b = design.sigma_b * rng.standard_normal((design.ranks[0], design.m1))
+        core = rng.normal(0.0, 1.0, size=design.ranks + (design.T,))
+        b = rng.standard_normal((design.ranks[0], design.m1))
         b += np.resize(np.asarray(design.mu_b), design.m1)[np.newaxis, :]
-        f = design.mu_f_vector()[:, np.newaxis] + design.sigma_f * rng.standard_normal(
-            (design.m1, design.T)
-        )
+        f = _MU_F + rng.standard_normal((design.m1, design.T))
 
         stats = metrics.separations(core, members, b @ f)
         # delta_sq[0] joins the core and panel separations of mode 1; the
         # other modes are core only
-        seps = [] if zero_x else list(stats.delta_sq[1:])
-        if not (zero_x and zero_y):
-            seps.append(stats.delta_sq[0])
-        if design.sigma_y > 0 and not zero_y:
-            seps.append(stats.delta_y_sq)
-        if 0.0 in seps:
+        if 0.0 in stats.delta_sq or (design.sigma_y > 0 and stats.delta_y_sq == 0.0):
             last = "zero separation"
             continue
 
-        if design.sigma_x > 0 and not zero_x:
+        if design.sigma_x > 0:
             dx2 = min(stats.delta_x_sq)
             if math.isfinite(dx2):
                 core = core * math.sqrt(design.snr_x() * design.sigma_x**2 / dx2)
-        if design.sigma_y > 0 and design.ranks[0] > 1 and not zero_y:
+        if design.sigma_y > 0 and design.ranks[0] > 1:
             dy2 = stats.delta_y_sq
             b = b * math.sqrt(design.snr_y() * design.sigma_y**2 / dy2)
 
         s_y = b @ f
-        x = expand_blocks(core, members) + _noise(
-            rng, design.sigma_x, design.dims + (design.T,), design.noise
-        )
-        y = s_y[members[0].labels] + _noise(
-            rng, design.sigma_y, (design.dims[0], design.T), design.noise
-        )
+        x = expand_blocks(core, members) + _noise(rng, design.sigma_x, design.dims + (design.T,))
+        y = s_y[members[0].labels] + _noise(rng, design.sigma_y, (design.dims[0], design.T))
         return CoupledData(x, y), GroundTruth(members, core, b, f, s_y)
     raise InfeasibleDesignError(
         f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"
@@ -264,12 +222,12 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
 
 def gen_tensor_block(design: BlockDesign) -> tuple[np.ndarray, GroundTruth]:
     """Draw one Gaussian tensor block model replication (no coupled panel)."""
-    dims, ranks = design.dims(), design.ranks()
-    if any(r < 1 or r > p for r, p in zip(ranks, dims)):
-        raise InfeasibleDesignError("ranks must satisfy 1 <= r_i <= p_i")
+    dims, ranks = design.dims, design.ranks
+    if len(ranks) != len(dims) or any(r < 1 or r > p for r, p in zip(ranks, dims)):
+        raise InfeasibleDesignError("ranks must satisfy 1 <= r_i <= p_i, one per mode")
     balance = None
     if design.balance is not None:
-        balance = (tuple(design.balance),) * design.d
+        balance = (tuple(design.balance),) * len(dims)
     last = "no attempts made"
     for attempt in range(_MAX_ATTEMPTS):
         rng = _rng_for(design.seed, attempt)
@@ -279,10 +237,10 @@ def gen_tensor_block(design: BlockDesign) -> tuple[np.ndarray, GroundTruth]:
             continue
         core = rng.normal(0.0, design.core_scale, size=ranks)
         stats = metrics.separations(core, members)
-        if stats.degenerate:
+        if 0.0 in stats.delta_sq:
             last = "zero separation"
             continue
-        x = expand_blocks(core, members) + _noise(rng, design.sigma, dims, "gaussian")
+        x = expand_blocks(core, members) + _noise(rng, design.sigma, dims)
         return x, GroundTruth(members, core, None, None, None)
     raise InfeasibleDesignError(
         f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"

@@ -224,6 +224,19 @@ def test_eval_membership_skipping_a_cluster_exits_5(tmp_path, fit_inputs, capsys
     assert _last_line(capsys.readouterr().err).startswith("error: cannot parse")
 
 
+def test_eval_header_only_membership_exits_5(tmp_path, fit_inputs, capsys):
+    (tmp_path / "membership_mode1.csv").write_text("id,cluster\n")
+    assert main(_eval_argv(fit_inputs[3], tmp_path, "index:12")) == 5
+    assert "empty membership" in _last_line(capsys.readouterr().err)
+
+
+def test_eval_membership_shorter_than_the_panel_exits_4(tmp_path, fit_inputs, capsys):
+    (tmp_path / "membership_mode1.csv").write_text("id,cluster\n1,1\n2,2\n")
+    assert main(_eval_argv(fit_inputs[3], tmp_path, "index:12")) == 4
+    assert _last_line(capsys.readouterr().err) == (
+        "error: inconsistent inputs: membership length does not match panel rows")
+
+
 def test_eval_split_beyond_the_panel_exits_4(tmp_path, fit_inputs, capsys):
     design, paths = fit_inputs[0], fit_inputs[3]
     out = tmp_path / "fit"

@@ -43,6 +43,13 @@ def test_latent_factor_count_validation():
         estimate_latent(y, member, 4)
 
 
+def test_latent_membership_length_must_match_panel_rows():
+    rng = np.random.default_rng(1)
+    y, member, _, _ = _panel(rng)
+    with pytest.raises(ValueError, match="membership length does not match panel rows"):
+        estimate_latent(y[:-1], member, 2)
+
+
 def test_latent_requires_nonempty_clusters():
     rng = np.random.default_rng(2)
     member = Membership(np.zeros(6, dtype=int), 2)
@@ -90,6 +97,13 @@ def test_observed_shape_validation():
     y, member, _, f = _panel(rng)
     with pytest.raises(ValueError):
         estimate_observed(y, member, f[:, :10])
+
+
+def test_observed_membership_length_must_match_panel_rows():
+    rng = np.random.default_rng(8)
+    y, member, _, f = _panel(rng)
+    with pytest.raises(ValueError, match="membership length does not match panel rows"):
+        estimate_observed(y[:2], member, f)
 
 
 def test_per_asset_loadings_gather():

@@ -81,7 +81,8 @@ def test_tensor_bad_magic_and_truncation(tmp_path):
 def test_matrix_csv_round_trip_exact(tmp_path):
     a = np.random.default_rng(1).standard_normal((5, 3))
     path = tmp_path / "a.csv"
-    io.write_matrix_csv(path, a, header=["u", "v", "w"])
+    io.write_matrix_csv(path, a)
+    path.write_text("u,v,w\n" + path.read_text())  # a header row is skipped on read
     assert np.array_equal(io.read_matrix_csv(path), a)
 
 
@@ -112,4 +113,11 @@ def test_membership_csv_refuses_an_empty_cluster(tmp_path):
     assert not path.exists()
     path.write_text("id,cluster\n1,1\n2,3\n3,1\n")
     with pytest.raises(ValueError, match="skipped"):
+        io.read_membership_csv(path)
+
+
+def test_header_only_membership_csv_is_refused_as_empty(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("id,cluster\n")
+    with pytest.raises(ValueError, match="empty membership"):
         io.read_membership_csv(path)

@@ -188,11 +188,10 @@ def test_separations_single_cluster_sentinel():
 
 
 def test_separations_degenerate_flag():
-    core = np.zeros((2, 2))[..., np.newaxis] * 0.0
     core = np.zeros((2, 2, 3))
     members = [Membership(np.array([0, 1, 0]), 2), Membership(np.array([0, 1]), 2)]
     stats = separations(core, members)
-    assert stats.degenerate
+    assert 0.0 in stats.delta_sq
 
 
 def _eval_args(rng, p=6, m=2, t=8):

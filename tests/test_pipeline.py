@@ -96,8 +96,10 @@ def test_every_exported_name_resolves():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports names to re-export them, so it is left out
-    for path in sorted(pathlib.Path(pmtc.__path__[0]).glob("*.py")):
+    # the package's modules and these tests; __init__.py imports names to
+    # re-export them, so it is left out
+    directories = (pathlib.Path(pmtc.__path__[0]), pathlib.Path(__file__).parent)
+    for path in sorted(p for d in directories for p in d.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
