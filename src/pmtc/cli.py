@@ -217,7 +217,7 @@ def _load(path, reader):
     try:
         return reader(path)
     except OSError as exc:
-        raise CliError(_EXIT_UNREADABLE, f"cannot read {path}: {exc}")
+        raise CliError(_EXIT_UNREADABLE, f"cannot read {path}: {exc.strerror or exc}")
     except ValueError as exc:
         raise CliError(_EXIT_UNREADABLE, f"cannot parse {path}: {exc}")
 

@@ -60,15 +60,15 @@ def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
-            raise ValueError(f"{path}: not a tensor container (bad magic {magic!r})")
+            raise ValueError(f"not a tensor container (bad magic {magic!r})")
         version, order = struct.unpack("<II", fh.read(8))
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
+            raise ValueError(f"unsupported container version {version}")
         dims = struct.unpack(f"<{order}Q", fh.read(8 * order))
         count = int(np.prod(dims)) if order else 1
         data = np.fromfile(fh, dtype="<f8", count=count)
         if data.size != count:
-            raise ValueError(f"{path}: truncated payload")
+            raise ValueError("truncated payload")
     return np.ascontiguousarray(data.reshape(dims, order="F"))
 
 
@@ -84,16 +84,18 @@ def read_matrix_csv(path) -> np.ndarray:
     with open(path, "r", newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty file")
+        raise ValueError("empty file")
     start = 0
     try:
         [float(v) for v in lines[0].split(",")]
     except ValueError:
         start = 1
     rows = [[float(v) for v in ln.split(",")] for ln in lines[start:]]
+    if not rows:
+        raise ValueError("empty matrix (a header row and no numeric rows)")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
+        raise ValueError(f"ragged rows (widths {sorted(widths)})")
     return np.asarray(rows, dtype=float)
 
 
@@ -113,18 +115,18 @@ def read_membership_csv(path) -> Membership:
     with open(path, "r", newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0].lower() != "id,cluster":
-        raise ValueError(f"{path}: expected an 'id,cluster' membership file")
+        raise ValueError("expected an 'id,cluster' membership file")
     pairs = [tuple(int(v) for v in ln.split(",")) for ln in lines[1:]]
     if not pairs:
-        raise ValueError(f"{path}: empty membership (no id,cluster rows)")
+        raise ValueError("empty membership (no id,cluster rows)")
     labels = np.empty(len(pairs), dtype=np.int64)
     for j, (ident, cluster) in enumerate(pairs):
         if ident != j + 1:
-            raise ValueError(f"{path}: ids must be 1..p in order")
+            raise ValueError("ids must be 1..p in order")
         labels[j] = cluster - 1
     m = Membership(labels, int(labels.max()) + 1)
     if m.cluster_sizes.min() == 0:
-        raise ValueError(f"{path}: clusters must be numbered 1..r with none skipped")
+        raise ValueError("clusters must be numbered 1..r with none skipped")
     return m
 
 

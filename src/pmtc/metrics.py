@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .membership import Membership
 from .pchooi import coupled_block
@@ -42,7 +41,7 @@ def cer(g_hat: Membership, g_true: Membership) -> tuple[float, np.ndarray]:
     relabelings; the returned ``perm`` maps each true label to its matched
     estimated label.  Up to r = 8 clusters every permutation is enumerated;
     above that, maximum-weight bipartite matching on the confusion matrix
-    finds the same optimum.
+    finds the same optimum (``scipy.optimize`` loads on the first such call).
     """
     if g_hat.size != g_true.size or g_hat.num_clusters != g_true.num_clusters:
         raise ValueError("labelings must have equal length and cluster count")
@@ -56,6 +55,8 @@ def cer(g_hat: Membership, g_true: Membership) -> tuple[float, np.ndarray]:
                 best, best_perm = hits, perm
         perm = np.array(best_perm, dtype=np.int64)
     else:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-c)
         perm = np.empty(r, dtype=np.int64)
         perm[cols] = rows

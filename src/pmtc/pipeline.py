@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .factors import FactorEstimate, estimate_latent, estimate_observed
 from .membership import Membership
@@ -40,8 +39,11 @@ def rank_normalize(x: np.ndarray) -> np.ndarray:
     """Rank-normalize every mode-1 cross-section into [0, 1].
 
     For each combination of the remaining indices, the p1 values are replaced
-    by (rank - 1) / (p1 - 1) with average ranks on ties.
+    by (rank - 1) / (p1 - 1) with average ranks on ties.  ``scipy.stats``
+    loads on the first call.
     """
+    from scipy.stats import rankdata
+
     x = np.asarray(x, dtype=float)
     p1 = x.shape[0]
     if p1 < 2:

@@ -86,7 +86,7 @@ def test_returns_with_wrong_row_count_exits_4(tmp_path, fit_inputs):
 
 
 @pytest.mark.parametrize("damage", ["missing", "bad_magic"])
-def test_unreadable_tensor_exits_5(tmp_path, fit_inputs, damage):
+def test_unreadable_tensor_exits_5(tmp_path, fit_inputs, damage, capsys):
     paths = fit_inputs[3]
     if damage == "missing":
         paths["x.pmtc"] = str(tmp_path / "absent.pmtc")
@@ -94,6 +94,28 @@ def test_unreadable_tensor_exits_5(tmp_path, fit_inputs, damage):
         with open(paths["x.pmtc"], "r+b") as fh:
             fh.write(b"NOPE")
     assert main(_fit_argv(paths, tmp_path / "fit")) == 5
+    assert _last_line(capsys.readouterr().err).count(paths["x.pmtc"]) == 1
+
+
+def test_fit_with_rank_normalize_writes_both_memberships(tmp_path, fit_inputs):
+    out = tmp_path / "fit"
+    assert main(_fit_argv(fit_inputs[3], out) + ["--rank-normalize"]) == 0
+    for i in (1, 2):
+        assert (out / f"membership_mode{i}.csv").is_file()
+
+
+def test_header_only_returns_exit_5_naming_the_path_once(tmp_path, fit_inputs, capsys):
+    paths = fit_inputs[3]
+    out = tmp_path / "fit"
+    assert main(_fit_argv(paths, out)) == 0
+    capsys.readouterr()
+    hdr = tmp_path / "hdr.csv"
+    hdr.write_text("a,b,c\n")
+    paths["returns.csv"] = str(hdr)
+    for argv in (_fit_argv(paths, tmp_path / "refit"), _eval_argv(paths, out, "index:12")):
+        assert main(argv) == 5
+        line = _last_line(capsys.readouterr().err)
+        assert line.count(str(hdr)) == 1 and "empty matrix" in line
 
 
 def test_removed_preset_in_config_exits_2(tmp_path):

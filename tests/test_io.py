@@ -86,6 +86,13 @@ def test_matrix_csv_round_trip_exact(tmp_path):
     assert np.array_equal(io.read_matrix_csv(path), a)
 
 
+def test_header_only_matrix_csv_is_refused_as_empty(tmp_path):
+    path = tmp_path / "hdr.csv"
+    path.write_text("a,b,c\n")
+    with pytest.raises(ValueError, match="empty matrix"):
+        io.read_matrix_csv(path)
+
+
 def test_membership_csv_round_trip(tmp_path):
     m = Membership(np.array([2, 0, 1, 1, 0]), 3)
     path = tmp_path / "m.csv"

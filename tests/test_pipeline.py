@@ -1,17 +1,21 @@
 import ast
 import gc
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import pmtc
 from pmtc.factors import estimate_observed
 from pmtc.pchooi import pchooi
-from pmtc.pipeline import cluster, fit_pmtc
+from pmtc.pipeline import cluster, fit_pmtc, rank_normalize
 from pmtc.pmtlloyd import pmtlloyd
 from pmtc.simulate import SimDesign, gen_pmtc
 
@@ -111,3 +115,36 @@ def test_no_module_imports_a_name_it_never_uses():
                 imported.update(a.asname or a.name for a in node.names)
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_rank_normalize_matches_average_ranks_with_ties():
+    x = np.random.default_rng(5).integers(0, 4, size=(7, 3, 4)).astype(float)
+    p1 = x.shape[0]
+    expect = (scipy.stats.rankdata(x, "average", axis=0) - 1) / (p1 - 1)
+    assert np.array_equal(rank_normalize(x), expect)
+    assert np.array_equal(rank_normalize(np.full((1, 3, 2), 7.0)), np.zeros((1, 3, 2)))
+
+
+# Run in a fresh interpreter: the test process itself has imported scipy.stats.
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import pmtc, pmtc.cli, pmtc.experiments, pmtc.presets
+from pmtc.membership import Membership
+from pmtc.metrics import cer
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"]))
+
+assert not loaded(), loaded()
+labels = np.arange(20) % 10
+assert cer(Membership(labels, 10), Membership(labels[::-1], 10))[0] == 0.0
+assert "scipy.optimize" in sys.modules and "scipy.stats" not in sys.modules, loaded()
+"""
+
+
+def test_importing_the_package_loads_no_scipy_stats_or_optimize():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
