@@ -258,6 +258,8 @@ def _cmd_fit(args) -> int:
         "factor_mode": fe.mode,
         "num_factors": fe.num_factors,
         "cluster_sizes": [m.cluster_sizes.tolist() for m in est.memberships],
+        "pchooi_iterations": est.pchooi_iterations,
+        "pchooi_converged": est.pchooi_converged,
     }
     with open(os.path.join(out_dir, "fit_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -130,11 +130,11 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list
     """
     x = np.ascontiguousarray(x, dtype=float)
     grams = UnfoldingGrams(x)
-    xy = hsc = None  # (panel, warm start, PMTLloyd memberships, coupling weight)
+    xy = hsc = None  # (panel, Clustering)
     if any(m.startswith("X+Y:") for m in methods):
-        xy = (y, *cluster(x, y, ranks, "auto", seed, grams=grams))
+        xy = y, cluster(x, y, ranks, "auto", seed, grams=grams)
     if any(m.startswith("X: HSC") for m in methods):
-        hsc = (None, *cluster(x, None, ranks, 1.0, seed, grams=grams))
+        hsc = None, cluster(x, None, ranks, 1.0, seed, grams=grams)
 
     out = {}
     for method in methods:
@@ -142,9 +142,10 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list
             m1 = spectral_cluster_rows(y, ranks[0], seed=seed)
             out[method] = [m1], [m1]
             continue
-        panel, init, final, omega = xy if method.startswith("X+Y:") else hsc
+        panel, fit = xy if method.startswith("X+Y:") else hsc
+        init, final = fit.start.memberships, fit.final
         if method.endswith("HLloyd"):
-            final = refine(x, panel, init, omega, projection="oblique")
+            final = refine(x, panel, init, fit.omega, projection="oblique")
         elif method == "X+Y: PMTSC":
             final = init
         out[method] = init, final

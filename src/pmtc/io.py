@@ -65,11 +65,24 @@ def read_tensor(path) -> np.ndarray:
         if version != _VERSION:
             raise ValueError(f"unsupported container version {version}")
         dims = struct.unpack(f"<{order}Q", fh.read(8 * order))
-        count = int(np.prod(dims)) if order else 1
-        data = np.fromfile(fh, dtype="<f8", count=count)
-        if data.size != count:
-            raise ValueError("truncated payload")
-    return np.ascontiguousarray(data.reshape(dims, order="F"))
+        if order <= 1:  # a vector's column-major order is its C order
+            return _read_payload(fh, dims)
+        # one last-axis slab at a time, mirroring write_tensor, so reading
+        # holds one slab beside the C-order result, not a second full copy
+        x = np.empty(dims, dtype="<f8")
+        for k in range(dims[-1]):
+            x[..., k] = _read_payload(fh, dims[:-1]).T
+    return x
+
+
+def _read_payload(fh, dims) -> np.ndarray:
+    """The next prod(dims) column-major values of ``fh``, as the transpose
+    of the ``dims`` array they store (shape ``dims[::-1]``, C order)."""
+    count = int(np.prod(dims))
+    data = np.fromfile(fh, dtype="<f8", count=count)
+    if data.size != count:
+        raise ValueError("truncated payload")
+    return data.reshape(dims[::-1])
 
 
 def write_matrix_csv(path, a: np.ndarray) -> None:

@@ -20,10 +20,10 @@ from .membership import Membership
 from .metrics import total_r2
 from .pchooi import tensor_informative
 from .pmtlloyd import pmtlloyd
-from .pmtsc import pmtsc
+from .pmtsc import SpectralInit, pmtsc
 from .tensor import UnfoldingGrams
 
-__all__ = ["PmtcEstimate", "cluster", "refine", "fit_pmtc", "rank_normalize",
+__all__ = ["PmtcEstimate", "Clustering", "cluster", "refine", "fit_pmtc", "rank_normalize",
            "evaluate_split", "evaluate_rolling"]
 
 
@@ -32,6 +32,18 @@ class PmtcEstimate:
     memberships: list[Membership]
     factor_estimate: FactorEstimate | None
     ranks: tuple[int, ...]
+    omega: float
+    pchooi_iterations: int
+    pchooi_converged: bool
+
+
+@dataclass(frozen=True)
+class Clustering:
+    """What :func:`cluster` returns: the PMTSC warm start (with PCHOOI's
+    stopping record), the refined memberships and the coupling weight used."""
+
+    start: SpectralInit
+    final: list[Membership]
     omega: float
 
 
@@ -78,7 +90,7 @@ def cluster(
     seed: int = 0,
     lloyd_iters: int | None = None,
     grams: UnfoldingGrams | None = None,
-) -> tuple[list[Membership], list[Membership], float]:
+) -> Clustering:
     """PMTC memberships: PCHOOI bases and a PMTSC warm start, then :func:`refine`.
 
     ``omega="auto"`` keeps the tensor block in the coupled mode only when it
@@ -86,15 +98,14 @@ def cluster(
     else drops to the panel-only limit (a tensor indistinguishable from noise
     could only drag the shared mode down).  The test and PCHOOI's start share
     the unfolding Grams in ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams` of
-    ``x``, built here when not given).  Returns the warm start, the refined
-    memberships and the coupling weight used.
+    ``x``, built here when not given).
     """
     x = np.ascontiguousarray(x, dtype=float)
     grams = UnfoldingGrams.of(x, grams)
     if omega == "auto":
         omega = 1.0 if tensor_informative(x, ranks, grams) else 0.0
-    init = pmtsc(x, y, ranks, seed=seed, omega=omega, grams=grams).memberships
-    return init, refine(x, y, init, omega, max_iter=lloyd_iters), omega
+    start = pmtsc(x, y, ranks, seed=seed, omega=omega, grams=grams)
+    return Clustering(start, refine(x, y, start.memberships, omega, max_iter=lloyd_iters), omega)
 
 
 def fit_pmtc(
@@ -118,12 +129,14 @@ def fit_pmtc(
     """
     y = np.asarray(y, dtype=float)
     ranks = tuple(int(r) for r in ranks)
-    _, members, omega = cluster(x, y, ranks, omega, seed, lloyd_iters)
+    fit = cluster(x, y, ranks, omega, seed, lloyd_iters)
+    m1 = fit.final[0]
     if factors is not None:
-        est = estimate_observed(y, members[0], factors, demean=demean)
+        est = estimate_observed(y, m1, factors, demean=demean)
     else:
-        est = estimate_latent(y, members[0], ranks[0] if num_factors is None else num_factors)
-    return PmtcEstimate(members, est, ranks, omega)
+        est = estimate_latent(y, m1, ranks[0] if num_factors is None else num_factors)
+    return PmtcEstimate(fit.final, est, ranks, fit.omega,
+                        fit.start.pchooi_iterations, fit.start.pchooi_converged)
 
 
 def _window_r2(y, factors, market, membership, train, test, demean) -> tuple[float, float]:

@@ -22,8 +22,13 @@ __all__ = ["SpectralInit", "pmtsc", "spectral_cluster_rows"]
 
 @dataclass(frozen=True)
 class SpectralInit:
+    """Warm-start memberships, with the stopping record of the PCHOOI fit
+    whose bases they come from."""
+
     memberships: list[Membership]
     kmeans_objectives: list[float]
+    pchooi_iterations: int
+    pchooi_converged: bool
 
 
 def _scores(u: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -83,7 +88,7 @@ def pmtsc(
         res = kmeans_relaxed(_scores(bases[i], coords), ranks[i], seed=seeds[i])
         memberships.append(res.membership)
         objectives.append(res.objective)
-    return SpectralInit(memberships, objectives)
+    return SpectralInit(memberships, objectives, fit.iterations_used, fit.converged)
 
 
 def spectral_cluster_rows(y: np.ndarray, r: int, seed: int = 0) -> Membership:

@@ -212,8 +212,16 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
             b = b * math.sqrt(design.snr_y() * design.sigma_y**2 / dy2)
 
         s_y = b @ f
-        x = expand_blocks(core, members) + _noise(rng, design.sigma_x, design.dims + (design.T,))
-        y = s_y[members[0].labels] + _noise(rng, design.sigma_y, (design.dims[0], design.T))
+        # the noise first, then the block signal added into it one mode-1
+        # slab at a time, so no second full-size tensor is held (the same
+        # sums as signal + noise, bit for bit)
+        x = _noise(rng, design.sigma_x, design.dims + (design.T,))
+        labels = members[0].labels
+        for g, c in enumerate(core):
+            slab = expand_blocks(c, members[1:])
+            for i in np.flatnonzero(labels == g):
+                x[i] += slab
+        y = s_y[labels] + _noise(rng, design.sigma_y, (design.dims[0], design.T))
         return CoupledData(x, y), GroundTruth(members, core, b, f, s_y)
     raise InfeasibleDesignError(
         f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"

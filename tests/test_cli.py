@@ -62,6 +62,9 @@ def test_fit_then_eval_outputs_parse_back(tmp_path, fit_inputs, capsys):
     assert np.array_equal(per_asset[:, 2:], est.factor_estimate.loadings[est.memberships[0].labels])
     summary = _read_json(out / "fit_summary.json")
     assert summary["ranks"] == [5, 5] and summary["factor_mode"] == "observed"
+    assert summary["pchooi_iterations"] == est.pchooi_iterations
+    assert summary["pchooi_converged"] is est.pchooi_converged is True
+    assert 2 <= summary["pchooi_iterations"] < 50
     assert len(_read_json(out / "manifest.json")["config_hash"]) == 64
 
     for split in ("index:12", "rolling:10"):

@@ -38,10 +38,10 @@ def test_results_csv_cells_parse_as_floats(tmp_path):
 # leave them unchanged.
 _LOWSNR_MEMBERSHIPS = {
     "Y: SC": ("300140223330313400222012230003211230333340230022012034214231",),
-    "X: HSC+HLloyd": ("202203100030120043313410004321140300031421210232304144231234",
-                      "03332132212012043310032020412130204303313202033111"),
-    "X: HSC+PMTLloyd": ("202203100030120043313410004321040300031421210232304144231234",
-                        "03332132212012043310032020412130204303313202033111"),
+    "X: HSC+HLloyd": ("021330011304333120000103124020342422101431301233020034200324",
+                      "41220133311113303012413031013323011101110111131111"),
+    "X: HSC+PMTLloyd": ("021330011304333120000103124220342422101431301233020034200324",
+                        "41220133311113303012413031013323011101110111131111"),
     "X+Y: PMTSC": ("300140223330313400222012230003211230333340230022012034214231",
                    "34102344133232300132424014111310240402403401424234"),
     "X+Y: PMTSC+HLloyd": ("300140223330313400222012230003211230333340230022012034214231",
@@ -58,7 +58,7 @@ _HIGHSNR_MEMBERSHIPS = {
 
 
 @pytest.mark.parametrize("gamma_x, expected", [
-    (-0.5, _LOWSNR_MEMBERSHIPS),  # below the noise edge: omega=0, HOOI hits max_iter
+    (-0.5, _LOWSNR_MEMBERSHIPS),  # below the noise edge: omega=0, HOOI stops on a flat objective
     (0.1, _HIGHSNR_MEMBERSHIPS),  # informative tensor: omega=1, coupled Lloyd runs
 ])
 def test_six_method_memberships_unchanged(gamma_x, expected):

@@ -58,6 +58,31 @@ def test_tensor_write_holds_no_full_copy(tmp_path):
     assert peak < x.nbytes / 10
 
 
+@pytest.mark.parametrize("dims", [(), (3,), (4, 5), (3, 4, 5), (2, 3, 2, 4), (3, 0, 2)])
+def test_tensor_read_is_the_payload_reshaped_column_major(tmp_path, dims):
+    x = np.random.default_rng(5).standard_normal(dims)
+    path = tmp_path / "x.pmtc"
+    io.write_tensor(path, x)
+    payload = path.read_bytes()[12 + 8 * len(dims):]
+    expected = np.frombuffer(payload, dtype="<f8").reshape(dims, order="F")
+    back = io.read_tensor(path)
+    assert back.shape == dims and back.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_tensor_read_holds_no_full_copy(tmp_path):
+    x = np.random.default_rng(3).standard_normal((100, 100, 60))
+    path = tmp_path / "x.pmtc"
+    io.write_tensor(path, x)
+    tracemalloc.start()
+    try:
+        back = io.read_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, x)
+    assert peak < 1.1 * x.nbytes
+
+
 def test_tensor_payload_is_first_index_fastest(tmp_path):
     x = np.arange(6.0).reshape(2, 3)
     path = tmp_path / "x.pmtc"

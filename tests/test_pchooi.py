@@ -127,9 +127,10 @@ def test_tensor_informative_extremes():
     assert tensor_informative(data.x, d.ranks)
 
 
-def small_draw():
-    """The 60 x 50 x 30 coupled draw whose six-method labels are pinned."""
-    design = SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1)
+def small_draw(gamma_x=0.1):
+    """The 60 x 50 x 30 coupled draw whose six-method labels are pinned
+    (gamma_x=-0.5 puts the tensor below its noise edge)."""
+    design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
     data, _ = gen_pmtc(design)
     return data.x, data.y, design.ranks
 
@@ -190,3 +191,38 @@ def test_zero_weight_iterations_skip_the_mode1_projection(monkeypatch):
     calls.clear()
     res = pchooi(x, y, ranks, omega=1.0)
     assert sorted(calls) == sorted([(0, x.shape), (1, x.shape)] * res.iterations_used)
+
+
+def _objective(x, y, bases):
+    """The omega=1 objective ||x ×_i U_i'||^2 + ||U_1' y||^2 (the first term
+    alone without a panel)."""
+    core = multi_mode_product(x, {i: u.T for i, u in enumerate(bases)})
+    value = float(np.sum(core**2))
+    return value if y is None else value + float(np.sum((bases[0].T @ y) ** 2))
+
+
+@pytest.mark.parametrize("coupled", [False, True])  # HOOI, and omega=1
+def test_objective_never_decreases_with_more_iterations(coupled):
+    x, y, ranks = small_draw(-0.5)
+    y = y if coupled else None
+    values = [_objective(x, y, pchooi(x, y, ranks, max_iter=k, tol=0.0).bases)
+              for k in range(12)]
+    for before, after in zip(values, values[1:]):
+        assert after >= before * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_flat_objective_stops_before_the_cap(coupled):
+    x, y, ranks = small_draw(-0.5)
+    y = y if coupled else None
+    res = pchooi(x, y, ranks, max_iter=50)
+    assert res.converged and 2 <= res.iterations_used < 50
+    capped = pchooi(x, y, ranks, max_iter=50, tol=0.0)
+    assert not capped.converged and capped.iterations_used == 50
+
+
+@pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
+def test_zero_weight_stops_at_the_second_iteration(gamma_x):
+    x, y, ranks = small_draw(gamma_x)
+    res = pchooi(x, y, ranks, omega=0.0)
+    assert res.converged and res.iterations_used == 2

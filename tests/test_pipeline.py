@@ -48,15 +48,15 @@ def test_fixed_omega_labels_pinned():
     design, data, truth = _draw(-0.5)
     est = fit_pmtc(data.x, data.y, design.ranks, factors=truth.f, omega=1.0, seed=1)
     assert _labels(est.memberships) == (
-        "422432423122343104022241213203221232134242432022034031020232",
-        "14112023300421214041412034423231020231302410421110",
+        "421401410211242133414344120130102123224041431244304300343432",
+        "22113140011240321111214304110000341431013211241114",
     )
 
 
 def test_zero_omega_skips_refinement():
     design, data, _ = _draw(-0.5)
-    init, final, omega = cluster(data.x, data.y, design.ranks, "auto", seed=1)
-    assert omega == 0.0 and final is init
+    fit = cluster(data.x, data.y, design.ranks, "auto", seed=1)
+    assert fit.omega == 0.0 and fit.final is fit.start.memberships
 
 
 def test_estimate_bundle_is_consistent():

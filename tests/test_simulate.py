@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pmtc import simulate
+from pmtc.membership import expand_blocks
 from pmtc.metrics import separations
 from pmtc.simulate import (
     BlockDesign,
@@ -50,6 +53,31 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     for ma, mb in zip(ta.memberships, tb.memberships):
         assert np.array_equal(ma.labels, mb.labels)
+
+
+def test_tensor_is_signal_plus_noise_bit_for_bit():
+    d = SimDesign(dims=(25, 20), T=10, ranks=(3, 2), m1=2, mu_b=(1.0,), seed=4)
+    data, truth = gen_pmtc(d)
+    # replay the draw's random calls (first attempt) up to the tensor noise
+    rng = simulate._rng_for(d.seed, 0)
+    for p, r in zip(d.dims, d.ranks):
+        rng.choice(r, size=p)
+    rng.normal(0.0, 1.0, size=d.ranks + (d.T,))
+    rng.standard_normal((d.ranks[0], d.m1))
+    rng.standard_normal((d.m1, d.T))
+    noise = rng.normal(0.0, d.sigma_x, size=d.dims + (d.T,))
+    assert np.array_equal(data.x, expand_blocks(truth.core, truth.memberships) + noise)
+
+
+def test_draw_holds_no_second_full_size_tensor():
+    d = SimDesign(dims=(100, 100), T=60, seed=5)
+    tracemalloc.start()
+    try:
+        data, _ = gen_pmtc(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * data.x.nbytes
 
 
 def test_cluster_size_band_balanced():
