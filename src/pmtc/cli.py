@@ -260,6 +260,7 @@ def _cmd_fit(args) -> int:
         "cluster_sizes": [m.cluster_sizes.tolist() for m in est.memberships],
         "pchooi_iterations": est.pchooi_iterations,
         "pchooi_converged": est.pchooi_converged,
+        "lloyd_sweeps": est.lloyd.iterations_used, "lloyd_converged": est.lloyd.converged,
     }
     with open(os.path.join(out_dir, "fit_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

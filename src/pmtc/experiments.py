@@ -145,7 +145,7 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list
         panel, fit = xy if method.startswith("X+Y:") else hsc
         init, final = fit.start.memberships, fit.final
         if method.endswith("HLloyd"):
-            final = refine(x, panel, init, fit.omega, projection="oblique")
+            final, _ = refine(x, panel, init, fit.omega, projection="oblique")
         elif method == "X+Y: PMTSC":
             final = init
         out[method] = init, final

@@ -30,8 +30,9 @@ class KmeansResult:
 def _sq_distances(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     """p x r matrix of squared euclidean distances from rows of z to rows of c."""
     d2 = np.empty((z.shape[0], c.shape[0]))
+    diff = np.empty_like(z)
     for a in range(c.shape[0]):
-        diff = z - c[a]
+        np.subtract(z, c[a], out=diff)
         d2[:, a] = np.einsum("ij,ij->i", diff, diff)
     return d2
 

@@ -3,10 +3,10 @@
 Given a characteristics tensor ``x`` with p1 x ... x pd clustered modes (and
 an optional trailing time mode) plus an outcome panel ``y`` sharing mode 1,
 the iteration alternates truncated SVD updates of the per-mode bases.  The
-mode-1 step operates on the column concatenation of the projected tensor
-unfolding and ``y``, which is where the coupling enters; the remaining modes
-follow the standard orthogonal-iteration update.  With ``y=None`` this
-reduces to plain HOOI on the tensor.
+mode-1 step takes the top eigenvectors of the coupled Gram omega z z' + y y'
+of the projected tensor unfolding z and ``y``, which is where the coupling
+enters; the other modes follow the standard orthogonal-iteration update.
+With ``y=None`` this reduces to plain HOOI on the tensor.
 
 Each update maximises the coupled objective
 omega ||x ×_i U_i'||^2 + ||U_1' y||^2 over one basis with the others held,
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product
+from .tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product, top_eigvecs
 
 __all__ = ["PchooiResult", "pchooi", "hooi", "coupled_block"]
 
@@ -93,20 +93,19 @@ def pchooi(
 
     ``ranks`` gives the target subspace dimension of each clustered mode (any
     trailing time mode is never compressed).  ``omega`` down/up-weights the
-    tensor block of the coupled mode-1 matrix (the tensor unfolding is scaled
-    by sqrt(omega) before concatenation with ``y``); omega=0 recovers
-    SVD-on-y, large omega approaches HOOI-on-x.
+    tensor block of the coupled mode-1 Gram omega z z' + y y'; omega=0
+    recovers SVD-on-y, large omega approaches HOOI-on-x.
 
-    ``x`` is brought into C order once here, so every mode product of the
-    iteration runs on the free reshape of the full tensor.  Each basis update
-    is :func:`~pmtc.tensor.lsvd` of a wide block (projected unfolding, plus
-    ``y`` on mode 1), i.e. the top eigenvectors of its Gram matrix.  The
-    start takes the top eigenvectors of each mode's unfolding Gram from
-    ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams` of ``x``, built here when
-    not given; pass one to share the Grams with other calls on the same
-    tensor), except the coupled mode-1 start, the lsvd of [sqrt(omega) x_(1), y].
-    At omega=0 the mode-1 block is ``y`` alone, so its basis never changes and
-    the iterations neither project for it nor recompute it.
+    ``x`` is brought into C order once here (a copy only for another
+    layout); every mode product runs on its free reshape, and no other
+    full-size array is formed.  The start takes the top eigenvectors of each
+    mode's unfolding Gram from ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams`
+    of ``x``, built here when not given; pass one to share the Grams with
+    other calls on the same tensor), with omega G_1 + y y' for the coupled
+    mode 1.  An iteration updates each basis by :func:`~pmtc.tensor.lsvd` of
+    a projected unfolding z, the coupled mode 1 by the top eigenvectors of
+    omega z z' + y y' (y y' is formed once per call).  At omega=0 the mode-1
+    basis is lsvd(y) and never changes, so the iterations skip it.
 
     Iterations stop once one raises the objective
     omega ||x ×_i U_i'||^2 + ||U_1' y||^2 by no more than ``tol`` times its
@@ -125,16 +124,14 @@ def pchooi(
     d = _check_inputs(x, y, ranks)
     grams = UnfoldingGrams.of(x, grams)
 
-    # Mode 1 takes the free C-order reshape; its column order differs from
-    # matricize(., 0), which leaves the left singular subspace unchanged.
-    p1 = x.shape[0]
-    if y is None:
-        bases = [grams.lsvd(0, ranks[0])]
-    else:
-        bases = [lsvd(coupled_block(x.reshape(p1, -1), y, omega), ranks[0])]
-    bases += [grams.lsvd(i, ranks[i]) for i in range(1, d)]
-
     fixed_mode1 = y is not None and omega == 0.0
+    yy = None if y is None or fixed_mode1 else y @ y.T
+    if fixed_mode1:
+        bases = [lsvd(y, ranks[0])]
+    else:
+        bases = [top_eigvecs(grams[0] if yy is None else omega * grams[0] + yy, ranks[0])]
+    bases += [top_eigvecs(grams[i], ranks[i]) for i in range(1, d)]
+
     iterations = 0
     converged = max_iter == 0
     last = None
@@ -142,17 +139,18 @@ def pchooi(
     for _ in range(max_iter):
         iterations += 1
         prev_value = value
-        block = None  # projected unfolding of the mode updated last
+        block = last = None  # projected unfolding of the mode updated last
         if not fixed_mode1:
             others = {j: bases[j].T for j in range(1, d)}
-            block = multi_mode_product(x, others).reshape(p1, -1)
-            bases[0] = lsvd(coupled_block(block, y, omega), ranks[0])
+            block = multi_mode_product(x, others).reshape(x.shape[0], -1)
+            g = None if yy is None else omega * (block @ block.T) + yy
+            bases[0] = lsvd(block, ranks[0]) if g is None else top_eigvecs(g, ranks[0])
         for i in range(1, d):
             others = {j: bases[j].T for j in range(d) if j != i}
             block = last = matricize(multi_mode_product(x, others), i)
             bases[i] = lsvd(last, ranks[i])
         value = 0.0 if block is None else float(np.sum((bases[-1].T @ block) ** 2))
-        if not fixed_mode1 and y is not None:
+        if yy is not None:
             value = omega * value + float(np.sum((bases[0].T @ y) ** 2))
         if iterations > 1 and value - prev_value <= tol * value:
             converged = True
@@ -171,8 +169,9 @@ def tensor_informative(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None
 
     Checks that the rank-m_i-th singular value of each mode unfolding exceeds
     the i.i.d.-noise bulk edge sigma (sqrt(p_i) + sqrt(cols)), with sigma
-    estimated from the median singular value of the (very wide) unfolding,
-    which is robust to the low-rank signal.  Below the edge the tensor is
+    estimated as the median of the min(p_i, cols) leading singular values
+    over sqrt(max(p_i, cols)), which is robust to the low-rank signal (a tall
+    unfolding's other singular values are zero).  Below the edge the tensor is
     spectrally indistinguishable from noise, the regime where a
     noise-dominated block should not enter a coupled objective; use the test
     to pick the coupling weight (1 if informative, else 0).  The singular
@@ -180,14 +179,13 @@ def tensor_informative(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None
     (:class:`~pmtc.tensor.UnfoldingGrams` of ``x``, built here when not
     given), which a later PCHOOI or HOOI start on ``x`` can reuse.
     """
-    x = np.ascontiguousarray(x, dtype=float)
     grams = UnfoldingGrams.of(x, grams)
     for i, m in enumerate(ranks):
-        p = x.shape[i]
-        cols = x.size // p
+        p = grams.x.shape[i]
+        cols = grams.x.size // p
         eigs = np.linalg.eigvalsh(grams[i])
         s = np.sqrt(np.maximum(eigs[::-1], 0.0))
-        sigma = float(np.median(s)) / math.sqrt(cols)
+        sigma = float(np.median(s[: min(p, cols)])) / math.sqrt(max(p, cols))
         if s[m - 1] <= sigma * (math.sqrt(p) + math.sqrt(cols)):
             return False
     return True

@@ -19,7 +19,7 @@ from .factors import FactorEstimate, estimate_latent, estimate_observed
 from .membership import Membership
 from .metrics import total_r2
 from .pchooi import tensor_informative
-from .pmtlloyd import pmtlloyd
+from .pmtlloyd import LloydTrace, pmtlloyd
 from .pmtsc import SpectralInit, pmtsc
 from .tensor import UnfoldingGrams
 
@@ -35,15 +35,18 @@ class PmtcEstimate:
     omega: float
     pchooi_iterations: int
     pchooi_converged: bool
+    lloyd: LloydTrace
 
 
 @dataclass(frozen=True)
 class Clustering:
     """What :func:`cluster` returns: the PMTSC warm start (with PCHOOI's
-    stopping record), the refined memberships and the coupling weight used."""
+    stopping record), the refined memberships with the Lloyd stopping record,
+    and the coupling weight used."""
 
     start: SpectralInit
     final: list[Membership]
+    lloyd: LloydTrace
     omega: float
 
 
@@ -70,16 +73,18 @@ def refine(
     omega: float = 1.0,
     projection: str = "orthogonal",
     max_iter: int | None = None,
-) -> list[Membership]:
-    """Lloyd refinement of ``init`` (see :func:`pmtc.pmtlloyd.pmtlloyd`).
+) -> tuple[list[Membership], LloydTrace]:
+    """Lloyd refinement of ``init`` and its stopping record (see
+    :func:`pmtc.pmtlloyd.pmtlloyd`).
 
     At ``omega=0`` the coupled objective is the panel's alone, which the
     spectral stage's k-means already solves to Lloyd convergence; the
-    refinement would be a fixed point, so ``init`` is returned as is.
+    refinement would be a fixed point, so ``init`` is returned as is, after
+    0 sweeps and converged.
     """
     if omega > 0:
-        return pmtlloyd(x, y, init, max_iter=max_iter, projection=projection, omega=omega)[0]
-    return init
+        return pmtlloyd(x, y, init, max_iter=max_iter, projection=projection, omega=omega)
+    return init, LloydTrace(0, True)
 
 
 def cluster(
@@ -105,7 +110,7 @@ def cluster(
     if omega == "auto":
         omega = 1.0 if tensor_informative(x, ranks, grams) else 0.0
     start = pmtsc(x, y, ranks, seed=seed, omega=omega, grams=grams)
-    return Clustering(start, refine(x, y, start.memberships, omega, max_iter=lloyd_iters), omega)
+    return Clustering(start, *refine(x, y, start.memberships, omega, max_iter=lloyd_iters), omega)
 
 
 def fit_pmtc(
@@ -136,7 +141,7 @@ def fit_pmtc(
     else:
         est = estimate_latent(y, m1, ranks[0] if num_factors is None else num_factors)
     return PmtcEstimate(fit.final, est, ranks, fit.omega,
-                        fit.start.pchooi_iterations, fit.start.pchooi_converged)
+                        fit.start.pchooi_iterations, fit.start.pchooi_converged, fit.lloyd)
 
 
 def _window_r2(y, factors, market, membership, train, test, demean) -> tuple[float, float]:

@@ -83,8 +83,7 @@ def pmtlloyd(
         new_members: list[Membership] = []
         for i in range(d):
             others = {j: projs[j].T for j in range(d) if j != i}
-            proj_x = multi_mode_product(x, others)
-            zi = matricize(proj_x, i)
+            zi = matricize(multi_mode_product(x, others), i)
             ci = avgs[i].T @ zi
             if i == 0 and y is not None:
                 zi = coupled_block(zi, y, omega)

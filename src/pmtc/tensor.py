@@ -8,15 +8,12 @@ on the free reshape of ``x`` to ``(prod(shape[:k]), p_k, prod(shape[k+1:]))``
 and returns a C-contiguous result, so chains of products never copy the
 full tensor.
 
-:func:`matricize` defines the unfolding.  It is not on the hot path: the
-kernel does not use it, and the algorithms apply it to small projected
-tensors (on the hot path a full tensor is unfolded, at the cost of one copy,
-only by :class:`UnfoldingGrams`, to form a mode's Gram matrix once; mode 1
-then uses the free C-order reshape, whose column order differs but whose
-left singular subspace is the same).  The
-columns of the mode-k unfolding enumerate the remaining modes in the cyclic
-order (k+1, k+2, ..., K, 1, ..., k-1), with the first of these varying
-fastest.  For an order-3 tensor A this gives
+The hot path never holds a second full-size tensor: products only shrink
+it, and :class:`UnfoldingGrams` forms each mode's Gram matrix slab by slab.
+:func:`matricize` defines the unfolding and is applied only to small
+projected tensors and single slabs.  The columns of the mode-k unfolding
+enumerate the remaining modes in the cyclic order (k+1, ..., K, 1, ..., k-1),
+with the first of these varying fastest.  For an order-3 tensor A this gives
 
     mat1(A)[i, j + n2*k] == mat2(A)[j, k + n3*i] == mat3(A)[k, i + n1*j]
         == A[i, j, k]
@@ -147,13 +144,13 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
 class UnfoldingGrams:
     """The Gram matrices ``a @ a.T`` of the mode unfoldings of one tensor.
 
-    ``grams[i]`` is computed on first access and kept, so the algorithms
-    that start from a mode's spectrum (PCHOOI/HOOI and
+    ``grams[i]`` is formed on first access and kept, so the algorithms that
+    start from a mode's spectrum (PCHOOI/HOOI and
     :func:`~pmtc.pchooi.tensor_informative`) pass over the full tensor once
-    per mode, however many of them run on the same draw.  Mode 1 unfolds by
-    the free C-order reshape, the other modes by :func:`matricize` (one copy);
-    the column order does not change the Gram matrix's spectrum or
-    eigenvectors.  The Grams are p_i x p_i, small next to the tensor.
+    per mode, however many of them run on the same draw.  No Gram copies the
+    tensor: mode 1 is one GEMM on the free C-order reshape, mode k > 1 the
+    sum over mode-1 slabs of each slab's mode-(k-1) unfolding Gram (for
+    order 3, G_2 = sum_i x[i] x[i]'), so the extra memory is one slab.
     """
 
     def __init__(self, x: np.ndarray):
@@ -170,24 +167,23 @@ class UnfoldingGrams:
             raise ValueError(f"Grams of a {grams.x.shape} tensor given for a {np.shape(x)} tensor")
         return grams
 
-    def unfolding(self, mode: int) -> np.ndarray:
+    def form(self, mode: int) -> np.ndarray:
+        """The mode-``mode`` unfolding Gram, formed slab by slab and not kept."""
         x = self.x
-        return x.reshape(x.shape[0], -1) if mode == 0 else matricize(x, mode)
+        if mode == 0:
+            a = x.reshape(x.shape[0], -1)
+            return a @ a.T
+        g = np.zeros((x.shape[mode], x.shape[mode]))
+        for slab in x:
+            a = matricize(slab, mode - 1)
+            g += a @ a.T
+        return g
 
     def __getitem__(self, mode: int) -> np.ndarray:
         g = self._grams.get(mode)
         if g is None:
-            a = self.unfolding(mode)
-            g = self._grams[mode] = a @ a.T
+            g = self._grams[mode] = self.form(mode)
         return g
-
-    def lsvd(self, mode: int, rank: int) -> np.ndarray:
-        """``lsvd(self.unfolding(mode), rank)``: from the kept Gram when the
-        unfolding is wide (the usual case), else by the unfolding's SVD."""
-        p = self.x.shape[mode]
-        if self.x.size // p > p:
-            return top_eigvecs(self[mode], rank)
-        return lsvd(self.unfolding(mode), rank)
 
 
 def subspace_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -65,6 +65,8 @@ def test_fit_then_eval_outputs_parse_back(tmp_path, fit_inputs, capsys):
     assert summary["pchooi_iterations"] == est.pchooi_iterations
     assert summary["pchooi_converged"] is est.pchooi_converged is True
     assert 2 <= summary["pchooi_iterations"] < 50
+    assert summary["lloyd_sweeps"] == est.lloyd.iterations_used >= 1
+    assert summary["lloyd_converged"] is est.lloyd.converged
     assert len(_read_json(out / "manifest.json")["config_hash"]) == 64
 
     for split in ("index:12", "rolling:10"):

@@ -4,7 +4,14 @@ import pytest
 from pmtc import tensor
 from pmtc.pchooi import coupled_block, hooi, pchooi, tensor_informative
 from pmtc.simulate import LowRankDesign, SimDesign, gen_coupled_lowrank, gen_pmtc
-from pmtc.tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product, subspace_distance
+from pmtc.tensor import (
+    UnfoldingGrams,
+    lsvd,
+    matricize,
+    multi_mode_product,
+    subspace_distance,
+    top_eigvecs,
+)
 
 
 def _noiseless_coupled(seed=0, p1=12, p2=10, t=8, m=(3, 2)):
@@ -127,6 +134,21 @@ def test_tensor_informative_extremes():
     assert tensor_informative(data.x, d.ranks)
 
 
+def test_tensor_informative_on_a_tall_unfolding():
+    # many assets, few characteristics x months: the mode-1 unfolding is
+    # 1000 x 240, so 760 of its 1000 singular values are zero
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1000, 4, 60))
+    b = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    x += np.einsum("jk,ik,tk->ijt", b, rng.standard_normal((1000, 2)),
+                   rng.standard_normal((60, 2)))
+    assert tensor_informative(x, (2, 2))
+    assert not tensor_informative(x, (12, 2))  # the 12th lies inside the noise bulk
+    a = x.reshape(1000, -1)
+    for m in (2, 12):  # the edge of a tall matrix is its transpose's
+        assert tensor_informative(a, (m,)) == tensor_informative(a.T, (m,))
+
+
 def small_draw(gamma_x=0.1):
     """The 60 x 50 x 30 coupled draw whose six-method labels are pinned
     (gamma_x=-0.5 puts the tensor below its noise edge)."""
@@ -159,13 +181,22 @@ def test_shared_grams_change_no_bits(omega):
     assert own.iterations_used == shared.iterations_used
     for a, b in zip(own.bases, shared.bases):
         assert np.array_equal(a, b)
-    # the start is the lsvd of each unfolding, as computed without any holder
+    # the start takes the top eigenvectors of the kept Grams (the coupled
+    # mode 1 those of omega G_1 + y y'), and spans each unfolding's (or the
+    # coupled block's) top left singular subspace
     start = pchooi(x, y, ranks, omega=omega, max_iter=0, grams=grams).bases
-    assert np.array_equal(start[1], lsvd(matricize(x, 1), ranks[1]))
+    assert np.array_equal(start[1], top_eigvecs(grams[1], ranks[1]))
+    assert subspace_distance(start[1], lsvd(matricize(x, 1), ranks[1])) < 1e-10
+    x1 = x.reshape(x.shape[0], -1)
     if y is None:
-        assert np.array_equal(start[0], lsvd(x.reshape(x.shape[0], -1), ranks[0]))
+        assert np.array_equal(start[0], top_eigvecs(grams[0], ranks[0]))
+        assert np.array_equal(start[0], lsvd(x1, ranks[0]))
     elif omega == 0.0:
         assert np.array_equal(own.bases[0], lsvd(y, ranks[0]))
+    else:
+        assert np.array_equal(start[0], top_eigvecs(omega * grams[0] + y @ y.T, ranks[0]))
+        old = lsvd(coupled_block(x1, y, omega), ranks[0])
+        assert subspace_distance(start[0], old) < 1e-10
     # the kept projection is the one PMTSC would otherwise recompute
     again = matricize(multi_mode_product(x, {0: own.bases[0].T}), 1)
     assert np.array_equal(own.last_unfolding, again)

@@ -6,6 +6,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -57,6 +58,21 @@ def test_zero_omega_skips_refinement():
     design, data, _ = _draw(-0.5)
     fit = cluster(data.x, data.y, design.ranks, "auto", seed=1)
     assert fit.omega == 0.0 and fit.final is fit.start.memberships
+    assert fit.lloyd.iterations_used == 0 and fit.lloyd.converged
+
+
+@pytest.mark.parametrize("omega", [1.0, "auto"])
+def test_cluster_holds_no_second_full_size_tensor(omega):
+    design = SimDesign(dims=(100, 100), T=60, gamma_x=0.1, seed=5)
+    data, _ = gen_pmtc(design)
+    tracemalloc.start()
+    try:
+        fit = cluster(data.x, data.y, design.ranks, omega)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.omega == 1.0 and fit.lloyd.iterations_used >= 1
+    assert peak < 0.25 * data.x.nbytes
 
 
 def test_estimate_bundle_is_consistent():

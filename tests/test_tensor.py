@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmtc.tensor import (
+    UnfoldingGrams,
     lsvd,
     matricize,
     mode_product,
@@ -262,3 +265,26 @@ def test_lsvd_path_follows_shape(monkeypatch):
         lsvd(tall[:5], 2)  # square
     uf, _, _ = np.linalg.svd(wide, full_matrices=False)  # descending singular values
     assert np.allclose(np.abs(full.T @ uf), np.eye(5), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dims", [(7, 5), (6, 5, 4), (5, 4, 3, 6)])
+def test_unfolding_grams_equal_the_gram_of_each_unfolding(dims):
+    x = np.random.default_rng(15).standard_normal(dims)
+    grams = UnfoldingGrams(x)
+    for mode in range(x.ndim):
+        a = matricize(x, mode)
+        ref = a @ a.T
+        assert np.linalg.norm(grams[mode] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_unfolding_grams_hold_no_copy_of_the_tensor():
+    x = np.random.default_rng(16).standard_normal((100, 100, 60))
+    tracemalloc.start()
+    try:
+        grams = UnfoldingGrams(x)
+        for mode in range(x.ndim):
+            grams[mode]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * x.nbytes
