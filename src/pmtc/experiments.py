@@ -127,6 +127,8 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list
     A family's ``HLloyd`` variant refines the same warm start with the oblique
     projection and the same coupling weight.  All methods share one set of
     unfolding Grams, so each mode's full-tensor Gram is formed once per draw.
+    When ``auto`` drops the tensor (omega=0), the coupled mode-1 warm start is
+    ``Y: SC``'s estimate by construction, so ``Y: SC`` takes it.
     """
     x = np.ascontiguousarray(x, dtype=float)
     grams = UnfoldingGrams(x)
@@ -139,7 +141,10 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list
     out = {}
     for method in methods:
         if method == "Y: SC":
-            m1 = spectral_cluster_rows(y, ranks[0], seed=seed)
+            if xy is not None and xy[1].omega == 0.0:
+                m1 = xy[1].start.memberships[0]
+            else:
+                m1 = spectral_cluster_rows(y, ranks[0], seed=seed)
             out[method] = [m1], [m1]
             continue
         panel, fit = xy if method.startswith("X+Y:") else hsc

@@ -102,7 +102,12 @@ def pchooi(
     mode's unfolding Gram from ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams`
     of ``x``, built here when not given; pass one to share the Grams with
     other calls on the same tensor), with omega G_1 + y y' for the coupled
-    mode 1.  An iteration updates each basis by :func:`~pmtc.tensor.lsvd` of
+    mode 1, and lsvd(y) for mode 1 at omega=0.  The first iteration
+    overwrites the start of the first mode it updates before reading it, so
+    when ``max_iter`` >= 1 that start is skipped: mode 1's for HOOI and at
+    omega > 0 (a two-mode fit then forms the Gram of mode 2 alone), mode 2's
+    at omega=0 (no Gram at all for two modes).  ``max_iter=0`` returns every
+    start.  An iteration updates each basis by :func:`~pmtc.tensor.lsvd` of
     a projected unfolding z, the coupled mode 1 by the top eigenvectors of
     omega z z' + y y' (y y' is formed once per call).  At omega=0 the mode-1
     basis is lsvd(y) and never changes, so the iterations skip it.
@@ -126,11 +131,16 @@ def pchooi(
 
     fixed_mode1 = y is not None and omega == 0.0
     yy = None if y is None or fixed_mode1 else y @ y.T
+    # the first mode an iteration updates, whose start would go unread
+    unread = (1 if fixed_mode1 else 0) if max_iter > 0 else None
+    bases: list[np.ndarray | None] = [None] * d
     if fixed_mode1:
-        bases = [lsvd(y, ranks[0])]
-    else:
-        bases = [top_eigvecs(grams[0] if yy is None else omega * grams[0] + yy, ranks[0])]
-    bases += [top_eigvecs(grams[i], ranks[i]) for i in range(1, d)]
+        bases[0] = lsvd(y, ranks[0])
+    elif unread != 0:
+        bases[0] = top_eigvecs(grams[0] if yy is None else omega * grams[0] + yy, ranks[0])
+    for i in range(1, d):
+        if i != unread:
+            bases[i] = top_eigvecs(grams[i], ranks[i])
 
     iterations = 0
     converged = max_iter == 0

@@ -71,6 +71,31 @@ def test_six_method_memberships_unchanged(gamma_x, expected):
     assert labels == expected
 
 
+@pytest.mark.parametrize("gamma_x, calls", [(-0.5, 0), (0.1, 1)])
+def test_panel_clustering_reuses_the_zero_weight_warm_start(monkeypatch, gamma_x, calls):
+    # omega="auto" drops the tensor at gamma_x=-0.5, and the coupled mode-1
+    # warm start is then Y: SC's estimate; at 0.1 it keeps the tensor
+    design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
+    data, _ = gen_pmtc(design)
+    ran = []
+    original = experiments.spectral_cluster_rows
+
+    def spectral_cluster_rows(*args, **kwargs):
+        ran.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "spectral_cluster_rows", spectral_cluster_rows)
+    got = experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
+                                          CLUSTER_METHODS)
+    assert len(ran) == calls
+    expected = _LOWSNR_MEMBERSHIPS if gamma_x < 0 else _HIGHSNR_MEMBERSHIPS
+    assert "".join(map(str, got["Y: SC"][1][0].labels)) == expected["Y: SC"][0]
+    alone = experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
+                                            ("Y: SC",))
+    assert np.array_equal(alone["Y: SC"][1][0].labels, got["Y: SC"][1][0].labels)
+    assert len(ran) == calls + 1  # without the coupled family, Y: SC runs alone
+
+
 @pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
 def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
     design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)

@@ -4,7 +4,117 @@ import math
 import numpy as np
 import pytest
 
-from pmtc.kmeans import kmeans_relaxed
+from pmtc import kmeans
+from pmtc.kmeans import _repair_empty, kmeans_relaxed
+from pmtc.membership import Membership
+
+
+def _sq_distances(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """p x r matrix of squared euclidean distances from rows of z to rows of c."""
+    d2 = np.empty((z.shape[0], c.shape[0]))
+    diff = np.empty_like(z)
+    for a in range(c.shape[0]):
+        np.subtract(z, c[a], out=diff)
+        d2[:, a] = np.einsum("ij,ij->i", diff, diff)
+    return d2
+
+
+def _lloyd(z: np.ndarray, centers: np.ndarray, r: int):
+    labels = None
+    for _ in range(kmeans._MAX_SWEEPS):
+        d2 = _sq_distances(z, centers)
+        new_labels = np.argmin(d2, axis=1)
+        new_labels = _repair_empty(new_labels, d2, r)
+        for a in range(r):
+            centers[a] = z[new_labels == a].mean(axis=0)
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+    obj = float(np.sum((z - centers[labels]) ** 2))
+    return labels, obj
+
+
+def serial_kmeans(z: np.ndarray, r: int, seed: int = 0):
+    """The restarts one after another, each with its own Lloyd loop: the
+    oracle that the batched sweeps of :func:`kmeans_relaxed` must match."""
+    z = np.asarray(z, dtype=float)
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(kmeans._RESTARTS):
+        rng = np.random.default_rng(child)
+        centers = kmeans._plusplus_seed(z, r, rng)
+        labels, obj = _lloyd(z, centers, r)
+        if best is None or obj < best[1]:
+            best = (labels, obj)
+    return kmeans.KmeansResult(Membership(best[0], r), best[1])
+
+
+def _assert_matches_serial(z, r, seed):
+    got, want = kmeans_relaxed(z, r, seed=seed), serial_kmeans(z, r, seed=seed)
+    assert np.array_equal(got.membership.labels, want.membership.labels)
+    assert got.objective == want.objective
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_batched_restarts_match_serial_loop(r):
+    rng = np.random.default_rng(100 + r)
+    for dim in sorted({1, r, r + 3}):
+        for p in sorted({r, 3 * r + 7, 300}):
+            for spread in (3.0, 0.0):  # clustered rows, then pure noise
+                centers = spread * rng.standard_normal((r, dim))
+                z = centers[rng.integers(0, r, p)] + rng.standard_normal((p, dim))
+                _assert_matches_serial(z, r, seed=p + dim)
+
+
+@pytest.mark.parametrize("r", [2, 4, 7])
+def test_batched_restarts_match_serial_loop_on_ties(r):
+    rng = np.random.default_rng(200 + r)
+    for dim in (1, 2, r + 3):
+        tied = np.round(rng.standard_normal((90, dim)), 1)  # many equal coordinates
+        _assert_matches_serial(tied, r, seed=r)
+        dup = np.repeat(rng.standard_normal((15, dim)), 6, axis=0)  # duplicated rows
+        _assert_matches_serial(dup[rng.permutation(90)], r, seed=r + 1)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_distances_keep_their_bits_in_every_layout_and_batch(layout):
+    # a row's squares are summed in an order that depends on the layout of
+    # the differences; Lloyd refinement passes Fortran-ordered unfoldings
+    rng = np.random.default_rng(7)
+    for p, dim, r in ((60, 5, 5), (40, 300, 3), (30, 1, 2)):
+        z = rng.standard_normal((p, 2 * dim))
+        z = {"C": np.ascontiguousarray(z[:, :dim]), "F": np.asfortranarray(z[:, :dim]),
+             "strided": z[:, ::2]}[layout]
+        c = rng.standard_normal((4, r, dim))
+        batched = kmeans._sq_distances(z, c)
+        for k in range(4):
+            assert np.array_equal(kmeans._sq_distances(z, c[k]), _sq_distances(z, c[k]))
+            assert np.array_equal(batched[k], _sq_distances(z, c[k]))
+        _assert_matches_serial(z, r, seed=p)
+
+
+def test_batched_restarts_match_serial_loop_through_empty_repair(monkeypatch):
+    repairs = []  # sizes of the labels handed to _repair_empty with a cluster left empty
+
+    def counting_repair(labels, d2, r):
+        if np.bincount(labels, minlength=r).min() == 0:
+            repairs.append(labels.size)
+        return _repair_empty(labels, d2, r)
+
+    monkeypatch.setattr(kmeans, "_repair_empty", counting_repair)
+    # three distinct points for five clusters: the seeding repeats centers
+    z = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 4.0]]), [4, 3, 5], axis=0)
+    for seed in range(4):
+        _assert_matches_serial(z, 5, seed)
+    assert repairs
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 2, 3])
+def test_batched_restarts_match_serial_loop_at_the_sweep_cap(monkeypatch, max_sweeps):
+    monkeypatch.setattr(kmeans, "_MAX_SWEEPS", max_sweeps)
+    rng = np.random.default_rng(300 + max_sweeps)
+    for r, dim in ((3, 1), (5, 5), (6, 9)):
+        z = rng.standard_normal((200, dim))  # no structure: restarts need many sweeps
+        _assert_matches_serial(z, r, seed=r)
 
 
 def exhaustive_kmeans_objective(z: np.ndarray, r: int) -> float:

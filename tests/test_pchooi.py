@@ -193,6 +193,7 @@ def test_shared_grams_change_no_bits(omega):
         assert np.array_equal(start[0], lsvd(x1, ranks[0]))
     elif omega == 0.0:
         assert np.array_equal(own.bases[0], lsvd(y, ranks[0]))
+        assert np.array_equal(start[0], lsvd(y, ranks[0]))
     else:
         assert np.array_equal(start[0], top_eigvecs(omega * grams[0] + y @ y.T, ranks[0]))
         old = lsvd(coupled_block(x1, y, omega), ranks[0])

@@ -15,10 +15,11 @@ import scipy.stats
 
 import pmtc
 from pmtc.factors import estimate_observed
-from pmtc.pchooi import pchooi
+from pmtc.pchooi import hooi, pchooi
 from pmtc.pipeline import cluster, fit_pmtc, rank_normalize
 from pmtc.pmtlloyd import pmtlloyd
 from pmtc.simulate import SimDesign, gen_pmtc
+from pmtc.tensor import UnfoldingGrams
 
 from test_experiments import _HIGHSNR_MEMBERSHIPS, _LOWSNR_MEMBERSHIPS
 
@@ -73,6 +74,37 @@ def test_cluster_holds_no_second_full_size_tensor(omega):
         tracemalloc.stop()
     assert fit.omega == 1.0 and fit.lloyd.iterations_used >= 1
     assert peak < 0.25 * data.x.nbytes
+
+
+@pytest.mark.parametrize("omega", [None, 0.0, 1.0])  # None: HOOI on the tensor alone
+def test_fit_skips_the_start_its_first_iteration_overwrites(monkeypatch, omega):
+    design, data, _ = _draw(-0.5)
+    x, y = data.x, data.y
+    formed, solved = [], []  # modes of the Grams formed; sizes of the matrices pchooi solves
+
+    module = importlib.import_module("pmtc.pchooi")  # the package exports a function of this name
+    original_form, original_top = UnfoldingGrams.form, module.top_eigvecs
+
+    def form(self, mode):
+        formed.append(mode)
+        return original_form(self, mode)
+
+    def top_eigvecs(g, rank):
+        solved.append(g.shape[0])
+        return original_top(g, rank)
+
+    monkeypatch.setattr(UnfoldingGrams, "form", form)
+    monkeypatch.setattr(module, "top_eigvecs", top_eigvecs)
+    p1, p2 = x.shape[:2]
+    if omega is None:  # mode 1's start skipped; mode 1 then updates by lsvd
+        hooi(x, design.ranks)
+        assert formed == [1] and solved == [p2]
+    elif omega == 0.0:  # mode 1 is lsvd(y); mode 2's start skipped
+        cluster(x, y, design.ranks, omega, seed=1)
+        assert formed == [] and solved == []
+    else:  # coupled mode 1's start skipped; each iteration solves its coupled Gram
+        fit = cluster(x, y, design.ranks, omega, seed=1)
+        assert formed == [1] and solved == [p2] + [p1] * fit.start.pchooi_iterations
 
 
 def test_estimate_bundle_is_consistent():
