@@ -36,9 +36,9 @@ class PchooiResult:
 
     ``last_unfolding`` is the last mode's projected unfolding
     matricize(x ×_{j<d} U_j', d) from the last iteration, which used the
-    final bases of every other mode (None when ``max_iter`` was 0 or ``x``
-    has a single clustered mode); PMTSC clusters that mode on it without
-    projecting the full tensor again.
+    final bases of every other mode; PMTSC clusters that mode on it without
+    projecting the full tensor again.  None when ``max_iter`` was 0 or ``x``
+    has one clustered mode, whose features must also hold the panel.
     """
 
     bases: list[np.ndarray]
@@ -107,10 +107,10 @@ def pchooi(
     when ``max_iter`` >= 1 that start is skipped: mode 1's for HOOI and at
     omega > 0 (a two-mode fit then forms the Gram of mode 2 alone), mode 2's
     at omega=0 (no Gram at all for two modes).  ``max_iter=0`` returns every
-    start.  An iteration updates each basis by :func:`~pmtc.tensor.lsvd` of
-    a projected unfolding z, the coupled mode 1 by the top eigenvectors of
-    omega z z' + y y' (y y' is formed once per call).  At omega=0 the mode-1
-    basis is lsvd(y) and never changes, so the iterations skip it.
+    start.  An iteration updates each mode in turn from its projected
+    unfolding z = matricize(x ×_{j≠i} U_j', i): lsvd(z), or for the coupled
+    mode 1 the top eigenvectors of omega z z' + y y' (y y' formed once per
+    call).  At omega=0 U_1 = lsvd(y) never changes and the loop skips it.
 
     Iterations stop once one raises the objective
     omega ||x ×_i U_i'||^2 + ||U_1' y||^2 by no more than ``tol`` times its
@@ -144,28 +144,26 @@ def pchooi(
 
     iterations = 0
     converged = max_iter == 0
-    last = None
+    block = None  # projected unfolding of the mode updated last
     value = 0.0
     for _ in range(max_iter):
         iterations += 1
         prev_value = value
-        block = last = None  # projected unfolding of the mode updated last
-        if not fixed_mode1:
-            others = {j: bases[j].T for j in range(1, d)}
-            block = multi_mode_product(x, others).reshape(x.shape[0], -1)
-            g = None if yy is None else omega * (block @ block.T) + yy
-            bases[0] = lsvd(block, ranks[0]) if g is None else top_eigvecs(g, ranks[0])
-        for i in range(1, d):
+        block = None  # released before this iteration forms its own
+        for i in range(1 if fixed_mode1 else 0, d):
             others = {j: bases[j].T for j in range(d) if j != i}
-            block = last = matricize(multi_mode_product(x, others), i)
-            bases[i] = lsvd(last, ranks[i])
+            block = matricize(multi_mode_product(x, others), i)
+            if i == 0 and yy is not None:
+                bases[0] = top_eigvecs(omega * (block @ block.T) + yy, ranks[0])
+            else:
+                bases[i] = lsvd(block, ranks[i])
         value = 0.0 if block is None else float(np.sum((bases[-1].T @ block) ** 2))
         if yy is not None:
             value = omega * value + float(np.sum((bases[0].T @ y) ** 2))
         if iterations > 1 and value - prev_value <= tol * value:
             converged = True
             break
-    return PchooiResult(bases, iterations, converged, last)
+    return PchooiResult(bases, iterations, converged, block if d > 1 else None)
 
 
 def hooi(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None) -> PchooiResult:

@@ -10,16 +10,15 @@ full tensor.
 
 The hot path never holds a second full-size tensor: products only shrink
 it, and :class:`UnfoldingGrams` forms each mode's Gram matrix slab by slab.
-:func:`matricize` defines the unfolding and is applied only to small
-projected tensors and single slabs.  The columns of the mode-k unfolding
-enumerate the remaining modes in the cyclic order (k+1, ..., K, 1, ..., k-1),
-with the first of these varying fastest.  For an order-3 tensor A this gives
+:func:`matricize` is the only code that fixes an unfolding's column order,
+and that order is C order too: the mode-k columns run over the other modes
+in increasing order, the last fastest.  For an order-3 tensor A (0-based)
 
-    mat1(A)[i, j + n2*k] == mat2(A)[j, k + n3*i] == mat3(A)[k, i + n1*j]
-        == A[i, j, k]
+    mat1(A)[i, j*n3 + k] == mat2(A)[j, i*n3 + k] == mat3(A)[k, i*n2 + j] == A[i, j, k].
 
-(0-based).  For order >= 4 the same cyclic rule applies; all downstream
-algorithms only require that one fixed convention is used consistently.
+On a C-contiguous tensor the mode-1 unfolding is a free view and the last
+mode's a free transposed (Fortran-ordered) view; any other is a copy, so
+it is taken only of small projected tensors and single slabs.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ def _check_mode(ndim: int, mode: int) -> None:
 def matricize(x: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding of ``x`` (0-based mode index).
 
-    Returns a ``x.shape[mode] x prod(other dims)`` matrix whose columns
-    enumerate the remaining modes cyclically, first following mode varying
-    fastest.
+    Returns a ``x.shape[mode] x prod(other dims)`` matrix whose columns run
+    over the other modes in C order (see the module docstring); a view of a
+    C-contiguous ``x`` for the first and last modes, else a copy.
     """
     x = np.asarray(x)
     _check_mode(x.ndim, mode)
-    perm = np.roll(np.arange(x.ndim), -mode)
-    return x.transpose(perm).reshape((x.shape[mode], -1), order="F")
+    return np.moveaxis(x, mode, 0).reshape(x.shape[mode], -1)
 
 
 def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
@@ -148,7 +146,7 @@ class UnfoldingGrams:
     start from a mode's spectrum (PCHOOI/HOOI and
     :func:`~pmtc.pchooi.tensor_informative`) pass over the full tensor once
     per mode, however many of them run on the same draw.  No Gram copies the
-    tensor: mode 1 is one GEMM on the free C-order reshape, mode k > 1 the
+    tensor: mode 1 is one GEMM on its free unfolding view, mode k > 1 the
     sum over mode-1 slabs of each slab's mode-(k-1) unfolding Gram (for
     order 3, G_2 = sum_i x[i] x[i]'), so the extra memory is one slab.
     """
@@ -171,7 +169,7 @@ class UnfoldingGrams:
         """The mode-``mode`` unfolding Gram, formed slab by slab and not kept."""
         x = self.x
         if mode == 0:
-            a = x.reshape(x.shape[0], -1)
+            a = matricize(x, 0)
             return a @ a.T
         g = np.zeros((x.shape[mode], x.shape[mode]))
         for slab in x:

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -78,7 +77,8 @@ def test_batched_restarts_match_serial_loop_on_ties(r):
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_distances_keep_their_bits_in_every_layout_and_batch(layout):
     # a row's squares are summed in an order that depends on the layout of
-    # the differences; Lloyd refinement passes Fortran-ordered unfoldings
+    # the differences; Lloyd refinement passes the last mode's unfolding as
+    # a Fortran-ordered view (figA1's third mode)
     rng = np.random.default_rng(7)
     for p, dim, r in ((60, 5, 5), (40, 300, 3), (30, 1, 2)):
         z = rng.standard_normal((p, 2 * dim))
@@ -118,23 +118,24 @@ def test_batched_restarts_match_serial_loop_at_the_sweep_cap(monkeypatch, max_sw
 
 
 def exhaustive_kmeans_objective(z: np.ndarray, r: int) -> float:
-    """Brute-force optimum of the k-means objective over all assignments."""
+    """Brute-force optimum of the k-means objective over all assignments.
+
+    Relabeling the clusters leaves the objective as it is, so point 0 stays
+    in cluster 0 and the other points run over the base-r digits of
+    0 .. r^(p-1) - 1.
+    """
     p = z.shape[0]
-    assigns = np.array(list(itertools.product(range(r), repeat=p)), dtype=np.int8)
-    total = float(np.sum(z * z))
-    best = np.inf
+    codes = np.arange(r ** (p - 1))[:, None]
+    assigns = np.zeros((codes.size, p), dtype=np.int8)
+    assigns[:, 1:] = codes // r ** np.arange(p - 1) % r
+    gains = np.zeros(codes.size)
     for a in range(r):
         mask = assigns == a
         counts = mask.sum(axis=1)
         sums = mask.astype(float) @ z
         with np.errstate(invalid="ignore", divide="ignore"):
-            gain = np.where(counts > 0, np.einsum("ij,ij->i", sums, sums) / counts, 0.0)
-        if a == 0:
-            gains = gain
-        else:
-            gains = gains + gain
-    best = total - gains.max()
-    return float(best)
+            gains += np.where(counts > 0, np.einsum("ij,ij->i", sums, sums) / counts, 0.0)
+    return float(np.sum(z * z) - gains.max())
 
 
 def test_zero_variance_clusters_exact():

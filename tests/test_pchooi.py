@@ -144,7 +144,7 @@ def test_tensor_informative_on_a_tall_unfolding():
                    rng.standard_normal((60, 2)))
     assert tensor_informative(x, (2, 2))
     assert not tensor_informative(x, (12, 2))  # the 12th lies inside the noise bulk
-    a = x.reshape(1000, -1)
+    a = matricize(x, 0)
     for m in (2, 12):  # the edge of a tall matrix is its transpose's
         assert tensor_informative(a, (m,)) == tensor_informative(a.T, (m,))
 
@@ -187,7 +187,7 @@ def test_shared_grams_change_no_bits(omega):
     start = pchooi(x, y, ranks, omega=omega, max_iter=0, grams=grams).bases
     assert np.array_equal(start[1], top_eigvecs(grams[1], ranks[1]))
     assert subspace_distance(start[1], lsvd(matricize(x, 1), ranks[1])) < 1e-10
-    x1 = x.reshape(x.shape[0], -1)
+    x1 = matricize(x, 0)
     if y is None:
         assert np.array_equal(start[0], top_eigvecs(grams[0], ranks[0]))
         assert np.array_equal(start[0], lsvd(x1, ranks[0]))
@@ -206,6 +206,29 @@ def test_shared_grams_change_no_bits(omega):
 def test_last_unfolding_absent_without_iterations():
     x, y, ranks = small_draw()
     assert pchooi(x, y, ranks, max_iter=0).last_unfolding is None
+
+
+def single_mode_draw(seed=5):
+    """A p1 x T tensor (one clustered mode and the time mode) with its panel."""
+    design = SimDesign(dims=(40,), T=25, ranks=(3,), m1=2, mu_b=(1.0,), gamma_x=0.1, seed=seed)
+    data, _ = gen_pmtc(design)
+    return data.x, data.y, design.ranks
+
+
+@pytest.mark.parametrize("omega", [None, 0.0, 0.5, 1.0])  # None: HOOI, the tensor alone
+def test_single_clustered_mode(omega):
+    x, y, ranks = single_mode_draw()
+    if omega is None:
+        res = hooi(x, ranks)
+        expect = lsvd(x, ranks[0])
+    else:
+        res = pchooi(x, y, ranks, omega=omega)
+        expect = (lsvd(y, ranks[0]) if omega == 0.0
+                  else top_eigvecs(omega * (x @ x.T) + y @ y.T, ranks[0]))
+    # the mode-1 block is the whole unfolding, so one update is the answer
+    assert res.converged and res.iterations_used <= 2
+    assert np.array_equal(res.bases[0], expect)
+    assert res.last_unfolding is None
 
 
 def test_grams_of_another_shape_rejected():

@@ -4,12 +4,12 @@ import pytest
 from pmtc.kmeans import kmeans_relaxed
 from pmtc.membership import Membership
 from pmtc.metrics import cer
-from pmtc.pmtsc import _mode_seeds, pmtsc, spectral_cluster_rows
+from pmtc.pmtsc import _mode_seeds, _scores, pmtsc, spectral_cluster_rows
 from pmtc.simulate import SimDesign, gen_pmtc
 from pmtc.pchooi import coupled_block, pchooi, tensor_informative
 from pmtc.tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product
 
-from test_pchooi import small_draw, record_products
+from test_pchooi import record_products, single_mode_draw, small_draw
 
 
 def test_noiseless_exact_recovery_all_modes():
@@ -123,3 +123,16 @@ def test_warm_start_reuses_the_subspace_fit_projection(monkeypatch, omega, own_p
     pmtsc(x, y, ranks, seed=1, omega=omega)
     assert all(shape == x.shape for _, shape in calls)
     assert len(calls) - fit_products == own_products
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0])
+def test_single_clustered_mode_clusters_the_coupled_block(omega):
+    # with one clustered mode, mode 1 is also the last: its features must
+    # still carry the panel, [sqrt(omega) z, y]
+    x, y, ranks = single_mode_draw()
+    init = pmtsc(x, y, ranks, seed=4, omega=omega)
+    u = pchooi(x, y, ranks, omega=omega).bases[0]
+    z = coupled_block(x, y, omega)
+    ref = kmeans_relaxed(_scores(u, u.T @ z), ranks[0], seed=_mode_seeds(4, 1)[0])
+    assert np.array_equal(init.memberships[0].labels, ref.membership.labels)
+    assert init.kmeans_objectives == [ref.objective]

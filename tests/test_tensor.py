@@ -17,7 +17,8 @@ from pmtc.tensor import (
 
 
 def test_index_map_order3_explicit():
-    # A[i,j,k] = i + 2(j-1) + 4(k-1) in 1-based terms
+    # A[i,j,k] = i + 2(j-1) + 4(k-1) in 1-based terms; the columns of mat1
+    # run over (j, k) with k fastest
     a = np.empty((2, 2, 2))
     for i in range(2):
         for j in range(2):
@@ -25,8 +26,8 @@ def test_index_map_order3_explicit():
                 a[i, j, k] = (i + 1) + 2 * j + 4 * k
     m1 = matricize(a, 0)
     assert m1.shape == (2, 4)
-    assert list(m1[0]) == [1, 3, 5, 7]
-    assert list(m1[1]) == [2, 4, 6, 8]
+    assert list(m1[0]) == [1, 5, 3, 7]
+    assert list(m1[1]) == [2, 6, 4, 8]
 
 
 @pytest.mark.parametrize("dims", [(3, 4, 5), (2, 3, 4)])
@@ -38,9 +39,29 @@ def test_index_map_exhaustive_all_modes(dims):
     for i in range(n1):
         for j in range(n2):
             for k in range(n3):
-                assert m1[i, j + n2 * k] == a[i, j, k]
-                assert m2[j, k + n3 * i] == a[i, j, k]
-                assert m3[k, i + n1 * j] == a[i, j, k]
+                assert m1[i, j * n3 + k] == a[i, j, k]
+                assert m2[j, i * n3 + k] == a[i, j, k]
+                assert m3[k, i * n2 + j] == a[i, j, k]
+
+
+def test_index_map_order4_is_c_order_over_the_other_modes():
+    dims = (2, 3, 4, 5)
+    a = np.random.default_rng(1).standard_normal(dims)
+    for mode in range(4):
+        rest = tuple(n for m, n in enumerate(dims) if m != mode)
+        m = matricize(a, mode)
+        assert m.shape == (dims[mode], np.prod(rest))
+        for idx in np.ndindex(*dims):
+            col = np.ravel_multi_index(idx[:mode] + idx[mode + 1:], rest)
+            assert m[idx[mode], col] == a[idx]
+
+
+@pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5), (2, 3, 4, 3)])
+def test_first_and_last_unfoldings_are_views(dims):
+    x = np.random.default_rng(2).standard_normal(dims)
+    assert np.shares_memory(matricize(x, 0), x)
+    last = matricize(x, x.ndim - 1)
+    assert np.shares_memory(last, x) and last.flags.f_contiguous
 
 
 def test_matricize_order1():
