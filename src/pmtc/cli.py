@@ -9,7 +9,8 @@ its loading-error panels (Figs 2/3, A3/A4, A5/A6, A7/A8 from ``fig2``,
 ``figA3``, ``figA5``, ``figA7``).
 
 Exit codes: 2 invalid config or option value, 3 infeasible design, 4 shape
-mismatch, 5 unreadable input file.  Summary tables go to stdout, diagnostics to stderr.
+mismatch, 5 an input file that is missing, cannot be parsed, or holds a
+non-finite value.  Summary tables go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -214,12 +215,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _load(path, reader):
+    """``reader(path)``; a float array must hold finite values only."""
     try:
-        return reader(path)
+        data = reader(path)
     except OSError as exc:
         raise CliError(_EXIT_UNREADABLE, f"cannot read {path}: {exc.strerror or exc}")
     except ValueError as exc:
         raise CliError(_EXIT_UNREADABLE, f"cannot parse {path}: {exc}")
+    if isinstance(data, np.ndarray) and data.dtype.kind == "f":
+        # a NaN or inf makes the sum non-finite (one pass, no full-size
+        # temporary); only then, or on overflow, are the entries tested
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = data.sum()
+        if not np.isfinite(total) and not np.isfinite(data).all():
+            where = ", ".join(map(str, np.argwhere(~np.isfinite(data))[0]))
+            raise CliError(_EXIT_UNREADABLE, f"cannot use {path}: non-finite value at ({where})")
+    return data
 
 
 def _cmd_fit(args) -> int:

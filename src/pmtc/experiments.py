@@ -7,6 +7,10 @@ Method names follow the experiment legends:
   "X+Y: PMTSC+HLloyd", "X+Y: PMTSC+PMTLloyd"
 * subspace:    "PCHOOI", "HOOI", "SVD-Y"
 
+A replication writes only what the figure panels plot: ``cer`` per mode,
+``loading_err_observed`` and ``loading_err_latent`` (coupled designs), or
+``subspace_dist`` per mode (subspace methods).
+
 Replication seeds derive as ``design.seed + replication``; results are
 gathered in task/replication order, so output files are byte-identical for
 any worker count.
@@ -107,28 +111,22 @@ def _loading_rows(rows, task, method, rep, y, m1_hat, truth, num_factors):
                         subspace_distance(u_hat, u_true)))
 
 
-def _cluster_rows(rows, task, method, rep, init, final, truth, core_rows, s_y):
+def _cluster_rows(rows, task, method, rep, final, truth):
     for i, m_final in enumerate(final):
         c, _ = metrics.cer(m_final, truth.memberships[i])
         rows.append(Row(task.experiment_id, method, rep, i + 1, "cer", c))
-        _, perm0 = metrics.cer(init[i], truth.memberships[i])
-        loss = metrics.misclustering_loss(
-            m_final, truth.memberships[i], core_rows[i],
-            s_y if i == 0 else None, mode=i + 1, perm=perm0,
-        )
-        rows.append(Row(task.experiment_id, method, rep, i + 1, "loss", loss))
 
 
-def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list, list]]:
-    """Initial and final memberships of every clustering method on one draw.
+def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, list]:
+    """Final memberships of every clustering method on one draw.
 
     Each family is one :func:`pmtc.pipeline.cluster` call: the coupled
     methods with ``omega="auto"``, the ``X: HSC`` methods on the tensor alone.
     A family's ``HLloyd`` variant refines the same warm start with the oblique
     projection and the same coupling weight.  All methods share one set of
-    unfolding Grams, so each mode's full-tensor Gram is formed once per draw.
-    When ``auto`` drops the tensor (omega=0), the coupled mode-1 warm start is
-    ``Y: SC``'s estimate by construction, so ``Y: SC`` takes it.
+    unfolding Grams, so each mode's full-tensor Gram is formed at most once
+    per draw.  When ``auto`` drops the tensor (omega=0), the coupled mode-1
+    warm start is ``Y: SC``'s estimate by construction, so ``Y: SC`` takes it.
     """
     x = np.ascontiguousarray(x, dtype=float)
     grams = UnfoldingGrams(x)
@@ -141,19 +139,18 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, tuple[list
     out = {}
     for method in methods:
         if method == "Y: SC":
-            if xy is not None and xy[1].omega == 0.0:
-                m1 = xy[1].start.memberships[0]
-            else:
-                m1 = spectral_cluster_rows(y, ranks[0], seed=seed)
-            out[method] = [m1], [m1]
+            shared = xy is not None and xy[1].omega == 0.0
+            out[method] = [xy[1].start.memberships[0] if shared
+                           else spectral_cluster_rows(y, ranks[0], seed=seed)]
             continue
         panel, fit = xy if method.startswith("X+Y:") else hsc
-        init, final = fit.start.memberships, fit.final
         if method.endswith("HLloyd"):
-            final, _ = refine(x, panel, init, fit.omega, projection="oblique")
+            out[method], _ = refine(x, panel, fit.start.memberships, fit.omega,
+                                    projection="oblique")
         elif method == "X+Y: PMTSC":
-            final = init
-        out[method] = init, final
+            out[method] = fit.start.memberships
+        else:
+            out[method] = fit.final
     return out
 
 
@@ -166,16 +163,9 @@ def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
     else:
         x, truth = gen_tensor_block(design)
         y = None
-    ranks = design.ranks
-    d = len(ranks)
-    core_rows = [metrics.rescaled_core_rows(truth.core, truth.memberships, i + 1)
-                 for i in range(d)]
-
-    memberships = _method_memberships(x, y, ranks, design.seed, methods)
     rows: list[Row] = []
-    for method in methods:
-        init, final = memberships[method]
-        _cluster_rows(rows, task, method, rep, init, final, truth, core_rows, truth.s_y)
+    for method, final in _method_memberships(x, y, design.ranks, design.seed, methods).items():
+        _cluster_rows(rows, task, method, rep, final, truth)
         if coupled:
             _loading_rows(rows, task, method, rep, y, final[0], truth, design.m1)
     return rows

@@ -1,7 +1,7 @@
 """Clustering and estimation metrics: permutation-aligned error rate,
-misclustering loss, the block-center separations the simulation designs are
-normalized by, and total R-squared of group loadings against a market-excess
-benchmark."""
+misclustering loss (a library function; the simulation harness writes only
+``cer``), the block-center separations the simulation designs are normalized
+by, and total R-squared of group loadings against a market-excess benchmark."""
 
 from __future__ import annotations
 
@@ -70,21 +70,17 @@ def misclustering_loss(
     center_rows: np.ndarray,
     s_y: np.ndarray | None = None,
     mode: int = 1,
-    perm: np.ndarray | None = None,
 ) -> float:
     """Average squared distance between assigned and true block centers.
 
     ``center_rows`` holds the rescaled centroid rows of this mode
     (see :func:`rescaled_core_rows`); for the coupled mode (``mode == 1``)
-    the squared panel-centroid discrepancy from ``s_y`` is added.  ``perm``
-    aligns true labels to estimated labels; when absent, the error-rate
-    optimal permutation of this pair is used (a refinement trace should pass
-    the permutation frozen at its initialization).
+    the squared panel-centroid discrepancy from ``s_y`` is added.  True
+    labels are aligned to estimated ones by the error-rate optimal
+    permutation of this pair.
     """
-    if perm is None:
-        perm = cer(g_hat, g_true)[1]
     center_rows = np.asarray(center_rows, dtype=float)
-    a, b = g_hat.labels, perm[g_true.labels]
+    a, b = g_hat.labels, cer(g_hat, g_true)[1][g_true.labels]
     loss = np.sum((center_rows[a] - center_rows[b]) ** 2, axis=1)
     if mode == 1 and s_y is not None:
         s_y = np.asarray(s_y, dtype=float)

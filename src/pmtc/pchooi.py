@@ -188,7 +188,9 @@ def tensor_informative(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None
     given), which a later PCHOOI or HOOI start on ``x`` can reuse.
     """
     grams = UnfoldingGrams.of(x, grams)
-    for i, m in enumerate(ranks):
+    # last mode first: a PCHOOI or HOOI start skips mode 1's Gram, so a draw
+    # that fails on a later mode never forms it
+    for i, m in reversed(list(enumerate(ranks))):
         p = grams.x.shape[i]
         cols = grams.x.size // p
         eigs = np.linalg.eigvalsh(grams[i])

@@ -123,6 +123,34 @@ def test_header_only_returns_exit_5_naming_the_path_once(tmp_path, fit_inputs, c
         assert line.count(str(hdr)) == 1 and "empty matrix" in line
 
 
+@pytest.mark.parametrize("command, name, value", [
+    ("fit", "x.pmtc", np.nan),
+    ("fit", "returns.csv", np.inf),
+    ("fit", "factors.csv", np.nan),
+    ("eval", "returns.csv", -np.inf),
+    ("eval", "factors.csv", np.nan),
+    ("eval", "market.csv", np.inf),
+])
+def test_non_finite_input_exits_5_naming_the_file(tmp_path, fit_inputs, capsys,
+                                                  command, name, value):
+    _, data, truth, paths = fit_inputs
+    out = tmp_path / "fit"
+    if command == "eval":
+        assert main(_fit_argv(paths, out)) == 0
+        capsys.readouterr()
+    a = {"x.pmtc": data.x, "returns.csv": data.y, "factors.csv": truth.f,
+         "market.csv": np.atleast_2d(data.y.mean(axis=0))}[name].copy()
+    index = tuple(n - 1 for n in a.shape[:-1]) + (2,)
+    a[index] = value
+    (io.write_tensor if name == "x.pmtc" else io.write_matrix_csv)(paths[name], a)
+    argv = _fit_argv(paths, out) if command == "fit" else _eval_argv(paths, out, "index:12")
+    assert main(argv) == 5
+    line = _last_line(capsys.readouterr().err)
+    assert line.count(paths[name]) == 1
+    assert line.endswith(f"non-finite value at ({', '.join(map(str, index))})")
+    assert not (out.exists() if command == "fit" else (out / "eval.json").exists())
+
+
 def test_removed_preset_in_config_exits_2(tmp_path):
     config = tmp_path / "run.json"  # a tiny grid, should the name ever run again
     config.write_text(json.dumps({

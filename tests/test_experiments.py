@@ -67,7 +67,7 @@ def test_six_method_memberships_unchanged(gamma_x, expected):
     got = experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
                                           CLUSTER_METHODS)
     labels = {method: tuple("".join(map(str, m.labels)) for m in final)
-              for method, (_, final) in got.items()}
+              for method, final in got.items()}
     assert labels == expected
 
 
@@ -89,10 +89,10 @@ def test_panel_clustering_reuses_the_zero_weight_warm_start(monkeypatch, gamma_x
                                           CLUSTER_METHODS)
     assert len(ran) == calls
     expected = _LOWSNR_MEMBERSHIPS if gamma_x < 0 else _HIGHSNR_MEMBERSHIPS
-    assert "".join(map(str, got["Y: SC"][1][0].labels)) == expected["Y: SC"][0]
+    assert "".join(map(str, got["Y: SC"][0].labels)) == expected["Y: SC"][0]
     alone = experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
                                             ("Y: SC",))
-    assert np.array_equal(alone["Y: SC"][1][0].labels, got["Y: SC"][1][0].labels)
+    assert np.array_equal(alone["Y: SC"][0].labels, got["Y: SC"][0].labels)
     assert len(ran) == calls + 1  # without the coupled family, Y: SC runs alone
 
 
@@ -122,7 +122,9 @@ def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
 
         monkeypatch.setattr(module, "lsvd", lsvd)
     experiments._method_memberships(x, data.y, design.ranks, design.seed, CLUSTER_METHODS)
-    assert sorted(grams_formed) == [0, 1]
+    # at -0.5 mode 2 fails the noise-edge test, and no start reads mode 1's
+    # Gram; at 0.1 both modes pass, so the test forms both
+    assert sorted(grams_formed) == ([1] if gamma_x < 0 else [0, 1])
 
 
 def test_subspace_methods_share_grams_without_changing_bits():

@@ -1,8 +1,10 @@
+import functools
 import hashlib
 
+import numpy as np
 import pytest
 
-from pmtc.experiments import run_experiment, write_results_csv
+from pmtc.experiments import run_experiment, write_panels, write_results_csv
 from pmtc.presets import PRESET_NAMES, build_preset
 
 _SMALL = {"p1": 20, "p2": 16, "T": 8}
@@ -18,15 +20,23 @@ _TINY = {
 
 # SHA-256 of results.csv of every preset on its tiny grid, one replication.
 # Refactors of the generators, the harness or the methods must leave them as
-# they are; a change that alters an estimate on purpose re-captures them.
+# they are; a change that alters an estimate or the set of rows on purpose
+# re-captures them.
 _RESULTS_SHA256 = {
     "fig1": "a8283baac08cf175d56c019e3bb996fef786322210c1d73988d8f1d416fc36eb",
-    "fig2": "573058128713e392fc8f7b45f3886cfe08ba81637d83bee8dc14832b07ad7819",
-    "figA1": "0d298f939b37d2347da3de9237a81f1ee0b44d8b2f1459117c6fdff90fa57f58",
-    "figA3": "28fa2186da7cc739f814ce53a71a363a50e6ffa556e5216ad9b7e641ea5a61a4",
-    "figA5": "c82b39bfa7801feb99dfd9828b1a9899dd3033b2b9f304b10ae181dd01142788",
-    "figA7": "9774b364d1b0e204fefb69d39c271adbeca254fb877b856a8b1ba1ce0ca1ed58",
+    "fig2": "708c0ccff128b539dfec5f9bafa2cdd149e830b96e96e0c954727dc04f9d76b9",
+    "figA1": "24f74bc6c0acc9f4bc6201822d556eec7481248ceaa3e84058008b96f83cf396",
+    "figA3": "04f70a4cbe7460100bceb6935975c129ed3c1cca4917bd24a34960d3dc40aa38",
+    "figA5": "9f81392e6459381a1fa6b1f3ae6f56319f7b6c05b7e086f531e27dcd22e2adc7",
+    "figA7": "9ddf3d4f4db4f177784558a1ace434fda90a031084a8938f2d09455a3f647cad",
 }
+
+
+@functools.cache
+def _tiny_run(name, replications=1):
+    """A preset on its tiny grid and the rows of its run, shared by the tests."""
+    run = build_preset(name, {**_TINY[name], "replications": replications})
+    return run, run_experiment(run.tasks, run.methods, run.replications)
 
 
 def test_every_preset_has_a_pinned_tiny_grid():
@@ -35,8 +45,38 @@ def test_every_preset_has_a_pinned_tiny_grid():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_results_csv_unchanged(tmp_path, name):
-    run = build_preset(name, {**_TINY[name], "replications": 1})
-    rows = run_experiment(run.tasks, run.methods, run.replications)
+    rows = _tiny_run(name)[1]
     path = tmp_path / "results.csv"
     write_results_csv(rows, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _RESULTS_SHA256[name]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_metric_a_preset_writes_is_read_by_a_panel(name):
+    run, rows = _tiny_run(name)
+    assert {r.metric for r in rows} == {panel.metric for panel in run.panels}
+
+
+def test_panel_csvs_hold_the_mean_of_their_rows(tmp_path):
+    run, rows = _tiny_run("fig2", replications=2)
+    paths = write_panels(rows, run.tasks, run.panels, run.methods, tmp_path)
+    assert len(paths) == len(run.panels)
+    empty = 0
+    for panel, path in zip(run.panels, paths):
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == ",".join([panel.x_name, *run.methods])
+        tasks = [t for t in run.tasks if t.scenario == panel.scenario]
+        assert len(lines) == 1 + len(tasks) > 1
+        for task, line in zip(tasks, lines[1:]):
+            cells = line.split(",")
+            assert float(cells[0]) == task.x_value and len(cells) == 1 + len(run.methods)
+            for method, cell in zip(run.methods, cells[1:]):
+                vals = [r.value for r in rows if (r.experiment_id, r.method, r.mode, r.metric)
+                        == (task.experiment_id, method, panel.mode, panel.metric)]
+                if vals:
+                    assert float(cell) == float(np.mean(vals))
+                else:
+                    assert cell == ""
+                    empty += 1
+    assert empty > 0  # Y: SC clusters mode 1 only, so the mode-2 panels leave its cells empty
