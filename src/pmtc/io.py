@@ -3,12 +3,20 @@
 Tensor container layout (all little-endian):
 
     magic   4 bytes  b"PMTC"
-    version u32      currently 1
+    version u32      1 or 2
     order   u32      number of modes K
     dims    u64[K]
-    data    f64[prod(dims)] in column-major order (first index fastest)
+    data    f64[prod(dims)]: version 2 in C order (last index fastest),
+                             version 1 in column-major order (first index
+                             fastest)
 
-:func:`read_tensor` returns the tensor in C order, the package's one layout.
+:func:`write_tensor` writes version 2 and :func:`read_tensor` reads both,
+returning the tensor in C order, the package's one layout.  Version 2 stores
+that layout, so its read is one sequential copy from the file into the
+result.  Version 1, the layout of every container written before version 2,
+is reordered on read one slab at a time.  The payload must hold exactly
+prod(dims) values: a container whose header or payload is cut short, or
+whose payload runs past its dims, is refused before anything is allocated.
 
 Matrices travel as CSV (row-major, optional header row); memberships as
 ``id,cluster`` CSV with 1-based cluster labels, every cluster nonempty;
@@ -17,6 +25,8 @@ loadings as cluster-by-factor CSV with an optional per-asset expansion.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -34,55 +44,66 @@ __all__ = [
 ]
 
 _MAGIC = b"PMTC"
-_VERSION = 1
+_VERSION = 2  # the version write_tensor writes; read_tensor also reads 1
 
 
 def write_tensor(path, x: np.ndarray) -> None:
-    """Write ``x`` as a tensor container (any layout and order).
+    """Write ``x`` as a version-2 tensor container (any layout and order).
 
-    The column-major payload is written one last-axis slab at a time (the
-    transpose of a slab, in C order, is that slab in column-major order), so
-    writing holds one slab in memory beside ``x``, not a full copy.
+    A C-contiguous ``x`` goes out in one write; any other layout one
+    first-axis slab at a time, so writing holds at most one slab in memory
+    beside ``x``, not a full copy.
     """
     x = np.asarray(x, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, x.ndim))
         fh.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-        if x.ndim <= 1:  # a vector's C order is its column-major order
-            fh.write(x.tobytes())
+        if x.flags.c_contiguous:
+            fh.write(x.data)
             return
-        for k in range(x.shape[-1]):
-            fh.write(np.ascontiguousarray(x[..., k].T).tobytes())
+        for slab in x:
+            fh.write(np.ascontiguousarray(slab).data)
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a version-1 or version-2 tensor container into a C-order array."""
     with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a tensor container (bad magic {magic!r})")
+        left -= 4
+        if left < 8:
+            raise ValueError(f"truncated header: {left} bytes where version and order need 8")
         version, order = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
+        if version not in (1, 2):
             raise ValueError(f"unsupported container version {version}")
+        left -= 8
+        if left < 8 * order:
+            raise ValueError(f"truncated header: {left} bytes where {order} dims need {8 * order}")
         dims = struct.unpack(f"<{order}Q", fh.read(8 * order))
-        if order <= 1:  # a vector's column-major order is its C order
-            return _read_payload(fh, dims)
-        # one last-axis slab at a time, mirroring write_tensor, so reading
-        # holds one slab beside the C-order result, not a second full copy
+        left -= 8 * order
+        count = math.prod(dims)
+        if left != 8 * count:
+            raise ValueError(f"payload of {left} bytes where dims {dims} need {8 * count}")
+        if version == 2 or order <= 1:  # a vector's column-major order is its C order
+            return _read_values(fh, count).reshape(dims)
+        # version 1: one last-axis slab at a time (a slab's column-major
+        # values are its transpose in C order), so reading holds one slab
+        # beside the C-order result, not a second full copy
         x = np.empty(dims, dtype="<f8")
         for k in range(dims[-1]):
-            x[..., k] = _read_payload(fh, dims[:-1]).T
+            x[..., k] = _read_values(fh, math.prod(dims[:-1])).reshape(dims[-2::-1]).T
     return x
 
 
-def _read_payload(fh, dims) -> np.ndarray:
-    """The next prod(dims) column-major values of ``fh``, as the transpose
-    of the ``dims`` array they store (shape ``dims[::-1]``, C order)."""
-    count = int(np.prod(dims))
+def _read_values(fh, count: int) -> np.ndarray:
+    """The next ``count`` float64 values of ``fh``."""
     data = np.fromfile(fh, dtype="<f8", count=count)
     if data.size != count:
         raise ValueError("truncated payload")
-    return data.reshape(dims[::-1])
+    return data
 
 
 def write_matrix_csv(path, a: np.ndarray) -> None:

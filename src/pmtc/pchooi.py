@@ -115,7 +115,10 @@ def pchooi(
     Iterations stop once one raises the objective
     omega ||x ×_i U_i'||^2 + ||U_1' y||^2 by no more than ``tol`` times its
     value, checked from the second iteration on (see the module docstring
-    for why this is safe).  For HOOI, and at omega=0 where U_1 is fixed, the
+    for why this is safe).  When an iteration updates at most one basis
+    (omega=0 with two clustered modes, or one clustered mode), that update
+    reads only bases that never change, so the first iteration is final and
+    converged.  For HOOI, and at omega=0 where U_1 is fixed, the
     objective is ||x ×_i U_i'||^2.  The tensor term is ||U_d' z||^2 for the
     projected unfolding z that the last mode's update has just formed, an
     r x n product rather than a pass over ``x``.  ``converged`` is False
@@ -142,6 +145,7 @@ def pchooi(
         if i != unread:
             bases[i] = top_eigvecs(grams[i], ranks[i])
 
+    updated = range(1 if fixed_mode1 else 0, d)
     iterations = 0
     converged = max_iter == 0
     block = None  # projected unfolding of the mode updated last
@@ -150,14 +154,17 @@ def pchooi(
         iterations += 1
         prev_value = value
         block = None  # released before this iteration forms its own
-        for i in range(1 if fixed_mode1 else 0, d):
+        for i in updated:
             others = {j: bases[j].T for j in range(d) if j != i}
             block = matricize(multi_mode_product(x, others), i)
             if i == 0 and yy is not None:
                 bases[0] = top_eigvecs(omega * (block @ block.T) + yy, ranks[0])
             else:
                 bases[i] = lsvd(block, ranks[i])
-        value = 0.0 if block is None else float(np.sum((bases[-1].T @ block) ** 2))
+        if len(updated) <= 1:  # it read only fixed bases: a rerun repeats it
+            converged = True
+            break
+        value = float(np.sum((bases[-1].T @ block) ** 2))
         if yy is not None:
             value = omega * value + float(np.sum((bases[0].T @ y) ** 2))
         if iterations > 1 and value - prev_value <= tol * value:

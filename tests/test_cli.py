@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -90,14 +91,24 @@ def test_returns_with_wrong_row_count_exits_4(tmp_path, fit_inputs):
     assert main(_fit_argv(paths, tmp_path / "fit")) == 4
 
 
-@pytest.mark.parametrize("damage", ["missing", "bad_magic"])
+@pytest.mark.parametrize("damage", [
+    "missing", "bad_magic", "truncated_header", "oversized_dims", "trailing_bytes"])
 def test_unreadable_tensor_exits_5(tmp_path, fit_inputs, damage, capsys):
     paths = fit_inputs[3]
     if damage == "missing":
         paths["x.pmtc"] = str(tmp_path / "absent.pmtc")
-    else:
+    elif damage == "bad_magic":
         with open(paths["x.pmtc"], "r+b") as fh:
             fh.write(b"NOPE")
+    elif damage == "truncated_header":
+        with open(paths["x.pmtc"], "wb") as fh:
+            fh.write(b"PMTC\x01\x00")
+    elif damage == "oversized_dims":
+        with open(paths["x.pmtc"], "wb") as fh:
+            fh.write(b"PMTC" + struct.pack("<II3Q", 1, 3, 10**6, 10**6, 120) + bytes(64))
+    else:
+        with open(paths["x.pmtc"], "ab") as fh:
+            fh.write(bytes(8))
     assert main(_fit_argv(paths, tmp_path / "fit")) == 5
     assert _last_line(capsys.readouterr().err).count(paths["x.pmtc"]) == 1
 

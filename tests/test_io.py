@@ -8,16 +8,48 @@ from pmtc import io
 from pmtc.membership import EmptyClusterError, Membership
 
 
-@pytest.mark.parametrize("dims", [(3,), (4, 5), (3, 4, 5), (2, 3, 2, 4)])
-@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
-def test_tensor_round_trip_exact_and_c_ordered(tmp_path, dims, layout):
-    x = np.random.default_rng(0).standard_normal(dims)
+DIMS = [(), (3,), (4, 5), (3, 4, 5), (2, 3, 2, 4), (3, 0, 2)]
+LAYOUTS = ["C", "F", "sliced"]
+
+
+def _layout(x, layout):
     if layout == "F":
-        x = np.asfortranarray(x)
-    elif layout == "sliced":
-        padded = np.zeros(tuple(2 * n for n in dims))
-        padded[tuple(slice(None, None, 2) for _ in dims)] = x
-        x = padded[tuple(slice(None, None, 2) for _ in dims)]
+        return x.copy(order="F")
+    if layout == "sliced":
+        padded = np.zeros(tuple(2 * n for n in x.shape))
+        padded[tuple(slice(None, None, 2) for _ in x.shape)] = x
+        return padded[tuple(slice(None, None, 2) for _ in x.shape)]
+    return x
+
+
+def _header(version, dims):
+    return b"PMTC" + struct.pack("<II", version, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+
+
+def _v1_bytes(x):
+    """A version-1 container of ``x``: its values in column-major order."""
+    return _header(1, x.shape) + np.asarray(x, dtype="<f8").flatten(order="F").tobytes()
+
+
+def _v2_bytes(x):
+    """A version-2 container of ``x``: its values in C order."""
+    return _header(2, x.shape) + np.asarray(x, dtype="<f8").flatten(order="C").tobytes()
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("dims", [(3,), (4, 5), (3, 4, 5), (2, 3, 2, 4)])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tensor_round_trip_exact_and_c_ordered(tmp_path, dims, layout):
+    x = _layout(np.random.default_rng(0).standard_normal(dims), layout)
     path = tmp_path / "x.pmtc"
     io.write_tensor(path, x)
     back = io.read_tensor(path)
@@ -26,69 +58,85 @@ def test_tensor_round_trip_exact_and_c_ordered(tmp_path, dims, layout):
     assert np.array_equal(back, x)
 
 
-def _layout(x, layout):
-    if layout == "F":
-        return np.asfortranarray(x)
-    if layout == "sliced":
-        padded = np.zeros(tuple(2 * n for n in x.shape))
-        padded[tuple(slice(None, None, 2) for _ in x.shape)] = x
-        return padded[tuple(slice(None, None, 2) for _ in x.shape)]
-    return x
-
-
-@pytest.mark.parametrize("dims", [(), (3,), (4, 5), (3, 4, 5), (2, 3, 2, 4), (3, 0, 2)])
-@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
-def test_tensor_file_bytes_are_the_column_major_layout(tmp_path, dims, layout):
+@pytest.mark.parametrize("dims", DIMS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tensor_writes_version_2_in_c_order(tmp_path, dims, layout):
     x = _layout(np.random.default_rng(2).standard_normal(dims), layout)
     path = tmp_path / "x.pmtc"
     io.write_tensor(path, x)
-    expected = (b"PMTC" + struct.pack("<II", 1, x.ndim) + struct.pack(f"<{x.ndim}Q", *x.shape)
-                + np.asarray(x, dtype="<f8").flatten(order="F").tobytes())
-    assert path.read_bytes() == expected
+    data = path.read_bytes()
+    assert struct.unpack("<I", data[4:8]) == (2,)
+    assert data == _v2_bytes(x)
 
 
-def test_tensor_write_holds_no_full_copy(tmp_path):
-    x = np.random.default_rng(3).standard_normal((100, 100, 60))
-    tracemalloc.start()
-    try:
-        io.write_tensor(tmp_path / "x.pmtc", x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes / 10
-
-
-@pytest.mark.parametrize("dims", [(), (3,), (4, 5), (3, 4, 5), (2, 3, 2, 4), (3, 0, 2)])
-def test_tensor_read_is_the_payload_reshaped_column_major(tmp_path, dims):
-    x = np.random.default_rng(5).standard_normal(dims)
+def test_tensor_payload_is_last_index_fastest(tmp_path):
     path = tmp_path / "x.pmtc"
-    io.write_tensor(path, x)
-    payload = path.read_bytes()[12 + 8 * len(dims):]
+    io.write_tensor(path, np.arange(6.0).reshape(2, 3))
+    payload = np.frombuffer(path.read_bytes()[-48:], dtype="<f8")
+    assert list(payload) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("dims", DIMS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tensor_file_bytes_are_the_column_major_layout(tmp_path, dims, layout):
+    """A version-1 file, whose payload is the column-major layout, reads
+    back to its tensor in C order."""
+    x = _layout(np.random.default_rng(2).standard_normal(dims), layout)
+    path = tmp_path / "x.pmtc"
+    path.write_bytes(_v1_bytes(x))
+    back = io.read_tensor(path)
+    assert back.flags.c_contiguous and back.dtype == np.float64 and back.shape == dims
+    assert np.array_equal(back, x)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_tensor_read_is_the_payload_reshaped_column_major(tmp_path, dims):
+    """A version-1 read is the payload reshaped column-major, bit for bit."""
+    payload = np.random.default_rng(5).standard_normal(int(np.prod(dims))).tobytes()
+    path = tmp_path / "x.pmtc"
+    path.write_bytes(_header(1, dims) + payload)
     expected = np.frombuffer(payload, dtype="<f8").reshape(dims, order="F")
     back = io.read_tensor(path)
     assert back.shape == dims and back.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
-def test_tensor_read_holds_no_full_copy(tmp_path):
-    x = np.random.default_rng(3).standard_normal((100, 100, 60))
-    path = tmp_path / "x.pmtc"
-    io.write_tensor(path, x)
-    tracemalloc.start()
-    try:
-        back = io.read_tensor(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(back, x)
-    assert peak < 1.1 * x.nbytes
-
-
 def test_tensor_payload_is_first_index_fastest(tmp_path):
-    x = np.arange(6.0).reshape(2, 3)
+    """Version 1 stores the first index fastest."""
     path = tmp_path / "x.pmtc"
-    io.write_tensor(path, x)
-    payload = np.frombuffer(path.read_bytes()[-48:], dtype="<f8")
-    assert list(payload) == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
+    path.write_bytes(_header(1, (2, 3)) + np.array([0.0, 3.0, 1.0, 4.0, 2.0, 5.0]).tobytes())
+    assert np.array_equal(io.read_tensor(path), np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_tensor_versions_1_and_2_read_identically(tmp_path, dims):
+    x = np.random.default_rng(6).standard_normal(dims)
+    v1, v2 = tmp_path / "v1.pmtc", tmp_path / "v2.pmtc"
+    v1.write_bytes(_v1_bytes(x))
+    io.write_tensor(v2, x)
+    a, b = io.read_tensor(v1), io.read_tensor(v2)
+    assert a.shape == b.shape == dims and a.tobytes() == b.tobytes()
+
+
+def test_tensor_write_holds_no_full_copy(tmp_path):
+    x = np.random.default_rng(3).standard_normal((100, 100, 60))
+    for layout in LAYOUTS:
+        source = _layout(x, layout)
+        _, peak = _peak_bytes(io.write_tensor, tmp_path / "x.pmtc", source)
+        assert peak < x.nbytes / 10, layout
+
+
+def test_tensor_read_holds_no_full_copy(tmp_path):
+    """A version-2 read allocates only the tensor; a version-1 read one
+    slab beside it."""
+    x = np.random.default_rng(3).standard_normal((100, 100, 60))
+    v1, v2 = tmp_path / "v1.pmtc", tmp_path / "v2.pmtc"
+    v1.write_bytes(_v1_bytes(x))
+    io.write_tensor(v2, x)
+    for path, bound in ((v2, 1.01), (v1, 1.1)):
+        back, peak = _peak_bytes(io.read_tensor, path)
+        assert np.array_equal(back, x)
+        assert peak < bound * x.nbytes, path.name
+        del back
 
 
 def test_tensor_bad_magic_and_truncation(tmp_path):
@@ -101,6 +149,34 @@ def test_tensor_bad_magic_and_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         io.read_tensor(path)
+
+
+_HUGE = (10**6, 10**6, 120)
+_SMALL = np.ones((3, 4))
+MALFORMED = {
+    "truncated_header": (b"PMTC\x01\x00", "2 bytes where version and order need 8"),
+    "huge_order": (b"PMTC" + struct.pack("<II", 2, 2**32 - 1), "0 bytes where 4294967295 dims"),
+    "truncated_dims": (_header(2, (4, 5, 6))[:-8], "16 bytes where 3 dims need 24"),
+    "oversized_dims_v1": (_header(1, _HUGE) + bytes(64), "64 bytes where .* need 960000000000000"),
+    "oversized_dims_v2": (_header(2, _HUGE) + bytes(64), "64 bytes where .* need 960000000000000"),
+    "trailing_bytes_v1": (_v1_bytes(_SMALL) + bytes(8), r"104 bytes where dims \(3, 4\) need 96"),
+    "trailing_bytes_v2": (_v2_bytes(_SMALL) + bytes(8), r"104 bytes where dims \(3, 4\) need 96"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_tensor_container_is_refused_before_allocating(tmp_path, case):
+    data, message = MALFORMED[case]
+    path = tmp_path / "x.pmtc"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            io.read_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_matrix_csv_round_trip_exact(tmp_path):

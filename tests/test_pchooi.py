@@ -240,9 +240,10 @@ def test_grams_of_another_shape_rejected():
 def test_zero_weight_iterations_skip_the_mode1_projection(monkeypatch):
     x, y, ranks = small_draw()
     calls = record_products(monkeypatch)
-    res = pchooi(x, y, ranks, omega=0.0)
-    # only mode 2's update projects (along mode 1); mode 1's basis is lsvd(y)
-    assert calls == [(0, x.shape)] * res.iterations_used
+    pchooi(x, y, ranks, omega=0.0)
+    # only mode 2's update projects (along mode 1), once; mode 1's basis is
+    # lsvd(y)
+    assert calls == [(0, x.shape)]
     calls.clear()
     res = pchooi(x, y, ranks, omega=1.0)
     assert sorted(calls) == sorted([(0, x.shape), (1, x.shape)] * res.iterations_used)
@@ -277,7 +278,27 @@ def test_flat_objective_stops_before_the_cap(coupled):
 
 
 @pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
-def test_zero_weight_stops_at_the_second_iteration(gamma_x):
+def test_zero_weight_stops_after_one_iteration(gamma_x):
+    # U_1 = lsvd(y) is fixed, so mode 2's update reads only a fixed basis
+    # and a second iteration would repeat it bit for bit
     x, y, ranks = small_draw(gamma_x)
     res = pchooi(x, y, ranks, omega=0.0)
-    assert res.converged and res.iterations_used == 2
+    assert res.converged and res.iterations_used == 1
+    capped = pchooi(x, y, ranks, omega=0.0, max_iter=2, tol=0.0)
+    assert capped.iterations_used == 1
+    # the second iteration, by hand, from the bases the first one returned
+    block = matricize(multi_mode_product(x, {0: res.bases[0].T}), 1)
+    second = [res.bases[0], lsvd(block, ranks[1])]
+    for a, b, c in zip(res.bases, capped.bases, second):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    assert res.last_unfolding.tobytes() == block.tobytes()
+
+
+def test_one_clustered_mode_stops_after_one_iteration():
+    # the one update reads no other basis, so a second iteration repeats it
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((12, 9)), rng.standard_normal((12, 9))
+    for panel, omega in ((None, 1.0), (y, 1.0), (y, 0.0)):
+        res = pchooi(x, panel, (3,), omega=omega)
+        assert res.converged and res.iterations_used == 1
+    assert hooi(x, (3,)).bases[0].tobytes() == lsvd(x, 3).tobytes()
