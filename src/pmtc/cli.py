@@ -264,13 +264,13 @@ def _cmd_fit(args) -> int:
     io.write_loadings_csv(os.path.join(out_dir, "loadings_per_asset.csv"),
                           fe.loadings, est.memberships[0])
     summary = {
-        "ranks": list(est.ranks),
-        "omega": est.omega,
+        "ranks": list(ranks),
+        "omega": est.start.omega,
         "factor_mode": fe.mode,
         "num_factors": fe.num_factors,
         "cluster_sizes": [m.cluster_sizes.tolist() for m in est.memberships],
-        "pchooi_iterations": est.pchooi_iterations,
-        "pchooi_converged": est.pchooi_converged,
+        "pchooi_iterations": est.start.pchooi_iterations,
+        "pchooi_converged": est.start.pchooi_converged,
         "lloyd_sweeps": est.lloyd.iterations_used, "lloyd_converged": est.lloyd.converged,
     }
     with open(os.path.join(out_dir, "fit_summary.json"), "w") as fh:

@@ -120,17 +120,18 @@ def _cluster_rows(rows, task, method, rep, final, truth):
 def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, list]:
     """Final memberships of every clustering method on one draw.
 
-    Each family is one :func:`pmtc.pipeline.cluster` call: the coupled
-    methods with ``omega="auto"``, the ``X: HSC`` methods on the tensor alone.
-    A family's ``HLloyd`` variant refines the same warm start with the oblique
-    projection and the same coupling weight.  All methods share one set of
-    unfolding Grams, so each mode's full-tensor Gram is formed at most once
-    per draw.  When ``auto`` drops the tensor (omega=0), the coupled mode-1
-    warm start is ``Y: SC``'s estimate by construction, so ``Y: SC`` takes it.
+    Each family has one warm start, a :func:`pmtc.pipeline.cluster` call: the
+    coupled methods with ``omega="auto"``, the ``X: HSC`` methods on the
+    tensor alone.  Each Lloyd method is one :func:`pmtc.pipeline.refine` of
+    its family's start, with the oblique projection for ``HLloyd`` and the
+    orthogonal one for ``PMTLloyd``.  All methods share one set of unfolding
+    Grams, so each mode's full-tensor Gram is formed at most once per draw.
+    When ``auto`` drops the tensor (omega=0), the coupled mode-1 warm start
+    is ``Y: SC``'s estimate by construction, so ``Y: SC`` takes it.
     """
     x = np.ascontiguousarray(x, dtype=float)
     grams = UnfoldingGrams(x)
-    xy = hsc = None  # (panel, Clustering)
+    xy = hsc = None  # (panel, warm start)
     if any(m.startswith("X+Y:") for m in methods):
         xy = y, cluster(x, y, ranks, "auto", seed, grams=grams)
     if any(m.startswith("X: HSC") for m in methods):
@@ -140,17 +141,14 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, list]:
     for method in methods:
         if method == "Y: SC":
             shared = xy is not None and xy[1].omega == 0.0
-            out[method] = [xy[1].start.memberships[0] if shared
+            out[method] = [xy[1].memberships[0] if shared
                            else spectral_cluster_rows(y, ranks[0], seed=seed)]
-            continue
-        panel, fit = xy if method.startswith("X+Y:") else hsc
-        if method.endswith("HLloyd"):
-            out[method], _ = refine(x, panel, fit.start.memberships, fit.omega,
-                                    projection="oblique")
         elif method == "X+Y: PMTSC":
-            out[method] = fit.start.memberships
+            out[method] = xy[1].memberships
         else:
-            out[method] = fit.final
+            panel, start = xy if method.startswith("X+Y:") else hsc
+            projection = "oblique" if method.endswith("HLloyd") else "orthogonal"
+            out[method], _ = refine(x, panel, start, projection=projection)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Clustering and estimation metrics: permutation-aligned error rate,
+"""Metrics of clustering and estimation: permutation-aligned error rate,
 misclustering loss (a library function; the simulation harness writes only
 ``cer``), the block-center separations the simulation designs are normalized
 by, and total R-squared of group loadings against a market-excess benchmark."""

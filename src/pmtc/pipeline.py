@@ -1,9 +1,10 @@
 """End-to-end fitting and evaluation of coupled panels.
 
-``cluster`` is the one clustering path, shared by ``fit_pmtc`` and the
-Monte Carlo harness: coupling-weight choice, subspace estimation, spectral
-initialization, and Lloyd refinement.  ``fit_pmtc`` adds group-level factor
-loadings to form one estimate bundle; ``evaluate_split`` and
+Each stage of the estimator returns one record.  ``cluster`` is the warm
+start: coupling-weight choice, PCHOOI subspaces and PMTSC memberships.
+``refine`` is Lloyd refinement of that start at its own weight.
+``fit_pmtc`` runs both and adds group-level factor loadings: the one
+fitting path, which the Monte Carlo harness shares.  ``evaluate_split`` and
 ``evaluate_rolling`` compute in/out-of-sample total R-squared against the
 market-excess benchmark, re-estimating loadings on each training window with
 the fitted memberships held fixed.
@@ -23,31 +24,20 @@ from .pmtlloyd import LloydTrace, pmtlloyd
 from .pmtsc import SpectralInit, pmtsc
 from .tensor import UnfoldingGrams
 
-__all__ = ["PmtcEstimate", "Clustering", "cluster", "refine", "fit_pmtc", "rank_normalize",
+__all__ = ["PmtcEstimate", "cluster", "refine", "fit_pmtc", "rank_normalize",
            "evaluate_split", "evaluate_rolling"]
 
 
 @dataclass(frozen=True)
 class PmtcEstimate:
-    memberships: list[Membership]
-    factor_estimate: FactorEstimate | None
-    ranks: tuple[int, ...]
-    omega: float
-    pchooi_iterations: int
-    pchooi_converged: bool
-    lloyd: LloydTrace
-
-
-@dataclass(frozen=True)
-class Clustering:
-    """What :func:`cluster` returns: the PMTSC warm start (with PCHOOI's
-    stopping record), the refined memberships with the Lloyd stopping record,
-    and the coupling weight used."""
+    """What :func:`fit_pmtc` returns: the warm start (with its coupling
+    weight and PCHOOI's stopping record), the refined memberships with
+    Lloyd's stopping record, and the loadings of the refined groups."""
 
     start: SpectralInit
-    final: list[Membership]
+    memberships: list[Membership]
     lloyd: LloydTrace
-    omega: float
+    factor_estimate: FactorEstimate
 
 
 def rank_normalize(x: np.ndarray) -> np.ndarray:
@@ -69,22 +59,22 @@ def rank_normalize(x: np.ndarray) -> np.ndarray:
 def refine(
     x: np.ndarray,
     y: np.ndarray | None,
-    init: list[Membership],
-    omega: float = 1.0,
+    start: SpectralInit,
     projection: str = "orthogonal",
     max_iter: int | None = None,
 ) -> tuple[list[Membership], LloydTrace]:
-    """Lloyd refinement of ``init`` and its stopping record (see
-    :func:`pmtc.pmtlloyd.pmtlloyd`).
+    """Lloyd refinement of the warm start ``start`` at its own coupling
+    weight, and its stopping record (see :func:`pmtc.pmtlloyd.pmtlloyd`).
 
-    At ``omega=0`` the coupled objective is the panel's alone, which the
-    spectral stage's k-means already solves to Lloyd convergence; the
-    refinement would be a fixed point, so ``init`` is returned as is, after
-    0 sweeps and converged.
+    At ``start.omega == 0`` the coupled objective is the panel's alone, which
+    the spectral stage's k-means already solves to Lloyd convergence; the
+    refinement would be a fixed point, so ``start.memberships`` is returned
+    as is, after 0 sweeps and converged.
     """
-    if omega > 0:
-        return pmtlloyd(x, y, init, max_iter=max_iter, projection=projection, omega=omega)
-    return init, LloydTrace(0, True)
+    if start.omega > 0:
+        return pmtlloyd(x, y, start.memberships, max_iter=max_iter, projection=projection,
+                        omega=start.omega)
+    return start.memberships, LloydTrace(0, True)
 
 
 def cluster(
@@ -93,24 +83,22 @@ def cluster(
     ranks,
     omega: float | str = 1.0,
     seed: int = 0,
-    lloyd_iters: int | None = None,
     grams: UnfoldingGrams | None = None,
-) -> Clustering:
-    """PMTC memberships: PCHOOI bases and a PMTSC warm start, then :func:`refine`.
+) -> SpectralInit:
+    """The PMTSC warm start on PCHOOI bases, with the coupling weight it used.
 
     ``omega="auto"`` keeps the tensor block in the coupled mode only when it
     clears the spectral noise edge (see :func:`pmtc.pchooi.tensor_informative`),
     else drops to the panel-only limit (a tensor indistinguishable from noise
     could only drag the shared mode down).  The test and PCHOOI's start share
     the unfolding Grams in ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams` of
-    ``x``, built here when not given).
+    ``x``, built here when not given).  :func:`refine` takes the result.
     """
     x = np.ascontiguousarray(x, dtype=float)
     grams = UnfoldingGrams.of(x, grams)
     if omega == "auto":
         omega = 1.0 if tensor_informative(x, ranks, grams) else 0.0
-    start = pmtsc(x, y, ranks, seed=seed, omega=omega, grams=grams)
-    return Clustering(start, *refine(x, y, start.memberships, omega, max_iter=lloyd_iters), omega)
+    return pmtsc(x, y, ranks, seed=seed, omega=omega, grams=grams)
 
 
 def fit_pmtc(
@@ -126,22 +114,23 @@ def fit_pmtc(
 ) -> PmtcEstimate:
     """Fit memberships and group-level factor loadings to (x, y).
 
-    ``ranks`` are the per-mode cluster counts; the memberships come from
-    :func:`cluster`.  With observed ``factors`` the loadings come from
+    ``ranks`` are the per-mode cluster counts.  The memberships are the
+    :func:`cluster` warm start after :func:`refine` with at most
+    ``lloyd_iters`` sweeps.  With observed ``factors`` the loadings come from
     group-level least squares (``demean`` controls the time-series demeaning
     step); otherwise a latent-factor PCA estimate with ``num_factors``
     components (default: the mode-1 cluster count) is returned.
     """
+    x = np.ascontiguousarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ranks = tuple(int(r) for r in ranks)
-    fit = cluster(x, y, ranks, omega, seed, lloyd_iters)
-    m1 = fit.final[0]
+    start = cluster(x, y, ranks, omega, seed)
+    final, lloyd = refine(x, y, start, max_iter=lloyd_iters)
     if factors is not None:
-        est = estimate_observed(y, m1, factors, demean=demean)
+        est = estimate_observed(y, final[0], factors, demean=demean)
     else:
-        est = estimate_latent(y, m1, ranks[0] if num_factors is None else num_factors)
-    return PmtcEstimate(fit.final, est, ranks, fit.omega,
-                        fit.start.pchooi_iterations, fit.start.pchooi_converged, fit.lloyd)
+        est = estimate_latent(y, final[0], ranks[0] if num_factors is None else num_factors)
+    return PmtcEstimate(start, final, lloyd, est)
 
 
 def _window_r2(y, factors, market, membership, train, test, demean) -> tuple[float, float]:

@@ -25,12 +25,12 @@ from .tensor import matricize, multi_mode_product
 __all__ = ["LloydTrace", "pmtlloyd"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LloydTrace:
     """Stopping record: sweeps run, and whether the last left every label as it was."""
 
-    iterations_used: int = 0
-    converged: bool = False
+    iterations_used: int
+    converged: bool
 
 
 def _assign(z: np.ndarray, c: np.ndarray, r: int) -> np.ndarray:
@@ -74,9 +74,8 @@ def pmtlloyd(
         raise ValueError("max_iter must be >= 1")
 
     members = init
-    trace = LloydTrace()
-
-    for _ in range(max_iter):
+    sweeps, unchanged = 0, False
+    while sweeps < max_iter and not unchanged:
         projs = [m.normalized_basis() if projection == "orthogonal" else m.projector()
                  for m in members]
         avgs = [m.projector() for m in members]
@@ -95,9 +94,6 @@ def pmtlloyd(
             np.array_equal(new_members[i].labels, members[i].labels) for i in range(d)
         )
         members = new_members
-        trace.iterations_used += 1
-        if unchanged:
-            trace.converged = True
-            break
+        sweeps += 1
 
-    return members, trace
+    return members, LloydTrace(sweeps, unchanged)

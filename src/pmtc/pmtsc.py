@@ -22,11 +22,13 @@ __all__ = ["SpectralInit", "pmtsc", "spectral_cluster_rows"]
 
 @dataclass(frozen=True)
 class SpectralInit:
-    """Warm-start memberships, with the stopping record of the PCHOOI fit
-    whose bases they come from."""
+    """Warm-start memberships, with the coupling weight ``omega`` they were
+    estimated at and the stopping record of the PCHOOI fit whose bases they
+    come from.  :func:`pmtc.pipeline.refine` refines them at that weight."""
 
     memberships: list[Membership]
     kmeans_objectives: list[float]
+    omega: float
     pchooi_iterations: int
     pchooi_converged: bool
 
@@ -88,7 +90,7 @@ def pmtsc(
         res = kmeans_relaxed(_scores(bases[i], coords), ranks[i], seed=seeds[i])
         memberships.append(res.membership)
         objectives.append(res.objective)
-    return SpectralInit(memberships, objectives, fit.iterations_used, fit.converged)
+    return SpectralInit(memberships, objectives, omega, fit.iterations_used, fit.converged)
 
 
 def spectral_cluster_rows(y: np.ndarray, r: int, seed: int = 0) -> Membership:

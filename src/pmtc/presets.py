@@ -151,7 +151,7 @@ def _pmtc_tasks(name: str, q: dict) -> list[Task]:
 
 
 def _pmtc_panels(name: str) -> list[PanelSpec]:
-    """Clustering-error panels per mode, then loading-error panels, each
+    """Misclustering-rate panels per mode, then loading-error panels, each
     against gamma_y and gamma_x."""
     kinds = [("cer_mode1", 1, "cer"), ("cer_mode2", 2, "cer"),
              ("obs_err", 1, "loading_err_observed"), ("latent_err", 1, "loading_err_latent")]

@@ -63,8 +63,8 @@ def test_fit_then_eval_outputs_parse_back(tmp_path, fit_inputs, capsys):
     assert np.array_equal(per_asset[:, 2:], est.factor_estimate.loadings[est.memberships[0].labels])
     summary = _read_json(out / "fit_summary.json")
     assert summary["ranks"] == [5, 5] and summary["factor_mode"] == "observed"
-    assert summary["pchooi_iterations"] == est.pchooi_iterations
-    assert summary["pchooi_converged"] is est.pchooi_converged is True
+    assert summary["pchooi_iterations"] == est.start.pchooi_iterations
+    assert summary["pchooi_converged"] is est.start.pchooi_converged is True
     assert 2 <= summary["pchooi_iterations"] < 50
     assert summary["lloyd_sweeps"] == est.lloyd.iterations_used >= 1
     assert summary["lloyd_converged"] is est.lloyd.converged
@@ -77,6 +77,25 @@ def test_fit_then_eval_outputs_parse_back(tmp_path, fit_inputs, capsys):
     assert report["windows"] == 2.0
     capsys.readouterr()
 
+
+
+def test_fit_summary_is_pinned(tmp_path, fit_inputs):
+    out = tmp_path / "fit"
+    assert main(_fit_argv(fit_inputs[3], out)) == 0
+    expected = {
+        "cluster_sizes": [[6, 5, 6, 7, 6], [7, 8, 4, 3, 2]],
+        "factor_mode": "observed",
+        "lloyd_converged": True,
+        "lloyd_sweeps": 1,
+        "num_factors": 5,
+        "omega": 1.0,
+        "pchooi_converged": True,
+        "pchooi_iterations": 3,
+        "ranks": [5, 5],
+    }
+    # byte for byte: the key order, indent and number formats are pinned too
+    assert (out / "fit_summary.json").read_text() == json.dumps(expected, indent=2,
+                                                                sort_keys=True) + "\n"
 
 def test_factors_observed_without_factors_exits_2(tmp_path, fit_inputs):
     paths = fit_inputs[3]

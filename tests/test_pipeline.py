@@ -16,7 +16,7 @@ import scipy.stats
 import pmtc
 from pmtc.factors import estimate_observed
 from pmtc.pchooi import hooi, pchooi
-from pmtc.pipeline import cluster, fit_pmtc, rank_normalize
+from pmtc.pipeline import cluster, fit_pmtc, rank_normalize, refine
 from pmtc.pmtlloyd import pmtlloyd
 from pmtc.simulate import SimDesign, gen_pmtc
 from pmtc.tensor import UnfoldingGrams
@@ -43,7 +43,7 @@ def test_fit_matches_harness_coupled_method(gamma_x, expected, omega):
     design, data, truth = _draw(gamma_x)
     est = fit_pmtc(data.x, data.y, design.ranks, factors=truth.f, omega="auto", seed=1)
     assert _labels(est.memberships) == expected
-    assert est.omega == omega
+    assert est.start.omega == omega
 
 
 def test_fixed_omega_labels_pinned():
@@ -57,9 +57,10 @@ def test_fixed_omega_labels_pinned():
 
 def test_zero_omega_skips_refinement():
     design, data, _ = _draw(-0.5)
-    fit = cluster(data.x, data.y, design.ranks, "auto", seed=1)
-    assert fit.omega == 0.0 and fit.final is fit.start.memberships
-    assert fit.lloyd.iterations_used == 0 and fit.lloyd.converged
+    start = cluster(data.x, data.y, design.ranks, "auto", seed=1)
+    final, lloyd = refine(data.x, data.y, start)
+    assert start.omega == 0.0 and final is start.memberships
+    assert lloyd.iterations_used == 0 and lloyd.converged
 
 
 @pytest.mark.parametrize("omega", [1.0, "auto"])
@@ -68,11 +69,12 @@ def test_cluster_holds_no_second_full_size_tensor(omega):
     data, _ = gen_pmtc(design)
     tracemalloc.start()
     try:
-        fit = cluster(data.x, data.y, design.ranks, omega)
+        start = cluster(data.x, data.y, design.ranks, omega)
+        _, lloyd = refine(data.x, data.y, start)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fit.omega == 1.0 and fit.lloyd.iterations_used >= 1
+    assert start.omega == 1.0 and lloyd.iterations_used >= 1
     assert peak < 0.25 * data.x.nbytes
 
 
@@ -103,8 +105,8 @@ def test_fit_skips_the_start_its_first_iteration_overwrites(monkeypatch, omega):
         cluster(x, y, design.ranks, omega, seed=1)
         assert formed == [] and solved == []
     else:  # coupled mode 1's start skipped; each iteration solves its coupled Gram
-        fit = cluster(x, y, design.ranks, omega, seed=1)
-        assert formed == [1] and solved == [p2] + [p1] * fit.start.pchooi_iterations
+        start = cluster(x, y, design.ranks, omega, seed=1)
+        assert formed == [1] and solved == [p2] + [p1] * start.pchooi_iterations
 
 
 def test_estimate_bundle_is_consistent():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ def test_tensor_is_signal_plus_noise_bit_for_bit():
     noise = rng.normal(0.0, d.sigma_x, size=d.dims + (d.T,))
     assert np.array_equal(data.x, expand_blocks(truth.core, truth.memberships) + noise)
 
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tensor_draw_does_not_depend_on_the_panel_design(seed):
+    # every random call up to the tensor noise is the same for any gamma_y or
+    # mu_b, so the panel designs over one tensor design share its tensor
+    base = SimDesign(dims=(30, 20), T=12, gamma_x=-0.3, seed=seed)
+    panels = [replace(base, gamma_y=g) for g in (-0.45, -0.1, 0.1)]
+    draws = [gen_pmtc(d)[0] for d in panels + [replace(base, mu_b=(0.5,) * 5)]]
+    assert len({d.x.tobytes() for d in draws}) == 1
+    assert len({d.y.tobytes() for d in draws[:3]}) == 3
 
 def test_draw_holds_no_second_full_size_tensor():
     d = SimDesign(dims=(100, 100), T=60, seed=5)
