@@ -13,13 +13,15 @@ A replication writes only what the figure panels plot: ``cer`` per mode,
 
 Replication seeds derive as ``design.seed + replication``; results are
 gathered in task/replication order, so output files are byte-identical for
-any worker count.
+any worker count.  Within one clustering draw the coupled and the ``X: HSC``
+method families run on two threads at once (``_method_memberships``); each
+family's results do not depend on the other's, so this changes no output.
 """
 
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,27 +130,47 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, list]:
     Grams, so each mode's full-tensor Gram is formed at most once per draw.
     When ``auto`` drops the tensor (omega=0), the coupled mode-1 warm start
     is ``Y: SC``'s estimate by construction, so ``Y: SC`` takes it.
+
+    When both families are asked for, the coupled one runs on a helper
+    thread while this thread runs ``X: HSC`` (the BLAS and LAPACK kernels
+    release the GIL).  The families share only the read-only tensor and the
+    Grams, and each makes the same calls on the same inputs as it would
+    alone, so the memberships are the same bit for bit either way.
     """
     x = np.ascontiguousarray(x, dtype=float)
     grams = UnfoldingGrams(x)
-    xy = hsc = None  # (panel, warm start)
-    if any(m.startswith("X+Y:") for m in methods):
-        xy = y, cluster(x, y, ranks, "auto", seed, grams=grams)
-    if any(m.startswith("X: HSC") for m in methods):
-        hsc = None, cluster(x, None, ranks, 1.0, seed, grams=grams)
+
+    def family(panel, omega, prefix):
+        """The warm start of the methods named ``prefix*``, and their refinements."""
+        start = cluster(x, panel, ranks, omega, seed, grams=grams)
+        refined = {m: refine(x, panel, start,
+                             projection="oblique" if m.endswith("HLloyd") else "orthogonal")[0]
+                   for m in methods if m.startswith(prefix) and m.endswith("Lloyd")}
+        return start, refined
+
+    coupled = any(m.startswith("X+Y:") for m in methods)
+    alone = any(m.startswith("X: HSC") for m in methods)
+    xy = hsc = None  # (warm start, refined memberships by method)
+    if coupled and alone:
+        with ThreadPoolExecutor(1) as helper:
+            pending = helper.submit(family, y, "auto", "X+Y:")
+            hsc = family(None, 1.0, "X: HSC")
+            xy = pending.result()
+    elif coupled:
+        xy = family(y, "auto", "X+Y:")
+    elif alone:
+        hsc = family(None, 1.0, "X: HSC")
 
     out = {}
     for method in methods:
         if method == "Y: SC":
-            shared = xy is not None and xy[1].omega == 0.0
-            out[method] = [xy[1].memberships[0] if shared
+            shared = xy is not None and xy[0].omega == 0.0
+            out[method] = [xy[0].memberships[0] if shared
                            else spectral_cluster_rows(y, ranks[0], seed=seed)]
         elif method == "X+Y: PMTSC":
-            out[method] = xy[1].memberships
+            out[method] = xy[0].memberships
         else:
-            panel, start = xy if method.startswith("X+Y:") else hsc
-            projection = "oblique" if method.endswith("HLloyd") else "orthogonal"
-            out[method], _ = refine(x, panel, start, projection=projection)
+            out[method] = (xy if method.startswith("X+Y:") else hsc)[1][method]
     return out
 
 
@@ -204,8 +226,9 @@ def run_experiment(
     """Run every method on every task for the given number of replications.
 
     All methods within a replication share the same draw, so comparisons are
-    paired.  ``threads`` sets the worker-process count; results are identical
-    for any value.
+    paired.  ``threads`` sets the worker-process count; each process fits a
+    clustering draw's two method families on up to two threads, so a run
+    uses up to ``2 * threads`` threads.  Results are identical for any value.
     """
     methods = tuple(methods)
     for task in tasks:

@@ -74,6 +74,8 @@ def pmtlloyd(
         raise ValueError("max_iter must be >= 1")
 
     members = init
+    zs: list[np.ndarray | None] = [None] * d  # each mode's projected unfolding
+    moved = [True] * d  # whether each mode's labels changed in the last sweep
     sweeps, unchanged = 0, False
     while sweeps < max_iter and not unchanged:
         projs = [m.normalized_basis() if projection == "orthogonal" else m.projector()
@@ -81,8 +83,12 @@ def pmtlloyd(
         avgs = [m.projector() for m in members]
         new_members: list[Membership] = []
         for i in range(d):
-            others = {j: projs[j].T for j in range(d) if j != i}
-            zi = matricize(multi_mode_product(x, others), i)
+            # the projection reads only the other modes' labels: reuse it
+            # while they stay as they were
+            if zs[i] is None or any(moved[j] for j in range(d) if j != i):
+                others = {j: projs[j].T for j in range(d) if j != i}
+                zs[i] = matricize(multi_mode_product(x, others), i)
+            zi = zs[i]
             ci = avgs[i].T @ zi
             if i == 0 and y is not None:
                 zi = coupled_block(zi, y, omega)
@@ -90,9 +96,9 @@ def pmtlloyd(
             labels = _assign(zi, ci, members[i].num_clusters)
             new_members.append(Membership(labels, members[i].num_clusters))
 
-        unchanged = all(
-            np.array_equal(new_members[i].labels, members[i].labels) for i in range(d)
-        )
+        moved = [not np.array_equal(new.labels, old.labels)
+                 for new, old in zip(new_members, members)]
+        unchanged = not any(moved)
         members = new_members
         sweeps += 1
 

@@ -24,6 +24,7 @@ it is taken only of small projected tensors and single slabs.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import scipy.linalg
@@ -149,11 +150,16 @@ class UnfoldingGrams:
     tensor: mode 1 is one GEMM on its free unfolding view, mode k > 1 the
     sum over mode-1 slabs of each slab's mode-(k-1) unfolding Gram (for
     order 3, G_2 = sum_i x[i] x[i]'), so the extra memory is one slab.
+
+    A holder may be shared between threads: each mode has its own lock, so
+    a Gram is still formed once, and one mode's Gram can form while another
+    mode's is read.
     """
 
     def __init__(self, x: np.ndarray):
         self.x = np.ascontiguousarray(x, dtype=float)
         self._grams: dict[int, np.ndarray] = {}
+        self._locks = [threading.Lock() for _ in range(self.x.ndim)]
 
     @classmethod
     def of(cls, x: np.ndarray, grams: UnfoldingGrams | None) -> UnfoldingGrams:
@@ -180,7 +186,10 @@ class UnfoldingGrams:
     def __getitem__(self, mode: int) -> np.ndarray:
         g = self._grams.get(mode)
         if g is None:
-            g = self._grams[mode] = self.form(mode)
+            with self._locks[mode]:
+                g = self._grams.get(mode)
+                if g is None:
+                    g = self._grams[mode] = self.form(mode)
         return g
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -125,6 +126,53 @@ def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
     # at -0.5 mode 2 fails the noise-edge test, and no start reads mode 1's
     # Gram; at 0.1 both modes pass, so the test forms both
     assert sorted(grams_formed) == ([1] if gamma_x < 0 else [0, 1])
+
+
+def test_a_failing_helper_family_raises_and_leaves_no_thread(monkeypatch):
+    design = SimDesign(dims=(24, 20), T=10, seed=3)
+    data, _ = gen_pmtc(design)
+    failure = RuntimeError("coupled start failed")
+    original = experiments.cluster
+
+    def cluster(x, y, *args, **kwargs):
+        if y is not None:
+            raise failure
+        return original(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "cluster", cluster)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
+                                        CLUSTER_METHODS)
+    assert raised.value is failure
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("methods, helper", [
+    (CLUSTER_METHODS, True),
+    (("X: HSC+HLloyd", "X: HSC+PMTLloyd"), False),
+    (("Y: SC", "X+Y: PMTSC", "X+Y: PMTSC+PMTLloyd"), False),
+])
+def test_only_two_families_start_a_helper_thread(monkeypatch, methods, helper):
+    design = SimDesign(dims=(24, 20), T=10, gamma_x=0.1, seed=3)
+    data, _ = gen_pmtc(design)
+    threads = {}  # the thread each family's warm start ran on, by panel given
+    original = experiments.cluster
+
+    def cluster(x, y, *args, **kwargs):
+        threads[y is not None] = threading.current_thread()
+        return original(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "cluster", cluster)
+    before = threading.active_count()
+    got = experiments._method_memberships(data.x, data.y, design.ranks, design.seed, methods)
+    assert threading.active_count() == before
+    assert set(got) == set(methods)
+    main = threading.main_thread()
+    if helper:
+        assert threads == {True: threads[True], False: main} and threads[True] is not main
+    else:
+        assert set(threads.values()) == {main}
 
 
 def test_subspace_methods_share_grams_without_changing_bits():

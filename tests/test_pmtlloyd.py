@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pmtc import tensor
 from pmtc.membership import EmptyClusterError, Membership, expand_blocks
 from pmtc.metrics import cer
 from pmtc.pmtlloyd import pmtlloyd
@@ -100,6 +101,33 @@ def test_oblique_variant_differs_only_in_projection():
     # mode-1 labels may differ because the oblique x-block is rescaled, but
     # both must remain valid memberships over the same clusters
     assert a[0].num_clusters == b[0].num_clusters == 2
+
+
+@pytest.mark.parametrize("y_given", [True, False])
+def test_projection_is_reused_while_the_other_modes_stay(monkeypatch, y_given):
+    # mode 2 starts at the truth and mode 1 is corrupted: sweep 1 moves only
+    # mode 1, so sweep 2 re-forms mode 2's projection and reuses mode 1's
+    (data, truth), d = _noiseless(seed=0)
+    y = data.y if y_given else None
+    init = [_corrupt(truth.memberships[0], 0.1, np.random.default_rng(1)), truth.memberships[1]]
+    full = []  # mode of every product that reads the whole tensor
+    original = tensor.mode_product
+
+    def mode_product(x, mode, u):
+        if np.shape(x) == data.x.shape:
+            full.append(mode)
+        return original(x, mode, u)
+
+    monkeypatch.setattr(tensor, "mode_product", mode_product)
+    final, trace = pmtlloyd(data.x, y, init)
+    assert (trace.iterations_used, trace.converged) == (2, True)
+    assert full == [1, 0, 0]  # 3 passes over the tensor, not 2 per sweep
+    # sweep by sweep, each call forms every projection afresh
+    members = init
+    for _ in range(trace.iterations_used):
+        members, _ = pmtlloyd(data.x, y, members, max_iter=1)
+    for a, b, t in zip(final, members, truth.memberships):
+        assert np.array_equal(a.labels, b.labels) and np.array_equal(a.labels, t.labels)
 
 
 def test_empty_cluster_init_raises():

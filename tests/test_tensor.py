@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -309,3 +310,43 @@ def test_unfolding_grams_hold_no_copy_of_the_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * x.nbytes
+
+
+def test_unfolding_grams_are_formed_once_when_shared_between_threads(monkeypatch):
+    x = np.random.default_rng(5).standard_normal((6, 5, 4))
+    grams = UnfoldingGrams(x)
+    formed, entered, release = [], threading.Event(), threading.Event()
+    original = UnfoldingGrams.form
+
+    def form(self, mode):
+        formed.append(mode)
+        if formed.count(mode) == 1 and mode == 1:
+            entered.set()
+            release.wait(10)  # the first former of mode 1 holds it until released
+        return original(self, mode)
+
+    monkeypatch.setattr(UnfoldingGrams, "form", form)
+    got = {}
+
+    def get(name, mode):
+        got[name] = grams[mode]
+
+    first = threading.Thread(target=get, args=("first", 1))
+    first.start()
+    assert entered.wait(10)
+    second = threading.Thread(target=get, args=("second", 1))
+    other_mode = threading.Thread(target=get, args=("other", 0))
+    second.start()
+    other_mode.start()
+    other_mode.join(5)
+    second.join(0.5)
+    try:
+        assert not other_mode.is_alive()  # mode 1 being formed does not block mode 0
+        assert second.is_alive()  # the second request for mode 1 waits for the first
+    finally:
+        release.set()
+        first.join()
+        second.join()
+    assert sorted(formed) == [0, 1]
+    assert got["first"] is got["second"] is grams[1]
+    assert np.array_equal(got["other"], original(grams, 0))
