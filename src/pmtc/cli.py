@@ -16,7 +16,6 @@ non-finite value.  Summary tables go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import json
 import math
@@ -36,8 +35,7 @@ _EXIT_INFEASIBLE = 3
 _EXIT_SHAPE = 4
 _EXIT_UNREADABLE = 5
 
-_RUN_KEYS = {"preset", "seed", "threads", "out", "replications"}
-_RUN_INTS = {"seed": 0, "replications": 1, "threads": 1}  # key: least value
+_RUN_KEYS = ("preset", "seed", "replications")  # the run section manifest.json writes
 _META_KEYS = {"versions", "config_hash", "resolved_params"}
 
 
@@ -50,28 +48,21 @@ class CliError(Exception):
 def _read_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
-            text = fh.read()
+            data = json.load(fh)
     except OSError as exc:
         raise CliError(_EXIT_UNREADABLE, f"cannot read config: {exc}")
-    if path.endswith(".json"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(_EXIT_CONFIG, f"invalid JSON config: {exc}")
-    else:
-        parser = configparser.ConfigParser()
-        parser.optionxform = str  # keep key case: the override ``T`` is not ``t``
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise CliError(_EXIT_CONFIG, f"invalid config: {exc}")
-        data = {s: dict(parser.items(s)) for s in parser.sections()}
-    for section in data:
+    except ValueError as exc:  # also an INI file: a config is JSON only
+        raise CliError(_EXIT_CONFIG, f"invalid JSON config: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(_EXIT_CONFIG, "config must be a JSON object")
+    for section, value in data.items():
         if section not in {"run", "overrides"} | _META_KEYS:
             raise CliError(_EXIT_CONFIG, f"unknown config section {section!r}")
+        if section in ("run", "overrides") and not isinstance(value, dict):
+            raise CliError(_EXIT_CONFIG, f"config section {section!r} must be a JSON object")
     for key in data.get("run", {}):
         if key not in _RUN_KEYS:
-            raise CliError(_EXIT_CONFIG, f"unknown [run] key {key!r}")
+            raise CliError(_EXIT_CONFIG, f"unknown run key {key!r}")
     return data
 
 
@@ -155,27 +146,18 @@ def _write_manifest(out_dir: str, run: dict, overrides: dict, resolved: dict,
 
 def _cmd_simulate(args) -> int:
     config = _read_config(args.config) if args.config else {}
-    run_cfg = dict(config.get("run", {}))
-    overrides = dict(config.get("overrides", {}))
-    overrides.update(_parse_overrides(args.override))
+    run_cfg = config.get("run", {})
+    flags = {key: getattr(args, key) for key in ("seed", "replications")}
+    # later sources win: the config's overrides, its run section, --override, then
+    # --seed and --replications; presets._resolve refuses a bad value
+    overrides = {**config.get("overrides", {}),
+                 **{key: run_cfg[key] for key in flags if key in run_cfg},
+                 **_parse_overrides(args.override),
+                 **{key: value for key, value in flags.items() if value is not None}}
 
     preset = args.preset or run_cfg.get("preset")
     if not preset:
         raise CliError(_EXIT_CONFIG, "no preset given (use --preset or a config file)")
-    for key, low in _RUN_INTS.items():
-        value = getattr(args, key)
-        if value is None and key in run_cfg:
-            try:
-                value = _int_at_least(low)(str(run_cfg[key]))
-            except argparse.ArgumentTypeError as exc:
-                raise CliError(_EXIT_CONFIG, f"[run] {key}: {exc}")
-        if value is not None:
-            run_cfg[key] = value
-    for key in ("seed", "replications"):
-        if key in run_cfg:
-            overrides[key] = run_cfg[key]
-    threads = run_cfg.get("threads", 1)
-    out_dir = args.out or run_cfg.get("out", "out")
 
     try:
         run = build_preset(preset, overrides)
@@ -186,16 +168,16 @@ def _cmd_simulate(args) -> int:
     except (ValueError, TypeError) as exc:
         raise CliError(_EXIT_CONFIG, f"invalid configuration: {exc}")
 
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     print(f"preset {preset}: {len(run.tasks)} grid points x {run.replications} replications, "
-          f"{len(run.methods)} methods, {threads} worker(s)", file=sys.stderr)
+          f"{len(run.methods)} methods, {args.threads} worker(s)", file=sys.stderr)
     rows = run_experiment(run.tasks, run.methods, run.replications,
-                          threads=threads, progress=args.progress)
-    write_results_csv(rows, os.path.join(out_dir, "results.csv"))
-    panel_files = write_panels(rows, run.tasks, run.panels, run.methods, out_dir)
+                          threads=args.threads, progress=args.progress)
+    write_results_csv(rows, os.path.join(args.out, "results.csv"))
+    panel_files = write_panels(rows, run.tasks, run.panels, run.methods, args.out)
     # the hash covers what determines the results, so a replay of this
     # manifest (which folds seed and replications into the overrides) keeps it
-    _write_manifest(out_dir, {"preset": preset, "seed": run.params["seed"],
+    _write_manifest(args.out, {"preset": preset, "seed": run.params["seed"],
                               "replications": run.replications},
                     overrides, run.params, {"preset": preset, "params": run.params})
 
@@ -209,7 +191,7 @@ def _cmd_simulate(args) -> int:
                 by_pm.setdefault((panel.name, r.method), []).append(r.value)
     for (name, method), vals in sorted(by_pm.items()):
         print(f"{name},{method},{np.mean(vals):.6g}")
-    print(f"results: {out_dir}/results.csv ({len(rows)} rows), "
+    print(f"results: {args.out}/results.csv ({len(rows)} rows), "
           f"{len(panel_files)} panel files, manifest.json", file=sys.stderr)
     return 0
 
@@ -236,18 +218,14 @@ def _load(path, reader):
 def _cmd_fit(args) -> int:
     x = _load(args.tensor, io.read_tensor)
     y = _load(args.returns, io.read_matrix_csv)
-    factors = _load(args.factors, io.read_matrix_csv) if args.factors else None
-    if args.factor_mode == "observed" and factors is None:
-        if args.explicit_observed:
-            raise CliError(_EXIT_CONFIG, "--factors-observed requires --factors FILE")
-        args.factor_mode = "latent"
+    factors = _load(args.factors, io.read_matrix_csv) if args.factors else None  # else latent
     ranks = tuple(int(v) for v in args.ranks.split(","))
     if args.rank_normalize:
         x = rank_normalize(x)
     try:
         est = fit_pmtc(
             x, y, ranks,
-            factors=factors if args.factor_mode == "observed" else None,
+            factors=factors,
             num_factors=args.num_factors,
             omega=args.omega, seed=args.seed, demean=args.demean == "on",
             lloyd_iters=args.lloyd_iters,
@@ -255,13 +233,12 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise CliError(_EXIT_SHAPE, f"inconsistent inputs: {exc}")
 
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     for i, m in enumerate(est.memberships):
-        io.write_membership_csv(os.path.join(out_dir, f"membership_mode{i + 1}.csv"), m)
+        io.write_membership_csv(os.path.join(args.out, f"membership_mode{i + 1}.csv"), m)
     fe = est.factor_estimate
-    io.write_loadings_csv(os.path.join(out_dir, "loadings.csv"), fe.loadings)
-    io.write_loadings_csv(os.path.join(out_dir, "loadings_per_asset.csv"),
+    io.write_loadings_csv(os.path.join(args.out, "loadings.csv"), fe.loadings)
+    io.write_loadings_csv(os.path.join(args.out, "loadings_per_asset.csv"),
                           fe.loadings, est.memberships[0])
     summary = {
         "ranks": list(ranks),
@@ -273,7 +250,7 @@ def _cmd_fit(args) -> int:
         "pchooi_converged": est.start.pchooi_converged,
         "lloyd_sweeps": est.lloyd.iterations_used, "lloyd_converged": est.lloyd.converged,
     }
-    with open(os.path.join(out_dir, "fit_summary.json"), "w") as fh:
+    with open(os.path.join(args.out, "fit_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     run = {"seed": args.seed}
@@ -281,14 +258,14 @@ def _cmd_fit(args) -> int:
         "command": "fit", "tensor": args.tensor, "returns": args.returns,
         "factors": args.factors or "", "ranks": args.ranks,
         "omega": args.omega, "rank_normalize": bool(args.rank_normalize),
-        "factor_mode": args.factor_mode, "demean": args.demean,
+        "factor_mode": fe.mode, "demean": args.demean,
     }
-    _write_manifest(out_dir, run, overrides, summary, {"run": run, "overrides": overrides})
+    _write_manifest(args.out, run, overrides, summary, {"run": run, "overrides": overrides})
 
     print("mode,clusters,sizes")
     for i, m in enumerate(est.memberships):
         print(f"{i + 1},{m.num_clusters},{'|'.join(map(str, m.cluster_sizes))}")
-    print(f"wrote estimate bundle to {out_dir}", file=sys.stderr)
+    print(f"wrote estimate bundle to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -306,7 +283,7 @@ def _cmd_eval(args) -> int:
                                       demean=demean)
         else:
             report = evaluate_split(y, factors, market, member, int(n), demean=demean)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(_EXIT_SHAPE, f"inconsistent inputs: {exc}")
 
     with open(os.path.join(args.estimate, "eval.json"), "w") as fh:
@@ -323,11 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a preset experiment grid")
     sim.add_argument("--preset", choices=PRESET_NAMES)
-    sim.add_argument("--config", help="INI or JSON config (or a previous manifest.json)")
-    sim.add_argument("--out", help="output directory (default out)")
+    sim.add_argument("--config", help="JSON config (or a previous manifest.json)")
+    sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--seed", type=_int_at_least(0))
     sim.add_argument("--replications", type=_int_at_least(1))
-    sim.add_argument("--threads", type=_int_at_least(1))
+    sim.add_argument("--threads", type=_int_at_least(1), default=1)
     sim.add_argument("--override", action="append", metavar="KEY=VALUE")
     sim.add_argument("--progress", action="store_true")
     sim.set_defaults(func=_cmd_simulate)
@@ -335,13 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit memberships and loadings to data files")
     fit.add_argument("--tensor", required=True, help="binary tensor container")
     fit.add_argument("--returns", required=True, help="p1 x T returns CSV")
-    fit.add_argument("--factors", help="m1 x T factor CSV (observed factors)")
+    fit.add_argument("--factors", help="m1 x T observed-factor CSV (latent factors without it)")
     fit.add_argument("--ranks", required=True, type=_ranks,
                      help="comma-separated cluster counts r1,r2[,..]")
     fit.add_argument("--num-factors", type=_int_at_least(1))
-    fit.add_argument("--factors-observed", dest="explicit_observed", action="store_true")
-    fit.add_argument("--factors-latent", dest="factor_mode", action="store_const",
-                     const="latent", default="observed")
     fit.add_argument("--omega", type=_omega, default=1.0,
                      help="coupling weight (a finite number >= 0, or 'auto')")
     fit.add_argument("--demean", choices=("on", "off"), default="on")

@@ -3,20 +3,16 @@
 Tensor container layout (all little-endian):
 
     magic   4 bytes  b"PMTC"
-    version u32      1 or 2
+    version u32      2
     order   u32      number of modes K
     dims    u64[K]
-    data    f64[prod(dims)]: version 2 in C order (last index fastest),
-                             version 1 in column-major order (first index
-                             fastest)
+    data    f64[prod(dims)] in C order (last index fastest)
 
-:func:`write_tensor` writes version 2 and :func:`read_tensor` reads both,
-returning the tensor in C order, the package's one layout.  Version 2 stores
-that layout, so its read is one sequential copy from the file into the
-result.  Version 1, the layout of every container written before version 2,
-is reordered on read one slab at a time.  The payload must hold exactly
-prod(dims) values: a container whose header or payload is cut short, or
-whose payload runs past its dims, is refused before anything is allocated.
+:func:`write_tensor` writes version 2 and :func:`read_tensor` reads it into C
+order, the package's one layout, with one sequential copy; README.md converts
+a refused version-1 container (column-major payload).  The payload must hold
+exactly prod(dims) values: a container whose header or payload is cut short,
+or whose payload runs past its dims, is refused before anything is allocated.
 
 Matrices travel as CSV (row-major, optional header row); memberships as
 ``id,cluster`` CSV with 1-based cluster labels, every cluster nonempty;
@@ -44,7 +40,7 @@ __all__ = [
 ]
 
 _MAGIC = b"PMTC"
-_VERSION = 2  # the version write_tensor writes; read_tensor also reads 1
+_VERSION = 2  # the one version write_tensor writes and read_tensor reads
 
 
 def write_tensor(path, x: np.ndarray) -> None:
@@ -67,7 +63,7 @@ def write_tensor(path, x: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a version-1 or version-2 tensor container into a C-order array."""
+    """Read a version-2 tensor container into a C-order array."""
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -77,8 +73,9 @@ def read_tensor(path) -> np.ndarray:
         if left < 8:
             raise ValueError(f"truncated header: {left} bytes where version and order need 8")
         version, order = struct.unpack("<II", fh.read(8))
-        if version not in (1, 2):
-            raise ValueError(f"unsupported container version {version}")
+        if version != _VERSION:
+            raise ValueError(f"unsupported container version {version} (README.md shows how "
+                             "to convert a column-major version-1 container to version 2)")
         left -= 8
         if left < 8 * order:
             raise ValueError(f"truncated header: {left} bytes where {order} dims need {8 * order}")
@@ -87,23 +84,7 @@ def read_tensor(path) -> np.ndarray:
         count = math.prod(dims)
         if left != 8 * count:
             raise ValueError(f"payload of {left} bytes where dims {dims} need {8 * count}")
-        if version == 2 or order <= 1:  # a vector's column-major order is its C order
-            return _read_values(fh, count).reshape(dims)
-        # version 1: one last-axis slab at a time (a slab's column-major
-        # values are its transpose in C order), so reading holds one slab
-        # beside the C-order result, not a second full copy
-        x = np.empty(dims, dtype="<f8")
-        for k in range(dims[-1]):
-            x[..., k] = _read_values(fh, math.prod(dims[:-1])).reshape(dims[-2::-1]).T
-    return x
-
-
-def _read_values(fh, count: int) -> np.ndarray:
-    """The next ``count`` float64 values of ``fh``."""
-    data = np.fromfile(fh, dtype="<f8", count=count)
-    if data.size != count:
-        raise ValueError("truncated payload")
-    return data
+        return np.fromfile(fh, dtype="<f8", count=count).reshape(dims)
 
 
 def write_matrix_csv(path, a: np.ndarray) -> None:

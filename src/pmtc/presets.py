@@ -107,14 +107,15 @@ def _resolve(name: str, overrides: dict | None) -> dict:
             raise KeyError(f"unknown override {key!r} for preset {name}")
         if key in _GRID_KEYS:
             params[key] = _parse_grid(value)
-        elif key in _INT_KEYS:
-            params[key] = int(value)
+        elif key in _INT_KEYS:  # via str, so that 1.5 is refused, not truncated
+            params[key] = int(str(value))
         elif key == "imbalance":
             params[key] = None if value in (None, "", "none") else _parse_grid(value)
         else:
             params[key] = float(value)
-    if params["replications"] < 1 or params["seed"] < 0:
-        raise ValueError("replications must be >= 1 and seed >= 0")
+    for key, least in (("replications", 1), ("seed", 0)):
+        if params[key] < least:
+            raise ValueError(f"{key} must be >= {least}, got {params[key]}")
     return params
 
 

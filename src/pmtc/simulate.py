@@ -41,6 +41,19 @@ class InfeasibleDesignError(ValueError):
     """The design cannot produce a valid draw (or ran out of retries)."""
 
 
+def _check_design(dims, ranks, T: int = 1, **scales: float) -> None:
+    """Refuse a design that no draw can follow; ``T`` is its time dimension, if any."""
+    if len(dims) != len(ranks):
+        raise InfeasibleDesignError("dims and ranks must have equal length")
+    if any(p < 1 for p in dims) or T < 1:
+        raise InfeasibleDesignError("dimensions must be positive")
+    if any(r < 1 or r > p for r, p in zip(ranks, dims)):
+        raise InfeasibleDesignError("ranks must satisfy 1 <= r_i <= p_i")
+    for name, value in scales.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise InfeasibleDesignError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class CoupledData:
     x: np.ndarray
@@ -90,12 +103,7 @@ class SimDesign:
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "mu_b", tuple(float(v) for v in np.atleast_1d(self.mu_b)))
-        if len(self.dims) != len(self.ranks):
-            raise InfeasibleDesignError("dims and ranks must have equal length")
-        if any(p < 1 for p in self.dims) or self.T < 1:
-            raise InfeasibleDesignError("dimensions must be positive")
-        if any(r < 1 or r > p for r, p in zip(self.ranks, self.dims)):
-            raise InfeasibleDesignError("ranks must satisfy 1 <= r_i <= p_i")
+        _check_design(self.dims, self.ranks, self.T, sigma_x=self.sigma_x, sigma_y=self.sigma_y)
         if not 1 <= self.m1:
             raise InfeasibleDesignError("m1 must be positive")
         if len(self.mu_b) not in (1, self.m1):
@@ -136,6 +144,9 @@ class BlockDesign:
     balance: tuple[float, ...] | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        _check_design(self.dims, self.ranks, sigma=self.sigma, core_scale=self.core_scale)
+
 
 @dataclass(frozen=True)
 class LowRankDesign:
@@ -154,6 +165,9 @@ class LowRankDesign:
     c_x: float = math.e
     c_y: float = math.e**2
     seed: int = 0
+
+    def __post_init__(self):
+        _check_design(self.dims, self.ranks, self.T, sigma_x=self.sigma_x, sigma_y=self.sigma_y)
 
 
 def _rng_for(seed: int, attempt: int) -> np.random.Generator:
@@ -231,8 +245,6 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
 def gen_tensor_block(design: BlockDesign) -> tuple[np.ndarray, GroundTruth]:
     """Draw one Gaussian tensor block model replication (no coupled panel)."""
     dims, ranks = design.dims, design.ranks
-    if len(ranks) != len(dims) or any(r < 1 or r > p for r, p in zip(ranks, dims)):
-        raise InfeasibleDesignError("ranks must satisfy 1 <= r_i <= p_i, one per mode")
     balance = None
     if design.balance is not None:
         balance = (tuple(design.balance),) * len(dims)

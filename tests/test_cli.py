@@ -97,11 +97,18 @@ def test_fit_summary_is_pinned(tmp_path, fit_inputs):
     assert (out / "fit_summary.json").read_text() == json.dumps(expected, indent=2,
                                                                 sort_keys=True) + "\n"
 
-def test_factors_observed_without_factors_exits_2(tmp_path, fit_inputs):
-    paths = fit_inputs[3]
-    argv = ["fit", "--tensor", paths["x.pmtc"], "--returns", paths["returns.csv"],
-            "--ranks", "5,5", "--factors-observed", "--out", str(tmp_path / "fit")]
-    assert main(argv) == 2
+def test_fit_without_factors_fits_latent_factors(tmp_path, fit_inputs):
+    _, data, _, paths = fit_inputs
+    out = tmp_path / "fit"
+    argv = _fit_argv(paths, out)
+    del argv[argv.index("--factors"):argv.index("--factors") + 2]
+    assert main(argv) == 0
+    est = fit_pmtc(data.x, data.y, (5, 5))
+    assert est.factor_estimate.mode == "latent"
+    assert np.array_equal(io.read_matrix_csv(out / "loadings.csv")[:, 1:],
+                          est.factor_estimate.loadings)
+    assert _read_json(out / "fit_summary.json")["factor_mode"] == "latent"
+    assert _read_json(out / "manifest.json")["overrides"]["factor_mode"] == "latent"
 
 
 def test_returns_with_wrong_row_count_exits_4(tmp_path, fit_inputs):
@@ -111,7 +118,7 @@ def test_returns_with_wrong_row_count_exits_4(tmp_path, fit_inputs):
 
 
 @pytest.mark.parametrize("damage", [
-    "missing", "bad_magic", "truncated_header", "oversized_dims", "trailing_bytes"])
+    "missing", "bad_magic", "truncated_header", "oversized_dims", "trailing_bytes", "version_1"])
 def test_unreadable_tensor_exits_5(tmp_path, fit_inputs, damage, capsys):
     paths = fit_inputs[3]
     if damage == "missing":
@@ -124,12 +131,19 @@ def test_unreadable_tensor_exits_5(tmp_path, fit_inputs, damage, capsys):
             fh.write(b"PMTC\x01\x00")
     elif damage == "oversized_dims":
         with open(paths["x.pmtc"], "wb") as fh:
-            fh.write(b"PMTC" + struct.pack("<II3Q", 1, 3, 10**6, 10**6, 120) + bytes(64))
+            fh.write(b"PMTC" + struct.pack("<II3Q", 2, 3, 10**6, 10**6, 120) + bytes(64))
+    elif damage == "version_1":  # a well-formed container of the column-major layout
+        with open(paths["x.pmtc"], "wb") as fh:
+            fh.write(b"PMTC" + struct.pack("<II2Q", 1, 2, 3, 4) + bytes(96))
     else:
         with open(paths["x.pmtc"], "ab") as fh:
             fh.write(bytes(8))
     assert main(_fit_argv(paths, tmp_path / "fit")) == 5
-    assert _last_line(capsys.readouterr().err).count(paths["x.pmtc"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert err.count(paths["x.pmtc"]) == 1
+    assert ("README.md" in err) == (damage == "version_1")
+    assert not (tmp_path / "fit").exists()
 
 
 def test_fit_with_rank_normalize_writes_both_memberships(tmp_path, fit_inputs):
@@ -218,21 +232,59 @@ def test_manifest_replay_keeps_hash_and_results(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_ini_config_keeps_key_case_and_matches_json(tmp_path, capsys):
-    overrides = {"p1": "20", "p2": "16", "T": "8", "gamma_y_grid": "0.0", "gamma_x_grid": "-0.1"}
-    ini = tmp_path / "run.ini"
-    ini.write_text("[run]\npreset = figA7\nreplications = 1\n\n[overrides]\n"
-                   + "".join(f"{k} = {v}\n" for k, v in overrides.items()))
-    js = tmp_path / "run.json"
-    js.write_text(json.dumps({"run": {"preset": "figA7", "replications": 1},
-                              "overrides": overrides}))
-    for config in (ini, js):
-        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / config.suffix)]
-        assert main(argv) == 0
-    csv = (tmp_path / ".ini" / "results.csv").read_bytes()
-    assert csv == (tmp_path / ".json" / "results.csv").read_bytes()
-    assert len(csv.splitlines()) > 1
+@pytest.mark.parametrize("name, text, message", [
+    pytest.param("run.json", "[]", "config must be a JSON object", id="top_level_list"),
+    pytest.param("run.json", '{"overrides": [1, 2]}',
+                 "section 'overrides' must be a JSON object", id="overrides_list"),
+    pytest.param("run.json", '{"overrides": "p1=20"}',
+                 "section 'overrides' must be a JSON object", id="overrides_string"),
+    pytest.param("run.json", '{"run": ["figA7"]}', "section 'run' must be a JSON object",
+                 id="run_list"),
+    pytest.param("run.ini", "[run]\npreset = figA7\nreplications = 1\n\n[overrides]\np1 = 20\n"
+                 "p2 = 16\nT = 8\ngamma_y_grid = 0.0\ngamma_x_grid = -0.1\n",
+                 "invalid JSON config", id="ini"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, name, text, message):
+    config = tmp_path / name
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_command_line_beats_the_config(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "run": {"preset": "figA7", "seed": 3, "replications": 1},
+        "overrides": {"seed": 2, "p1": 20, "p2": 16, "T": 8,
+                      "gamma_y_grid": "0.0", "gamma_x_grid": "-0.1"},
+    }))
+    base = ["simulate", "--config", str(config)]
+    for name, extra, seed in [("config", [], 3), ("override", ["--override", "seed=5"], 5),
+                              ("flag", ["--override", "seed=5", "--seed", "7"], 7)]:
+        assert main(base + extra + ["--out", str(tmp_path / name)]) == 0
+        manifest = _read_json(tmp_path / name / "manifest.json")
+        assert manifest["run"]["seed"] == manifest["resolved_params"]["seed"] == seed, name
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("preset, override", [
+    ("figA1", "sigma=-1"),
+    ("figA1", "sigma=nan"),
+    ("fig1", "sigma_x=-1"),
+    ("fig1", "T=0"),
+    ("fig1", "m1=60"),
+])
+def test_invalid_design_override_exits_3_before_any_output(tmp_path, capsys, preset, override):
+    out = tmp_path / "out"
+    argv = ["simulate", "--preset", preset, "--replications", "1", "--override", override,
+            "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: infeasible design: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [
@@ -242,7 +294,7 @@ def test_ini_config_keeps_key_case_and_matches_json(tmp_path, capsys):
     ["--omega", "nan"],
     ["--omega", "inf"],
     ["--lloyd-iters", "0"],
-    ["--num-factors", "0", "--factors-latent"],
+    ["--num-factors", "0"],
     ["--seed", "-1"],
 ])
 def test_invalid_fit_option_values_exit_2(tmp_path, fit_inputs, capsys, extra):
@@ -270,26 +322,29 @@ def test_invalid_simulate_option_values_exit_2(tmp_path, capsys, extra):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("run", "replications", "0"),
-    ("run", "replications", "x"),
-    ("run", "threads", "abc"),
-    ("run", "threads", "0"),
-    ("run", "seed", "-1"),
-    ("overrides", "replications", "0"),
+@pytest.mark.parametrize("section, key, value, message", [
+    pytest.param("run", "replications", 0, "replications must be >= 1, got 0",
+                 id="run-replications-0"),
+    pytest.param("run", "replications", "x", "'x'", id="run-replications-x"),
+    pytest.param("run", "threads", "abc", "unknown run key 'threads'", id="run-threads-abc"),
+    pytest.param("run", "threads", 0, "unknown run key 'threads'", id="run-threads-0"),
+    pytest.param("run", "out", "elsewhere", "unknown run key 'out'", id="run-out-elsewhere"),
+    pytest.param("run", "seed", -1, "seed must be >= 0, got -1", id="run-seed--1"),
+    pytest.param("run", "seed", 1.5, "'1.5'", id="run-seed-1.5"),
+    pytest.param("overrides", "replications", 0, "replications must be >= 1, got 0",
+                 id="overrides-replications-0"),
 ])
-def test_invalid_simulate_config_values_exit_2(tmp_path, capsys, section, key, value):
+def test_invalid_simulate_config_values_exit_2(tmp_path, capsys, section, key, value, message):
     config = {"run": {"preset": "figA7"},
-              "overrides": {"replications": "1", "p1": "20", "p2": "16", "T": "8",
+              "overrides": {"replications": 1, "p1": 20, "p2": 16, "T": 8,
                             "gamma_y_grid": "0.0", "gamma_x_grid": "-0.1"}}
     config[section][key] = value
-    ini = tmp_path / "run.ini"
-    ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                           for name, keys in config.items()))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and message in err
     assert not out.exists()
 
 
@@ -329,3 +384,15 @@ def test_eval_split_beyond_the_panel_exits_4(tmp_path, fit_inputs, capsys):
     for split in (f"index:{design.T}", f"rolling:{design.T}"):
         assert main(_eval_argv(paths, out, split)) == 4
         assert _last_line(capsys.readouterr().err).startswith("error: inconsistent inputs")
+
+
+def test_eval_of_a_panel_the_market_explains_exactly_exits_4(tmp_path, fit_inputs, capsys):
+    paths = fit_inputs[3]
+    market = io.read_matrix_csv(paths["market.csv"])
+    io.write_matrix_csv(paths["returns.csv"], np.repeat(market, 6, axis=0))
+    (tmp_path / "membership_mode1.csv").write_text(
+        "id,cluster\n" + "".join(f"{j + 1},{1 + j % 2}\n" for j in range(6)))
+    assert main(_eval_argv(paths, tmp_path, "index:12")) == 4
+    assert capsys.readouterr().err == (
+        "error: inconsistent inputs: market benchmark explains the panel exactly\n")
+    assert not (tmp_path / "eval.json").exists()

@@ -1,5 +1,7 @@
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,13 @@ def _v1_bytes(x):
 def _v2_bytes(x):
     """A version-2 container of ``x``: its values in C order."""
     return _header(2, x.shape) + np.asarray(x, dtype="<f8").flatten(order="C").tobytes()
+
+
+def _readme_conversion():
+    """The README's version-1 to version-2 conversion snippet, as given."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    return "\n".join(line.removeprefix("  ") for line in snippet.splitlines())
 
 
 def _peak_bytes(fn, *args):
@@ -78,43 +87,26 @@ def test_tensor_payload_is_last_index_fastest(tmp_path):
 
 @pytest.mark.parametrize("dims", DIMS)
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_tensor_file_bytes_are_the_column_major_layout(tmp_path, dims, layout):
-    """A version-1 file, whose payload is the column-major layout, reads
-    back to its tensor in C order."""
+def test_tensor_file_bytes_are_the_column_major_layout(tmp_path, monkeypatch, dims, layout):
+    """A version-1 file, whose payload is the column-major layout, converts
+    with the README's snippet to the version-2 file of its tensor, which
+    reads back bit for bit."""
     x = _layout(np.random.default_rng(2).standard_normal(dims), layout)
-    path = tmp_path / "x.pmtc"
-    path.write_bytes(_v1_bytes(x))
-    back = io.read_tensor(path)
-    assert back.flags.c_contiguous and back.dtype == np.float64 and back.shape == dims
-    assert np.array_equal(back, x)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.pmtc").write_bytes(_v1_bytes(x))
+    exec(_readme_conversion(), {})
+    assert (tmp_path / "new.pmtc").read_bytes() == _v2_bytes(x)
+    back = io.read_tensor(tmp_path / "new.pmtc")
+    assert back.shape == dims and back.tobytes() == np.ascontiguousarray(x).tobytes()
 
 
-@pytest.mark.parametrize("dims", DIMS)
-def test_tensor_read_is_the_payload_reshaped_column_major(tmp_path, dims):
-    """A version-1 read is the payload reshaped column-major, bit for bit."""
-    payload = np.random.default_rng(5).standard_normal(int(np.prod(dims))).tobytes()
-    path = tmp_path / "x.pmtc"
-    path.write_bytes(_header(1, dims) + payload)
-    expected = np.frombuffer(payload, dtype="<f8").reshape(dims, order="F")
-    back = io.read_tensor(path)
-    assert back.shape == dims and back.tobytes() == np.ascontiguousarray(expected).tobytes()
-
-
-def test_tensor_payload_is_first_index_fastest(tmp_path):
-    """Version 1 stores the first index fastest."""
-    path = tmp_path / "x.pmtc"
-    path.write_bytes(_header(1, (2, 3)) + np.array([0.0, 3.0, 1.0, 4.0, 2.0, 5.0]).tobytes())
-    assert np.array_equal(io.read_tensor(path), np.arange(6.0).reshape(2, 3))
-
-
-@pytest.mark.parametrize("dims", DIMS)
-def test_tensor_versions_1_and_2_read_identically(tmp_path, dims):
-    x = np.random.default_rng(6).standard_normal(dims)
-    v1, v2 = tmp_path / "v1.pmtc", tmp_path / "v2.pmtc"
-    v1.write_bytes(_v1_bytes(x))
-    io.write_tensor(v2, x)
-    a, b = io.read_tensor(v1), io.read_tensor(v2)
-    assert a.shape == b.shape == dims and a.tobytes() == b.tobytes()
+def test_tensor_payload_is_first_index_fastest(tmp_path, monkeypatch):
+    """Version 1 stored the first index fastest, and the conversion reads it so."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.pmtc").write_bytes(
+        _header(1, (2, 3)) + np.array([0.0, 3.0, 1.0, 4.0, 2.0, 5.0]).tobytes())
+    exec(_readme_conversion(), {})
+    assert np.array_equal(io.read_tensor(tmp_path / "new.pmtc"), np.arange(6.0).reshape(2, 3))
 
 
 def test_tensor_write_holds_no_full_copy(tmp_path):
@@ -126,17 +118,13 @@ def test_tensor_write_holds_no_full_copy(tmp_path):
 
 
 def test_tensor_read_holds_no_full_copy(tmp_path):
-    """A version-2 read allocates only the tensor; a version-1 read one
-    slab beside it."""
+    """A read allocates only the tensor."""
     x = np.random.default_rng(3).standard_normal((100, 100, 60))
-    v1, v2 = tmp_path / "v1.pmtc", tmp_path / "v2.pmtc"
-    v1.write_bytes(_v1_bytes(x))
-    io.write_tensor(v2, x)
-    for path, bound in ((v2, 1.01), (v1, 1.1)):
-        back, peak = _peak_bytes(io.read_tensor, path)
-        assert np.array_equal(back, x)
-        assert peak < bound * x.nbytes, path.name
-        del back
+    path = tmp_path / "x.pmtc"
+    io.write_tensor(path, x)
+    back, peak = _peak_bytes(io.read_tensor, path)
+    assert np.array_equal(back, x)
+    assert peak < 1.01 * x.nbytes
 
 
 def test_tensor_bad_magic_and_truncation(tmp_path):
@@ -157,10 +145,10 @@ MALFORMED = {
     "truncated_header": (b"PMTC\x01\x00", "2 bytes where version and order need 8"),
     "huge_order": (b"PMTC" + struct.pack("<II", 2, 2**32 - 1), "0 bytes where 4294967295 dims"),
     "truncated_dims": (_header(2, (4, 5, 6))[:-8], "16 bytes where 3 dims need 24"),
-    "oversized_dims_v1": (_header(1, _HUGE) + bytes(64), "64 bytes where .* need 960000000000000"),
     "oversized_dims_v2": (_header(2, _HUGE) + bytes(64), "64 bytes where .* need 960000000000000"),
-    "trailing_bytes_v1": (_v1_bytes(_SMALL) + bytes(8), r"104 bytes where dims \(3, 4\) need 96"),
     "trailing_bytes_v2": (_v2_bytes(_SMALL) + bytes(8), r"104 bytes where dims \(3, 4\) need 96"),
+    # a well-formed version-1 file whose payload (1.6 MB) exceeds the bound below
+    "version_1": (_v1_bytes(np.ones((200, 100, 10))), "version 1 .*README.md"),
 }
 
 

@@ -144,6 +144,26 @@ def test_infeasible_designs_rejected():
         SimDesign(dims=(10, 10), T=5, ranks=(2, 2), m1=3)  # mu_b length mismatch
 
 
+@pytest.mark.parametrize("design, change, message", [
+    pytest.param(SimDesign, {"sigma_x": -1.0}, "sigma_x must be finite and >= 0", id="sim-sigma_x"),
+    pytest.param(SimDesign, {"sigma_y": math.nan}, "sigma_y must be finite and >= 0",
+                 id="sim-sigma_y"),
+    pytest.param(BlockDesign, {"dims": (10, 10), "ranks": (2, 2, 2)}, "equal length",
+                 id="block-modes"),
+    pytest.param(BlockDesign, {"ranks": (2, 0, 2)}, "1 <= r_i <= p_i", id="block-ranks"),
+    pytest.param(BlockDesign, {"sigma": -1.0}, "sigma must be finite and >= 0", id="block-sigma"),
+    pytest.param(BlockDesign, {"core_scale": math.inf}, "core_scale must be finite and >= 0",
+                 id="block-core_scale"),
+    pytest.param(LowRankDesign, {"T": 0}, "dimensions must be positive", id="lowrank-T"),
+    pytest.param(LowRankDesign, {"ranks": (60, 5)}, "1 <= r_i <= p_i", id="lowrank-ranks"),
+    pytest.param(LowRankDesign, {"sigma_x": -1.0}, "sigma_x must be finite and >= 0",
+                 id="lowrank-sigma_x"),
+])
+def test_every_design_refuses_shapes_and_scales_no_draw_can_follow(design, change, message):
+    with pytest.raises(InfeasibleDesignError, match=message):
+        design(**change)
+
+
 def test_degenerate_draw_retries_deterministically():
     # an all-but-impossible balance still succeeds via redraws when feasible,
     # and the retry path is deterministic
