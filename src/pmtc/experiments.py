@@ -13,13 +13,19 @@ A replication writes only what the figure panels plot: ``cer`` per mode,
 
 Replication seeds derive as ``design.seed + replication``; results are
 gathered in task/replication order, so output files are byte-identical for
-any worker count.  Within one clustering draw the coupled and the ``X: HSC``
-method families run on two threads at once (``_method_memberships``); each
-family's results do not depend on the other's, so this changes no output.
+any worker count.  A clustering task uses two threads at a time: while the
+tensor is drawn, one mode-1 slab at a time, a helper thread sums the
+unfolding Grams that the methods' spectral starts read from the finished
+slabs (``_run_cluster_task``); then the coupled and the ``X: HSC`` method
+families run on two threads at once (``_method_memberships``).  The Grams
+are the same sums in the same order as when formed after the draw, and
+each family's results do not depend on the other's, so neither changes
+an output.
 """
 
 from __future__ import annotations
 
+import queue
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -39,7 +45,7 @@ from .simulate import (
     gen_pmtc,
     gen_tensor_block,
 )
-from .tensor import UnfoldingGrams, lsvd, subspace_distance
+from .tensor import UnfoldingGrams, lsvd, slab_grams, subspace_distance
 
 __all__ = [
     "CLUSTER_METHODS",
@@ -119,7 +125,8 @@ def _cluster_rows(rows, task, method, rep, final, truth):
         rows.append(Row(task.experiment_id, method, rep, i + 1, "cer", c))
 
 
-def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, list]:
+def _method_memberships(x, y, ranks, seed: int, methods,
+                        grams: UnfoldingGrams | None = None) -> dict[str, list]:
     """Final memberships of every clustering method on one draw.
 
     Each family has one warm start, a :func:`pmtc.pipeline.cluster` call: the
@@ -127,7 +134,8 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, list]:
     tensor alone.  Each Lloyd method is one :func:`pmtc.pipeline.refine` of
     its family's start, with the oblique projection for ``HLloyd`` and the
     orthogonal one for ``PMTLloyd``.  All methods share one set of unfolding
-    Grams, so each mode's full-tensor Gram is formed at most once per draw.
+    Grams, ``grams`` when given (of ``x``), so each mode's full-tensor Gram
+    is formed at most once per draw.
     When ``auto`` drops the tensor (omega=0), the coupled mode-1 warm start
     is ``Y: SC``'s estimate by construction, so ``Y: SC`` takes it.
 
@@ -138,7 +146,7 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, list]:
     alone, so the memberships are the same bit for bit either way.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    grams = UnfoldingGrams(x)
+    grams = UnfoldingGrams.of(x, grams)
 
     def family(panel, omega, prefix):
         """The warm start of the methods named ``prefix*``, and their refinements."""
@@ -174,17 +182,50 @@ def _method_memberships(x, y, ranks, seed: int, methods) -> dict[str, list]:
     return out
 
 
+def _draw_with_grams(draw, design, modes):
+    """``draw(design)``, and the unfolding Grams of its tensor for ``modes``
+    (each >= 1), summed from its slabs on one helper thread while the draw
+    goes on (see :func:`pmtc.tensor.slab_grams`).
+
+    The helper has finished when this returns or raises, so no thread
+    outlives the call.
+    """
+    slabs = queue.SimpleQueue()
+
+    def handed_over():
+        while (slab := slabs.get()) is not None:
+            yield slab
+
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(slab_grams, handed_over(), modes)
+        try:
+            drawn = draw(design, on_slab=slabs.put)
+        finally:
+            slabs.put(None)  # the end of the stream, also when the draw raised
+        return drawn, pending.result()
+
+
 def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
+    """Draw one replication of ``task`` and score every method on it.
+
+    When any method reads the unfolding Grams (all but ``Y: SC``), the Grams
+    of clustered modes 2, 3, ... (the ones a spectral start or ``auto``'s
+    test reads first) are summed on a helper thread while the tensor is
+    drawn, and handed to :func:`_method_memberships`.  The helper is joined
+    before the methods start, so a process runs at most two threads.
+    """
     design = replace(task.design, seed=task.design.seed + rep)
     coupled = isinstance(design, SimDesign)
-    if coupled:
-        data, truth = gen_pmtc(design)
-        x, y = data.x, data.y
+    draw = gen_pmtc if coupled else gen_tensor_block
+    if any(m != "Y: SC" for m in methods):
+        (data, truth), grams = _draw_with_grams(draw, design, range(1, len(design.ranks)))
     else:
-        x, truth = gen_tensor_block(design)
-        y = None
+        (data, truth), grams = draw(design), {}
+    x, y = (data.x, data.y) if coupled else (data, None)
     rows: list[Row] = []
-    for method, final in _method_memberships(x, y, design.ranks, design.seed, methods).items():
+    grams = UnfoldingGrams(x, grams)
+    for method, final in _method_memberships(x, y, design.ranks, design.seed, methods,
+                                             grams).items():
         _cluster_rows(rows, task, method, rep, final, truth)
         if coupled:
             _loading_rows(rows, task, method, rep, y, final[0], truth, design.m1)

@@ -15,14 +15,7 @@ from .membership import Membership
 from .pchooi import coupled_block
 from .tensor import matricize, multi_mode_product
 
-__all__ = [
-    "cer",
-    "misclustering_loss",
-    "separations",
-    "SeparationStats",
-    "total_r2",
-    "rescaled_core_rows",
-]
+__all__ = ["cer", "misclustering_loss", "total_r2"]
 
 _EXHAUSTIVE_MAX = 8
 

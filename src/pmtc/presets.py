@@ -13,12 +13,13 @@ Each design grid is one preset and is run once: the coupled grids ``fig2``,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .experiments import CLUSTER_METHODS, SUBSPACE_METHODS, PanelSpec, Task
-from .simulate import BlockDesign, LowRankDesign, SimDesign
+from .simulate import BlockDesign, InfeasibleDesignError, LowRankDesign, SimDesign
 
 __all__ = ["PresetRun", "PRESET_NAMES", "build_preset"]
 
@@ -119,6 +120,17 @@ def _resolve(name: str, overrides: dict | None) -> dict:
     return params
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _exp(key: str, log_c: float) -> float:
+    """``math.exp(log_c)``, refusing an exponent whose scale is no finite float."""
+    if not (math.isfinite(log_c) and log_c < _LOG_FLOAT_MAX):
+        raise InfeasibleDesignError(
+            f"{key} must be finite and below {_LOG_FLOAT_MAX:.2f}, got {log_c}")
+    return math.exp(log_c)
+
+
 def _lowrank_tasks(name: str, q: dict) -> list[Task]:
     base = dict(
         dims=(q["p1"], q["p2"]), T=q["T"], ranks=(q["m1"], q["m2"]),
@@ -126,10 +138,10 @@ def _lowrank_tasks(name: str, q: dict) -> list[Task]:
     )
     tasks = []
     for v in q["log_cy_grid"]:
-        d = LowRankDesign(c_x=math.exp(q["log_cx"]), c_y=math.exp(v), **base)
+        d = LowRankDesign(c_x=_exp("log_cx", q["log_cx"]), c_y=_exp("log_cy_grid", v), **base)
         tasks.append(Task(f"{name}:log_cy={v}", d, "vary_log_cy", v))
     for v in q["log_cx_grid"]:
-        d = LowRankDesign(c_x=math.exp(v), c_y=math.exp(q["log_cy"]), **base)
+        d = LowRankDesign(c_x=_exp("log_cx_grid", v), c_y=_exp("log_cy", q["log_cy"]), **base)
         tasks.append(Task(f"{name}:log_cx={v}", d, "vary_log_cx", v))
     return tasks
 

@@ -167,7 +167,8 @@ class LowRankDesign:
     seed: int = 0
 
     def __post_init__(self):
-        _check_design(self.dims, self.ranks, self.T, sigma_x=self.sigma_x, sigma_y=self.sigma_y)
+        _check_design(self.dims, self.ranks, self.T, sigma_x=self.sigma_x, sigma_y=self.sigma_y,
+                      c_x=self.c_x, c_y=self.c_y)
 
 
 def _rng_for(seed: int, attempt: int) -> np.random.Generator:
@@ -178,6 +179,33 @@ def _noise(rng: np.random.Generator, sigma: float, shape) -> np.ndarray:
     if sigma == 0.0:
         return np.zeros(shape)
     return rng.normal(0.0, sigma, size=shape)
+
+
+def _block_tensor(rng, sigma: float, core: np.ndarray, members, on_slab=None) -> np.ndarray:
+    """Gaussian noise of standard deviation ``sigma`` plus the block signal
+    ``expand_blocks(core, members)``, drawn one mode-1 slab at a time.
+
+    Slab ``x[i]`` is filled from ``rng`` (zeros, without a random call, at
+    ``sigma=0``), scaled by ``sigma``, and its block signal is added; then
+    ``on_slab(x[i])`` sees the finished slab, if given.  The slabs take the
+    stream in C order, so the tensor equals
+    ``expand_blocks(core, members) + rng.normal(0.0, sigma, shape)`` bit for
+    bit, and no second full-size tensor is held.  ``core``'s trailing axes
+    past ``members`` (a time mode) are not clustered.
+    """
+    signal = [expand_blocks(c, members[1:]) for c in core]  # a slab of each mode-1 cluster
+    labels = members[0].labels
+    x = np.empty((labels.size,) + signal[0].shape)
+    for slab, g in zip(x, labels):
+        if sigma == 0.0:
+            slab[...] = 0.0
+        else:
+            rng.standard_normal(out=slab)
+            slab *= sigma
+        slab += signal[g]
+        if on_slab is not None:
+            on_slab(slab)
+    return x
 
 
 def _draw_memberships(rng, dims, ranks, balance) -> list[Membership] | None:
@@ -191,11 +219,15 @@ def _draw_memberships(rng, dims, ranks, balance) -> list[Membership] | None:
     return members
 
 
-def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
+def gen_pmtc(design: SimDesign, on_slab=None) -> tuple[CoupledData, GroundTruth]:
     """Draw one coupled block-model replication.
 
     Deterministic given ``design.seed``; draws with an empty cluster or zero
-    separation are retried on derived sub-seeds (bounded, then error).
+    separation are retried on derived sub-seeds (bounded, then error).  The
+    tensor is drawn one mode-1 slab at a time, and ``on_slab``, if given, is
+    called once with each finished slab ``x[i]``, in order of ``i``, so a
+    caller can work on the slabs while the rest are drawn (the harness sums
+    their unfolding Grams on another thread); it must not write to them.
     """
     last = "no attempts made"
     for attempt in range(_MAX_ATTEMPTS):
@@ -226,24 +258,20 @@ def gen_pmtc(design: SimDesign) -> tuple[CoupledData, GroundTruth]:
             b = b * math.sqrt(design.snr_y() * design.sigma_y**2 / dy2)
 
         s_y = b @ f
-        # the noise first, then the block signal added into it one mode-1
-        # slab at a time, so no second full-size tensor is held (the same
-        # sums as signal + noise, bit for bit)
-        x = _noise(rng, design.sigma_x, design.dims + (design.T,))
-        labels = members[0].labels
-        for g, c in enumerate(core):
-            slab = expand_blocks(c, members[1:])
-            for i in np.flatnonzero(labels == g):
-                x[i] += slab
-        y = s_y[labels] + _noise(rng, design.sigma_y, (design.dims[0], design.T))
+        x = _block_tensor(rng, design.sigma_x, core, members, on_slab)
+        y = s_y[members[0].labels] + _noise(rng, design.sigma_y, (design.dims[0], design.T))
         return CoupledData(x, y), GroundTruth(members, core, b, f, s_y)
     raise InfeasibleDesignError(
         f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"
     )
 
 
-def gen_tensor_block(design: BlockDesign) -> tuple[np.ndarray, GroundTruth]:
-    """Draw one Gaussian tensor block model replication (no coupled panel)."""
+def gen_tensor_block(design: BlockDesign, on_slab=None) -> tuple[np.ndarray, GroundTruth]:
+    """Draw one Gaussian tensor block model replication (no coupled panel).
+
+    The tensor is drawn one mode-1 slab at a time, as in :func:`gen_pmtc`,
+    which describes ``on_slab``; it is the only full-size array held.
+    """
     dims, ranks = design.dims, design.ranks
     balance = None
     if design.balance is not None:
@@ -260,7 +288,7 @@ def gen_tensor_block(design: BlockDesign) -> tuple[np.ndarray, GroundTruth]:
         if 0.0 in stats.delta_sq:
             last = "zero separation"
             continue
-        x = expand_blocks(core, members) + _noise(rng, design.sigma, dims)
+        x = _block_tensor(rng, design.sigma, core, members, on_slab)
         return x, GroundTruth(members, core, None, None, None)
     raise InfeasibleDesignError(
         f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"

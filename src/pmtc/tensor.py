@@ -35,6 +35,7 @@ __all__ = [
     "lsvd",
     "top_eigvecs",
     "UnfoldingGrams",
+    "slab_grams",
     "subspace_distance",
 ]
 
@@ -140,6 +141,27 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def slab_grams(slabs, modes) -> dict[int, np.ndarray]:
+    """The mode-k unfolding Gram, for each mode k >= 1 in ``modes``, of a
+    tensor given one mode-1 slab at a time.
+
+    Each is the sum over the slabs, in the order given, of the Gram of the
+    slab's mode-(k-1) unfolding (for order 3, G_2 = sum_i x[i] x[i]').
+    ``slabs`` is any iterable of the slabs ``x[0], x[1], ...``: the tensor
+    itself, or slabs handed over while the tensor is drawn.  Either way the
+    sums are the same bit for bit, and the extra memory is one slab's
+    unfolding.
+    """
+    sums: dict[int, np.ndarray] = {}
+    for slab in slabs:
+        if not sums:
+            sums = {k: np.zeros((slab.shape[k - 1],) * 2) for k in modes}
+        for k in modes:
+            a = matricize(slab, k - 1)
+            sums[k] += a @ a.T
+    return sums
+
+
 class UnfoldingGrams:
     """The Gram matrices ``a @ a.T`` of the mode unfoldings of one tensor.
 
@@ -148,17 +170,19 @@ class UnfoldingGrams:
     :func:`~pmtc.pchooi.tensor_informative`) pass over the full tensor once
     per mode, however many of them run on the same draw.  No Gram copies the
     tensor: mode 1 is one GEMM on its free unfolding view, mode k > 1 the
-    sum over mode-1 slabs of each slab's mode-(k-1) unfolding Gram (for
-    order 3, G_2 = sum_i x[i] x[i]'), so the extra memory is one slab.
+    :func:`slab_grams` sum over mode-1 slabs, so the extra memory is one
+    slab.  ``formed`` holds Grams already summed, by mode, such as those
+    :func:`slab_grams` took from the slabs of a draw as they were made;
+    they must be the Grams of ``x``.
 
     A holder may be shared between threads: each mode has its own lock, so
     a Gram is still formed once, and one mode's Gram can form while another
     mode's is read.
     """
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, formed: dict[int, np.ndarray] | None = None):
         self.x = np.ascontiguousarray(x, dtype=float)
-        self._grams: dict[int, np.ndarray] = {}
+        self._grams: dict[int, np.ndarray] = dict(formed or {})
         self._locks = [threading.Lock() for _ in range(self.x.ndim)]
 
     @classmethod
@@ -177,11 +201,7 @@ class UnfoldingGrams:
         if mode == 0:
             a = matricize(x, 0)
             return a @ a.T
-        g = np.zeros((x.shape[mode], x.shape[mode]))
-        for slab in x:
-            a = matricize(slab, mode - 1)
-            g += a @ a.T
-        return g
+        return slab_grams(x, (mode,))[mode]
 
     def __getitem__(self, mode: int) -> np.ndarray:
         g = self._grams.get(mode)

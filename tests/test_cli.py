@@ -276,6 +276,8 @@ def test_command_line_beats_the_config(tmp_path, capsys):
     ("fig1", "sigma_x=-1"),
     ("fig1", "T=0"),
     ("fig1", "m1=60"),
+    ("fig1", "log_cx=1000"),
+    ("fig1", "log_cy_grid=nan"),
 ])
 def test_invalid_design_override_exits_3_before_any_output(tmp_path, capsys, preset, override):
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 import threading
 
 import numpy as np
@@ -14,7 +15,14 @@ from pmtc.experiments import (
     write_results_csv,
 )
 from pmtc.pchooi import hooi, pchooi
-from pmtc.simulate import LowRankDesign, SimDesign, gen_coupled_lowrank, gen_pmtc
+from pmtc.simulate import (
+    BlockDesign,
+    LowRankDesign,
+    SimDesign,
+    gen_coupled_lowrank,
+    gen_pmtc,
+    gen_tensor_block,
+)
 from pmtc.tensor import UnfoldingGrams, subspace_distance
 
 
@@ -144,6 +152,79 @@ def test_a_failing_helper_family_raises_and_leaves_no_thread(monkeypatch):
     with pytest.raises(RuntimeError) as raised:
         experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
                                         CLUSTER_METHODS)
+    assert raised.value is failure
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("draw, design", [
+    (gen_pmtc, SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1)),
+    (gen_tensor_block, BlockDesign(dims=(30, 20, 25), ranks=(3, 2, 4), seed=2)),
+], ids=["coupled", "block"])
+def test_streamed_grams_equal_the_formed_grams_bit_for_bit(draw, design):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between the threads as often as it can
+    try:
+        drawn, grams = experiments._draw_with_grams(draw, design, (1, 2))
+    finally:
+        sys.setswitchinterval(interval)
+    x = drawn[0].x if draw is gen_pmtc else drawn[0]
+    assert sorted(grams) == [1, 2]
+    for mode, g in grams.items():
+        assert np.array_equal(g.view(np.uint64), UnfoldingGrams(x).form(mode).view(np.uint64))
+
+
+_HSC_METHODS = ("X: HSC+HLloyd", "X: HSC+PMTLloyd")
+
+
+@pytest.mark.parametrize("design, methods, formed", [
+    # below the noise edge mode 2 fails the test and no start reads mode 1
+    (SimDesign(dims=(60, 50), T=30, gamma_x=-0.5, seed=1), CLUSTER_METHODS, []),
+    # above it the test passes mode 2, then forms mode 1's Gram
+    (SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1), CLUSTER_METHODS, [0]),
+    (BlockDesign(dims=(30, 30, 30), ranks=(2, 2, 2), core_scale=0.5, seed=1), _HSC_METHODS, []),
+], ids=["lowsnr", "highsnr", "block"])
+def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, methods, formed):
+    got = []
+    original_form = UnfoldingGrams.form
+
+    def form(self, mode):
+        got.append(mode)
+        return original_form(self, mode)
+
+    monkeypatch.setattr(UnfoldingGrams, "form", form)
+    rows = experiments._run_cluster_task(Task("t", design), 0, methods)
+    assert got == formed
+    assert {r.method for r in rows} == set(methods)
+
+
+@pytest.mark.parametrize("where", ["draw", "helper"])
+def test_a_failing_stream_raises_and_leaves_no_thread(monkeypatch, where):
+    failure = RuntimeError(f"{where} failed")
+    if where == "draw":
+        original = experiments.gen_pmtc
+
+        def gen_pmtc(design, on_slab=None):
+            handed = []
+
+            def hand_over(slab):  # the draw fails after handing over three slabs
+                if len(handed) == 3:
+                    raise failure
+                handed.append(slab)
+                on_slab(slab)
+
+            return original(design, on_slab=hand_over)
+
+        monkeypatch.setattr(experiments, "gen_pmtc", gen_pmtc)
+    else:
+        def slab_grams(slabs, modes):
+            next(iter(slabs))
+            raise failure
+
+        monkeypatch.setattr(experiments, "slab_grams", slab_grams)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        experiments._run_cluster_task(Task("t", SimDesign(dims=(24, 20), T=10, seed=3)), 0,
+                                      CLUSTER_METHODS)
     assert raised.value is failure
     assert threading.active_count() == before
 

@@ -56,8 +56,9 @@ def test_same_seed_bit_identical():
         assert np.array_equal(ma.labels, mb.labels)
 
 
-def test_tensor_is_signal_plus_noise_bit_for_bit():
-    d = SimDesign(dims=(25, 20), T=10, ranks=(3, 2), m1=2, mu_b=(1.0,), seed=4)
+@pytest.mark.parametrize("sigma_x", [0.0, 0.5, 1.0, 2.0])
+def test_tensor_is_signal_plus_noise_bit_for_bit(sigma_x):
+    d = SimDesign(dims=(25, 20), T=10, ranks=(3, 2), m1=2, mu_b=(1.0,), sigma_x=sigma_x, seed=4)
     data, truth = gen_pmtc(d)
     # replay the draw's random calls (first attempt) up to the tensor noise
     rng = simulate._rng_for(d.seed, 0)
@@ -66,9 +67,25 @@ def test_tensor_is_signal_plus_noise_bit_for_bit():
     rng.normal(0.0, 1.0, size=d.ranks + (d.T,))
     rng.standard_normal((d.ranks[0], d.m1))
     rng.standard_normal((d.m1, d.T))
-    noise = rng.normal(0.0, d.sigma_x, size=d.dims + (d.T,))
-    assert np.array_equal(data.x, expand_blocks(truth.core, truth.memberships) + noise)
+    shape = d.dims + (d.T,)
+    noise = rng.normal(0.0, sigma_x, size=shape) if sigma_x > 0 else np.zeros(shape)
+    signal = expand_blocks(truth.core, truth.memberships)
+    assert (signal + noise).tobytes() == data.x.tobytes()
+    # the panel noise comes next in the stream: a noiseless tensor takes no draw
+    y_noise = rng.normal(0.0, d.sigma_y, size=(d.dims[0], d.T))
+    assert (truth.s_y[truth.memberships[0].labels] + y_noise).tobytes() == data.y.tobytes()
 
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.0])
+def test_block_tensor_is_signal_plus_noise_bit_for_bit(sigma):
+    d = BlockDesign(dims=(14, 12, 10), ranks=(3, 2, 4), sigma=sigma, core_scale=0.3, seed=6)
+    x, truth = gen_tensor_block(d)
+    rng = simulate._rng_for(d.seed, 0)
+    for p, r in zip(d.dims, d.ranks):
+        rng.choice(r, size=p)
+    rng.normal(0.0, d.core_scale, size=d.ranks)
+    noise = rng.normal(0.0, sigma, size=d.dims) if sigma > 0 else np.zeros(d.dims)
+    assert (expand_blocks(truth.core, truth.memberships) + noise).tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -90,6 +107,29 @@ def test_draw_holds_no_second_full_size_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * data.x.nbytes
+
+
+def test_block_draw_holds_no_second_full_size_tensor():
+    d = BlockDesign(dims=(100, 100, 100), ranks=(5, 5, 5), seed=5)
+    tracemalloc.start()
+    try:
+        x, _ = gen_tensor_block(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * x.nbytes
+
+
+@pytest.mark.parametrize("draw, design", [
+    (gen_pmtc, SimDesign(dims=(12, 10), T=6, ranks=(3, 2), m1=2, mu_b=(1.0,), seed=3)),
+    (gen_tensor_block, BlockDesign(dims=(12, 10, 8), ranks=(3, 2, 2), seed=3)),
+])
+def test_each_finished_slab_is_handed_over_once_in_order(draw, design):
+    seen = []
+    drawn, _ = draw(design, on_slab=lambda slab: seen.append(slab.copy()))
+    x = drawn.x if isinstance(drawn, simulate.CoupledData) else drawn
+    assert len(seen) == x.shape[0]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, x))
 
 
 def test_cluster_size_band_balanced():
@@ -158,6 +198,8 @@ def test_infeasible_designs_rejected():
     pytest.param(LowRankDesign, {"ranks": (60, 5)}, "1 <= r_i <= p_i", id="lowrank-ranks"),
     pytest.param(LowRankDesign, {"sigma_x": -1.0}, "sigma_x must be finite and >= 0",
                  id="lowrank-sigma_x"),
+    pytest.param(LowRankDesign, {"c_x": math.inf}, "c_x must be finite and >= 0", id="lowrank-c_x"),
+    pytest.param(LowRankDesign, {"c_y": math.nan}, "c_y must be finite and >= 0", id="lowrank-c_y"),
 ])
 def test_every_design_refuses_shapes_and_scales_no_draw_can_follow(design, change, message):
     with pytest.raises(InfeasibleDesignError, match=message):
