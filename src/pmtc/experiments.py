@@ -13,14 +13,10 @@ A replication writes only what the figure panels plot: ``cer`` per mode,
 
 Replication seeds derive as ``design.seed + replication``; results are
 gathered in task/replication order, so output files are byte-identical for
-any worker count.  A clustering task uses two threads at a time: while the
-tensor is drawn, one mode-1 slab at a time, a helper thread sums the
-unfolding Grams that the methods' spectral starts read from the finished
-slabs (``_run_cluster_task``); then the coupled and the ``X: HSC`` method
-families run on two threads at once (``_method_memberships``).  The Grams
-are the same sums in the same order as when formed after the draw, and
-each family's results do not depend on the other's, so neither changes
-an output.
+any worker count.  ``DESIGN_METHODS`` holds the methods each kind of design
+supports.  A clustering draw fits all of them, whichever ``methods`` a run
+asks for, on at most two threads (``_draw_and_fit``); the second thread
+changes no output.
 """
 
 from __future__ import annotations
@@ -50,6 +46,7 @@ from .tensor import UnfoldingGrams, lsvd, slab_grams, subspace_distance
 __all__ = [
     "CLUSTER_METHODS",
     "SUBSPACE_METHODS",
+    "DESIGN_METHODS",
     "Task",
     "Row",
     "run_experiment",
@@ -67,7 +64,12 @@ CLUSTER_METHODS = (
     "X+Y: PMTSC+PMTLloyd",
 )
 SUBSPACE_METHODS = ("PCHOOI", "HOOI", "SVD-Y")
-_COUPLED = {"Y: SC", "X+Y: PMTSC", "X+Y: PMTSC+HLloyd", "X+Y: PMTSC+PMTLloyd"}
+# the methods each kind of design supports: a block draw has no panel
+DESIGN_METHODS = {
+    SimDesign: CLUSTER_METHODS,
+    BlockDesign: ("X: HSC+HLloyd", "X: HSC+PMTLloyd"),
+    LowRankDesign: SUBSPACE_METHODS,
+}
 
 
 @dataclass(frozen=True)
@@ -94,18 +96,6 @@ class Row:
         object.__setattr__(self, "value", float(self.value))
 
 
-def _check_methods(methods, task: Task) -> None:
-    for m in methods:
-        if m not in CLUSTER_METHODS + SUBSPACE_METHODS:
-            raise ValueError(f"unknown method name {m!r}")
-        if isinstance(task.design, BlockDesign) and m in _COUPLED | set(SUBSPACE_METHODS):
-            raise ValueError(f"method {m!r} needs a coupled panel; task {task.experiment_id!r} has none")
-        if isinstance(task.design, LowRankDesign) and m not in SUBSPACE_METHODS:
-            raise ValueError(f"method {m!r} is a clustering method; task {task.experiment_id!r} is a subspace design")
-        if isinstance(task.design, SimDesign) and m in SUBSPACE_METHODS:
-            raise ValueError(f"method {m!r} is a subspace method; task {task.experiment_id!r} is a clustering design")
-
-
 def _loading_rows(rows, task, method, rep, y, m1_hat, truth, num_factors):
     b_obs = estimate_observed(y, m1_hat, truth.f, demean=True).loadings
     err = per_asset_loadings(b_obs, m1_hat) - per_asset_loadings(truth.b, truth.memberships[0])
@@ -125,110 +115,77 @@ def _cluster_rows(rows, task, method, rep, final, truth):
         rows.append(Row(task.experiment_id, method, rep, i + 1, "cer", c))
 
 
-def _method_memberships(x, y, ranks, seed: int, methods,
-                        grams: UnfoldingGrams | None = None) -> dict[str, list]:
-    """Final memberships of every clustering method on one draw.
+def _draw_and_fit(design: SimDesign | BlockDesign, methods):
+    """Draw one replication of ``design`` and fit every clustering method it
+    supports; return the draw, its ground truth, and the final memberships
+    of each of ``methods``, in their order.
 
     Each family has one warm start, a :func:`pmtc.pipeline.cluster` call: the
-    coupled methods with ``omega="auto"``, the ``X: HSC`` methods on the
-    tensor alone.  Each Lloyd method is one :func:`pmtc.pipeline.refine` of
-    its family's start, with the oblique projection for ``HLloyd`` and the
-    orthogonal one for ``PMTLloyd``.  All methods share one set of unfolding
-    Grams, ``grams`` when given (of ``x``), so each mode's full-tensor Gram
-    is formed at most once per draw.
+    coupled methods with ``omega="auto"`` (a coupled design's), the
+    ``X: HSC`` methods on the tensor alone.  Each Lloyd method is one
+    :func:`pmtc.pipeline.refine` of its family's start, with the oblique
+    projection for ``HLloyd`` and the orthogonal one for ``PMTLloyd``.
     When ``auto`` drops the tensor (omega=0), the coupled mode-1 warm start
     is ``Y: SC``'s estimate by construction, so ``Y: SC`` takes it.
 
-    When both families are asked for, the coupled one runs on a helper
-    thread while this thread runs ``X: HSC`` (the BLAS and LAPACK kernels
-    release the GIL).  The families share only the read-only tensor and the
-    Grams, and each makes the same calls on the same inputs as it would
-    alone, so the memberships are the same bit for bit either way.
-    """
-    x = np.ascontiguousarray(x, dtype=float)
-    grams = UnfoldingGrams.of(x, grams)
-
-    def family(panel, omega, prefix):
-        """The warm start of the methods named ``prefix*``, and their refinements."""
-        start = cluster(x, panel, ranks, omega, seed, grams=grams)
-        refined = {m: refine(x, panel, start,
-                             projection="oblique" if m.endswith("HLloyd") else "orthogonal")[0]
-                   for m in methods if m.startswith(prefix) and m.endswith("Lloyd")}
-        return start, refined
-
-    coupled = any(m.startswith("X+Y:") for m in methods)
-    alone = any(m.startswith("X: HSC") for m in methods)
-    xy = hsc = None  # (warm start, refined memberships by method)
-    if coupled and alone:
-        with ThreadPoolExecutor(1) as helper:
-            pending = helper.submit(family, y, "auto", "X+Y:")
-            hsc = family(None, 1.0, "X: HSC")
-            xy = pending.result()
-    elif coupled:
-        xy = family(y, "auto", "X+Y:")
-    elif alone:
-        hsc = family(None, 1.0, "X: HSC")
-
-    out = {}
-    for method in methods:
-        if method == "Y: SC":
-            shared = xy is not None and xy[0].omega == 0.0
-            out[method] = [xy[0].memberships[0] if shared
-                           else spectral_cluster_rows(y, ranks[0], seed=seed)]
-        elif method == "X+Y: PMTSC":
-            out[method] = xy[0].memberships
-        else:
-            out[method] = (xy if method.startswith("X+Y:") else hsc)[1][method]
-    return out
-
-
-def _draw_with_grams(draw, design, modes):
-    """``draw(design)``, and the unfolding Grams of its tensor for ``modes``
-    (each >= 1), summed from its slabs on one helper thread while the draw
-    goes on (see :func:`pmtc.tensor.slab_grams`).
-
+    One helper thread serves the whole draw, in two phases.  While this
+    thread draws the tensor one mode-1 slab at a time, the helper sums the
+    unfolding Grams of clustered modes 2, 3, ... (the ones a spectral start
+    or ``auto``'s test reads first) from the finished slabs (see
+    :func:`pmtc.tensor.slab_grams`).  Then the helper fits the coupled family
+    while this thread fits ``X: HSC`` (the BLAS and LAPACK kernels release
+    the GIL).  Both families share one set of unfolding Grams, so each
+    mode's full-tensor Gram is formed at most once per draw.  The streamed
+    Grams are the same sums in the same order as when formed after the
+    draw, and each family makes the same calls on the same inputs as it
+    would alone, so the memberships are the same bit for bit either way.
     The helper has finished when this returns or raises, so no thread
     outlives the call.
     """
+    coupled = isinstance(design, SimDesign)
     slabs = queue.SimpleQueue()
 
     def handed_over():
         while (slab := slabs.get()) is not None:
             yield slab
 
+    def family(panel, omega, name):
+        """The warm start named ``name``, and the memberships of it and its refinements."""
+        start = cluster(x, panel, design.ranks, omega, design.seed, grams=grams)
+        return start, {
+            name: start.memberships,
+            f"{name}+HLloyd": refine(x, panel, start, projection="oblique")[0],
+            f"{name}+PMTLloyd": refine(x, panel, start, projection="orthogonal")[0],
+        }
+
     with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(slab_grams, handed_over(), modes)
+        pending = helper.submit(slab_grams, handed_over(), range(1, len(design.ranks)))
         try:
-            drawn = draw(design, on_slab=slabs.put)
+            data, truth = (gen_pmtc if coupled else gen_tensor_block)(design, on_slab=slabs.put)
         finally:
             slabs.put(None)  # the end of the stream, also when the draw raised
-        return drawn, pending.result()
+        x, y = (data.x, data.y) if coupled else (data, None)
+        grams = UnfoldingGrams(x, pending.result())
+        if coupled:
+            pending = helper.submit(family, y, "auto", "X+Y: PMTSC")
+        fitted = family(None, 1.0, "X: HSC")[1]
+        if coupled:
+            start, fitted_xy = pending.result()
+            fitted.update(fitted_xy)
+            fitted["Y: SC"] = [start.memberships[0] if start.omega == 0.0
+                               else spectral_cluster_rows(y, design.ranks[0], seed=design.seed)]
+    return data, truth, {m: fitted[m] for m in methods}
 
 
 def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
-    """Draw one replication of ``task`` and score every method on it.
-
-    When any method reads the unfolding Grams (all but ``Y: SC``), the Grams
-    of clustered modes 2, 3, ... (the ones a spectral start or ``auto``'s
-    test reads first) are summed on a helper thread while the tensor is
-    drawn, and handed to :func:`_method_memberships`.  The helper is joined
-    before the methods start, so a process runs at most two threads.
-    """
+    """Draw one replication of ``task`` and score ``methods`` on it."""
     design = replace(task.design, seed=task.design.seed + rep)
-    coupled = isinstance(design, SimDesign)
-    draw = gen_pmtc if coupled else gen_tensor_block
-    if any(m != "Y: SC" for m in methods):
-        (data, truth), grams = _draw_with_grams(draw, design, range(1, len(design.ranks)))
-    else:
-        (data, truth), grams = draw(design), {}
-    x, y = (data.x, data.y) if coupled else (data, None)
+    data, truth, fitted = _draw_and_fit(design, methods)
     rows: list[Row] = []
-    grams = UnfoldingGrams(x, grams)
-    for method, final in _method_memberships(x, y, design.ranks, design.seed, methods,
-                                             grams).items():
+    for method, final in fitted.items():
         _cluster_rows(rows, task, method, rep, final, truth)
-        if coupled:
-            _loading_rows(rows, task, method, rep, y, final[0], truth, design.m1)
+        if isinstance(design, SimDesign):
+            _loading_rows(rows, task, method, rep, data.y, final[0], truth, design.m1)
     return rows
 
 
@@ -267,13 +224,19 @@ def run_experiment(
     """Run every method on every task for the given number of replications.
 
     All methods within a replication share the same draw, so comparisons are
-    paired.  ``threads`` sets the worker-process count; each process fits a
-    clustering draw's two method families on up to two threads, so a run
-    uses up to ``2 * threads`` threads.  Results are identical for any value.
+    paired.  Every method must be one that each task's design supports
+    (``DESIGN_METHODS``).  A clustering draw fits all of those, and
+    ``methods`` selects the ones whose rows are returned, in its order.
+    ``threads`` sets the worker-process count; each process draws and fits a
+    clustering replication on up to two threads, so a run uses up to
+    ``2 * threads`` threads.  Results are identical for any value.
     """
     methods = tuple(methods)
     for task in tasks:
-        _check_methods(methods, task)
+        for m in methods:
+            if m not in DESIGN_METHODS[type(task.design)]:
+                raise ValueError(f"method {m!r} is not one that task {task.experiment_id!r}'s "
+                                 f"{type(task.design).__name__} supports")
     jobs = [(task, rep, methods) for task in tasks for rep in range(replications)]
     rows: list[Row] = []
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import CLUSTER_METHODS, SUBSPACE_METHODS, PanelSpec, Task
+from .experiments import DESIGN_METHODS, PanelSpec, Task
 from .simulate import BlockDesign, InfeasibleDesignError, LowRankDesign, SimDesign
 
 __all__ = ["PresetRun", "PRESET_NAMES", "build_preset"]
@@ -191,6 +191,7 @@ def _blockmodel_tasks(name: str, q: dict) -> tuple[list[Task], list[PanelSpec]]:
 def build_preset(name: str, overrides: dict | None = None) -> PresetRun:
     q = _resolve(name, overrides)
     if name == "fig1":
+        design = LowRankDesign
         tasks = _lowrank_tasks(name, q)
         panels = [
             PanelSpec("fig1_u1_vs_log_cy", "vary_log_cy", 1, "subspace_dist", "log_cy"),
@@ -198,12 +199,11 @@ def build_preset(name: str, overrides: dict | None = None) -> PresetRun:
             PanelSpec("fig1_u2_vs_log_cy", "vary_log_cy", 2, "subspace_dist", "log_cy"),
             PanelSpec("fig1_u2_vs_log_cx", "vary_log_cx", 2, "subspace_dist", "log_cx"),
         ]
-        methods = SUBSPACE_METHODS
     elif name == "figA1":
+        design = BlockDesign
         tasks, panels = _blockmodel_tasks(name, q)
-        methods = ("X: HSC+HLloyd", "X: HSC+PMTLloyd")
     else:
+        design = SimDesign
         tasks = _pmtc_tasks(name, q)
         panels = _pmtc_panels(name)
-        methods = CLUSTER_METHODS
-    return PresetRun(name, tasks, methods, panels, q["replications"], q)
+    return PresetRun(name, tasks, DESIGN_METHODS[design], panels, q["replications"], q)

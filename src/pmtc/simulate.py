@@ -13,6 +13,7 @@ retried on derived sub-seeds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +36,25 @@ __all__ = [
 
 _MAX_ATTEMPTS = 100
 _MU_F = 0.03  # mean of every factor in the coupled block model
+_SQUARES_MARGIN = 1e4  # see _check_design
 
 
 class InfeasibleDesignError(ValueError):
     """The design cannot produce a valid draw (or ran out of retries)."""
 
 
-def _check_design(dims, ranks, T: int = 1, **scales: float) -> None:
-    """Refuse a design that no draw can follow; ``T`` is its time dimension, if any."""
+def _check_design(dims, ranks, T: int = 1, signals: dict[str, float] | None = None,
+                  **scales: float) -> None:
+    """Refuse a design that no draw can follow; ``T`` is its time dimension, if any.
+
+    ``scales`` (standard deviations and scale factors) must be finite and >= 0.
+    The square of each of them, and of each of ``signals`` (a signal's target
+    size, named by its formula), times the tensor's entry count and
+    ``_SQUARES_MARGIN`` must be a finite float, so that the draw's sums of
+    squares (its Grams, norms and objectives) are.  Measured, the first to
+    overflow is the Gram of the mode with the longest unfolding rows; the
+    margin covers sums of a few such terms, such as the coupled Gram.
+    """
     if len(dims) != len(ranks):
         raise InfeasibleDesignError("dims and ranks must have equal length")
     if any(p < 1 for p in dims) or T < 1:
@@ -52,6 +64,21 @@ def _check_design(dims, ranks, T: int = 1, **scales: float) -> None:
     for name, value in scales.items():
         if not (math.isfinite(value) and value >= 0):
             raise InfeasibleDesignError(f"{name} must be finite and >= 0, got {value}")
+    entries = math.prod(dims) * T
+    most = math.sqrt(sys.float_info.max / _SQUARES_MARGIN / entries)
+    for name, value in {**scales, **(signals or {})}.items():
+        if not value <= most:  # also refuses nan
+            raise InfeasibleDesignError(
+                f"{name} = {value:.3g} is above {most:.3g}, past which sums of squares "
+                f"over {entries} tensor entries could overflow")
+
+
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, or inf where that overflows a float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -110,6 +137,10 @@ class SimDesign:
             raise InfeasibleDesignError("mu_b must be scalar or length m1")
         if not (math.isfinite(self.gamma_x) and math.isfinite(self.gamma_y)):
             raise InfeasibleDesignError("SNR exponents must be finite")
+        _check_design(self.dims, self.ranks, self.T, signals={
+            "sigma_x * sqrt(snr_x)": self.sigma_x * math.sqrt(self.snr_x()),
+            "sigma_y * sqrt(snr_y)": self.sigma_y * math.sqrt(self.snr_y()),
+        })
         if self.balance is not None:
             balance = tuple(tuple(float(w) for w in ws) for ws in self.balance)
             if len(balance) != len(self.dims):
@@ -120,11 +151,11 @@ class SimDesign:
             object.__setattr__(self, "balance", balance)
 
     def snr_x(self) -> float:
-        return (self.T + max(self.dims)) * float(np.prod(self.dims)) ** self.gamma_x
+        return (self.T + max(self.dims)) * _power(float(np.prod(self.dims)), self.gamma_x)
 
     def snr_y(self) -> float:
         r2 = self.ranks[1] if len(self.ranks) >= 2 else 1
-        return (self.T + max(self.dims)) * float(np.prod(self.dims)) ** self.gamma_y / r2
+        return (self.T + max(self.dims)) * _power(float(np.prod(self.dims)), self.gamma_y) / r2
 
 
 @dataclass(frozen=True)
@@ -169,6 +200,14 @@ class LowRankDesign:
     def __post_init__(self):
         _check_design(self.dims, self.ranks, self.T, sigma_x=self.sigma_x, sigma_y=self.sigma_y,
                       c_x=self.c_x, c_y=self.c_y)
+        _check_design(self.dims, self.ranks, self.T, signals={
+            "c_x * sqrt(p1 + (prod m) T)": self.target_x(), "c_y * sqrt(p1 + T)": self.target_y()})
+
+    def target_x(self) -> float:
+        return self.c_x * math.sqrt(self.dims[0] + np.prod(self.ranks) * self.T)
+
+    def target_y(self) -> float:
+        return self.c_y * math.sqrt(self.dims[0] + self.T)
 
 
 def _rng_for(seed: int, attempt: int) -> np.random.Generator:
@@ -317,15 +356,9 @@ def gen_coupled_lowrank(design: LowRankDesign) -> tuple[CoupledData, GroundTruth
         lsvd(rng.standard_normal((p, m)), m) for p, m in zip(design.dims, design.ranks)
     ]
     core = rng.standard_normal(design.ranks + (design.T,))
-    core = _scale_to_min_singular(
-        core, d, design.c_x * math.sqrt(design.dims[0] + np.prod(design.ranks) * design.T)
-    )
+    core = _scale_to_min_singular(core, d, design.target_x())
     f_y = rng.standard_normal((design.ranks[0], design.T))
-    f_y = f_y * (
-        design.c_y
-        * math.sqrt(design.dims[0] + design.T)
-        / np.linalg.svd(f_y, compute_uv=False)[-1]
-    )
+    f_y = f_y * (design.target_y() / np.linalg.svd(f_y, compute_uv=False)[-1])
     signal = multi_mode_product(core, dict(enumerate(bases)))
     x = signal + rng.normal(0.0, design.sigma_x, size=signal.shape)
     y = bases[0] @ f_y + rng.normal(0.0, design.sigma_y, size=(design.dims[0], design.T))

@@ -278,6 +278,9 @@ def test_command_line_beats_the_config(tmp_path, capsys):
     ("fig1", "m1=60"),
     ("fig1", "log_cx=1000"),
     ("fig1", "log_cy_grid=nan"),
+    ("fig1", "log_cx=400"),  # finite, but the draw's Grams would overflow
+    ("figA7", "gamma_x_grid=100"),
+    ("figA1", "sigma=1e200"),
 ])
 def test_invalid_design_override_exits_3_before_any_output(tmp_path, capsys, preset, override):
     out = tmp_path / "out"

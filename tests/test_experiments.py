@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import sys
 import threading
 
@@ -9,6 +10,7 @@ import pytest
 from pmtc import experiments
 from pmtc.experiments import (
     CLUSTER_METHODS,
+    DESIGN_METHODS,
     SUBSPACE_METHODS,
     Task,
     run_experiment,
@@ -21,7 +23,6 @@ from pmtc.simulate import (
     SimDesign,
     gen_coupled_lowrank,
     gen_pmtc,
-    gen_tensor_block,
 )
 from pmtc.tensor import UnfoldingGrams, subspace_distance
 
@@ -72,9 +73,7 @@ _HIGHSNR_MEMBERSHIPS = {
 ])
 def test_six_method_memberships_unchanged(gamma_x, expected):
     design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
-    data, _ = gen_pmtc(design)
-    got = experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
-                                          CLUSTER_METHODS)
+    got = experiments._draw_and_fit(design, CLUSTER_METHODS)[2]
     labels = {method: tuple("".join(map(str, m.labels)) for m in final)
               for method, final in got.items()}
     assert labels == expected
@@ -85,7 +84,6 @@ def test_panel_clustering_reuses_the_zero_weight_warm_start(monkeypatch, gamma_x
     # omega="auto" drops the tensor at gamma_x=-0.5, and the coupled mode-1
     # warm start is then Y: SC's estimate; at 0.1 it keeps the tensor
     design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
-    data, _ = gen_pmtc(design)
     ran = []
     original = experiments.spectral_cluster_rows
 
@@ -94,51 +92,14 @@ def test_panel_clustering_reuses_the_zero_weight_warm_start(monkeypatch, gamma_x
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "spectral_cluster_rows", spectral_cluster_rows)
-    got = experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
-                                          CLUSTER_METHODS)
+    got = experiments._draw_and_fit(design, CLUSTER_METHODS)[2]
     assert len(ran) == calls
     expected = _LOWSNR_MEMBERSHIPS if gamma_x < 0 else _HIGHSNR_MEMBERSHIPS
     assert "".join(map(str, got["Y: SC"][0].labels)) == expected["Y: SC"][0]
-    alone = experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
-                                            ("Y: SC",))
-    assert np.array_equal(alone["Y: SC"][0].labels, got["Y: SC"][0].labels)
-    assert len(ran) == calls + 1  # without the coupled family, Y: SC runs alone
-
-
-@pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
-def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
-    design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
-    data, _ = gen_pmtc(design)
-    x = data.x
-    grams_formed = []  # mode of every full-tensor unfolding Gram formed
-
-    original_form = UnfoldingGrams.form
-
-    def form(self, mode):
-        grams_formed.append(mode)
-        return original_form(self, mode)
-
-    monkeypatch.setattr(UnfoldingGrams, "form", form)
-    for name in ("pmtc.pchooi", "pmtc.pmtsc"):  # the package exports functions of these names
-        module = importlib.import_module(name)
-        original_lsvd = module.lsvd
-
-        def lsvd(a, rank, original_lsvd=original_lsvd):
-            a = np.asarray(a)
-            if a.size >= x.size:  # holds an unfolding of the whole tensor, outside the holder
-                grams_formed.append(x.shape.index(a.shape[0]))
-            return original_lsvd(a, rank)
-
-        monkeypatch.setattr(module, "lsvd", lsvd)
-    experiments._method_memberships(x, data.y, design.ranks, design.seed, CLUSTER_METHODS)
-    # at -0.5 mode 2 fails the noise-edge test, and no start reads mode 1's
-    # Gram; at 0.1 both modes pass, so the test forms both
-    assert sorted(grams_formed) == ([1] if gamma_x < 0 else [0, 1])
 
 
 def test_a_failing_helper_family_raises_and_leaves_no_thread(monkeypatch):
     design = SimDesign(dims=(24, 20), T=10, seed=3)
-    data, _ = gen_pmtc(design)
     failure = RuntimeError("coupled start failed")
     original = experiments.cluster
 
@@ -150,41 +111,46 @@ def test_a_failing_helper_family_raises_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(experiments, "cluster", cluster)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
-        experiments._method_memberships(data.x, data.y, design.ranks, design.seed,
-                                        CLUSTER_METHODS)
+        experiments._draw_and_fit(design, CLUSTER_METHODS)
     assert raised.value is failure
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("draw, design", [
-    (gen_pmtc, SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1)),
-    (gen_tensor_block, BlockDesign(dims=(30, 20, 25), ranks=(3, 2, 4), seed=2)),
+@pytest.mark.parametrize("design", [
+    SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1),
+    BlockDesign(dims=(30, 20, 25), ranks=(3, 2, 4), seed=2),
 ], ids=["coupled", "block"])
-def test_streamed_grams_equal_the_formed_grams_bit_for_bit(draw, design):
+def test_streamed_grams_equal_the_formed_grams_bit_for_bit(monkeypatch, design):
+    streamed = []
+    original = experiments.slab_grams
+
+    def slab_grams(slabs, modes):
+        streamed.append(original(slabs, modes))
+        return streamed[-1]
+
+    monkeypatch.setattr(experiments, "slab_grams", slab_grams)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between the threads as often as it can
     try:
-        drawn, grams = experiments._draw_with_grams(draw, design, (1, 2))
+        drawn = experiments._draw_and_fit(design, DESIGN_METHODS[type(design)])[0]
     finally:
         sys.setswitchinterval(interval)
-    x = drawn[0].x if draw is gen_pmtc else drawn[0]
-    assert sorted(grams) == [1, 2]
+    x = drawn.x if isinstance(design, SimDesign) else drawn
+    [grams] = streamed  # clustered modes 2, 3, ...
+    assert sorted(grams) == list(range(1, len(design.ranks)))
     for mode, g in grams.items():
         assert np.array_equal(g.view(np.uint64), UnfoldingGrams(x).form(mode).view(np.uint64))
 
 
-_HSC_METHODS = ("X: HSC+HLloyd", "X: HSC+PMTLloyd")
-
-
-@pytest.mark.parametrize("design, methods, formed", [
+@pytest.mark.parametrize("design, formed", [
     # below the noise edge mode 2 fails the test and no start reads mode 1
-    (SimDesign(dims=(60, 50), T=30, gamma_x=-0.5, seed=1), CLUSTER_METHODS, []),
+    (SimDesign(dims=(60, 50), T=30, gamma_x=-0.5, seed=1), []),
     # above it the test passes mode 2, then forms mode 1's Gram
-    (SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1), CLUSTER_METHODS, [0]),
-    (BlockDesign(dims=(30, 30, 30), ranks=(2, 2, 2), core_scale=0.5, seed=1), _HSC_METHODS, []),
+    (SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1), [0]),
+    (BlockDesign(dims=(30, 30, 30), ranks=(2, 2, 2), core_scale=0.5, seed=1), []),
 ], ids=["lowsnr", "highsnr", "block"])
-def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, methods, formed):
-    got = []
+def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, formed):
+    got = []  # the mode of every full-tensor unfolding Gram formed
     original_form = UnfoldingGrams.form
 
     def form(self, mode):
@@ -192,9 +158,56 @@ def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, methods, for
         return original_form(self, mode)
 
     monkeypatch.setattr(UnfoldingGrams, "form", form)
+    entries = math.prod(design.dims) * getattr(design, "T", 1)
+    for name in ("pmtc.pchooi", "pmtc.pmtsc"):  # the package exports functions of these names
+        module = importlib.import_module(name)
+
+        def lsvd(a, rank, original_lsvd=module.lsvd):
+            if np.size(a) >= entries:  # an unfolding of the whole tensor, outside the holder
+                got.append(("lsvd", np.shape(a)))
+            return original_lsvd(a, rank)
+
+        monkeypatch.setattr(module, "lsvd", lsvd)
+    methods = DESIGN_METHODS[type(design)]
     rows = experiments._run_cluster_task(Task("t", design), 0, methods)
     assert got == formed
     assert {r.method for r in rows} == set(methods)
+
+
+@pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
+def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
+    design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
+    grams_computed = []  # mode of every full-tensor unfolding Gram, streamed or formed
+
+    original_form = UnfoldingGrams.form
+
+    def form(self, mode):
+        grams_computed.append(mode)
+        return original_form(self, mode)
+
+    original_slab_grams = experiments.slab_grams
+
+    def slab_grams(slabs, modes):
+        grams = original_slab_grams(slabs, modes)
+        grams_computed.extend(grams)
+        return grams
+
+    monkeypatch.setattr(UnfoldingGrams, "form", form)
+    monkeypatch.setattr(experiments, "slab_grams", slab_grams)
+    entries = math.prod(design.dims) * design.T
+    for name in ("pmtc.pchooi", "pmtc.pmtsc"):  # the package exports functions of these names
+        module = importlib.import_module(name)
+
+        def lsvd(a, rank, original_lsvd=module.lsvd):
+            if np.size(a) >= entries:  # an unfolding of the whole tensor, outside the holder
+                grams_computed.append(("lsvd", np.shape(a)))
+            return original_lsvd(a, rank)
+
+        monkeypatch.setattr(module, "lsvd", lsvd)
+    experiments._draw_and_fit(design, CLUSTER_METHODS)
+    # the draw streams mode 2's Gram; at -0.5 mode 2 fails the noise-edge
+    # test and no start reads mode 1's Gram, at 0.1 the test forms it once
+    assert sorted(grams_computed) == ([1] if gamma_x < 0 else [0, 1])
 
 
 @pytest.mark.parametrize("where", ["draw", "helper"])
@@ -223,37 +236,87 @@ def test_a_failing_stream_raises_and_leaves_no_thread(monkeypatch, where):
         monkeypatch.setattr(experiments, "slab_grams", slab_grams)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
-        experiments._run_cluster_task(Task("t", SimDesign(dims=(24, 20), T=10, seed=3)), 0,
-                                      CLUSTER_METHODS)
+        experiments._draw_and_fit(SimDesign(dims=(24, 20), T=10, seed=3), CLUSTER_METHODS)
     assert raised.value is failure
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("methods, helper", [
-    (CLUSTER_METHODS, True),
-    (("X: HSC+HLloyd", "X: HSC+PMTLloyd"), False),
-    (("Y: SC", "X+Y: PMTSC", "X+Y: PMTSC+PMTLloyd"), False),
-])
-def test_only_two_families_start_a_helper_thread(monkeypatch, methods, helper):
+@pytest.mark.parametrize("methods", [
+    CLUSTER_METHODS,
+    ("X: HSC+HLloyd", "X: HSC+PMTLloyd"),
+    ("Y: SC", "X+Y: PMTSC", "X+Y: PMTSC+PMTLloyd"),
+], ids=["all", "hsc", "coupled"])
+def test_the_coupled_start_runs_on_the_draws_one_helper_thread(monkeypatch, methods):
+    # whichever methods are asked for, both families are fitted
     design = SimDesign(dims=(24, 20), T=10, gamma_x=0.1, seed=3)
-    data, _ = gen_pmtc(design)
-    threads = {}  # the thread each family's warm start ran on, by panel given
-    original = experiments.cluster
+    threads = {}  # the threads that summed the streamed Grams and ran each family's start
+    original_grams, original_cluster = experiments.slab_grams, experiments.cluster
+
+    def slab_grams(slabs, modes):
+        threads["grams"] = threading.current_thread()
+        return original_grams(slabs, modes)
 
     def cluster(x, y, *args, **kwargs):
-        threads[y is not None] = threading.current_thread()
-        return original(x, y, *args, **kwargs)
+        threads["coupled" if y is not None else "hsc"] = threading.current_thread()
+        return original_cluster(x, y, *args, **kwargs)
 
+    monkeypatch.setattr(experiments, "slab_grams", slab_grams)
     monkeypatch.setattr(experiments, "cluster", cluster)
     before = threading.active_count()
-    got = experiments._method_memberships(data.x, data.y, design.ranks, design.seed, methods)
+    got = experiments._draw_and_fit(design, methods)[2]
     assert threading.active_count() == before
-    assert set(got) == set(methods)
-    main = threading.main_thread()
-    if helper:
-        assert threads == {True: threads[True], False: main} and threads[True] is not main
-    else:
-        assert set(threads.values()) == {main}
+    assert tuple(got) == methods
+    assert threads["hsc"] is threading.main_thread()
+    assert threads["coupled"] is threads["grams"] is not threading.main_thread()
+
+
+@pytest.mark.parametrize("design", [
+    SimDesign(dims=(24, 20), T=10, gamma_x=0.1, seed=3),
+    BlockDesign(dims=(20, 20, 20), ranks=(2, 2, 2), core_scale=0.5, seed=1),
+], ids=["coupled", "block"])
+def test_a_method_subset_gets_exactly_the_full_runs_rows(design):
+    every = DESIGN_METHODS[type(design)]
+    full = run_experiment([Task("t", design)], every, replications=2)
+    for subset in (every[::-2], every[::-1]):
+        rows = run_experiment([Task("t", design)], subset, replications=2)
+        # the full run's rows of those methods, ordered as the subset names them
+        expected = sorted((r for r in full if r.method in subset),
+                          key=lambda r: (r.replication, subset.index(r.method)))
+        assert rows == expected
+
+
+@pytest.mark.parametrize("design, method", [
+    (SimDesign(dims=(24, 20), T=10), "PCHOOI"),
+    (BlockDesign(dims=(20, 20, 20)), "Y: SC"),
+    (LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2)), "X: HSC+HLloyd"),
+    (SimDesign(dims=(24, 20), T=10), "X: HSC"),
+], ids=["subspace-on-coupled", "panel-on-block", "clustering-on-lowrank", "unknown"])
+def test_a_method_the_design_does_not_support_is_refused(monkeypatch, design, method):
+    supported = DESIGN_METHODS[type(design)][0]
+    monkeypatch.setattr(experiments, "_run_one", None)  # refused before anything is drawn
+    with pytest.raises(ValueError, match=re.escape(f"method {method!r} is not one that task 't'")):
+        run_experiment([Task("t", design)], (supported, method), replications=1)
+
+
+_LARGE = 2.0**330  # about 2.2e99; scaling by a power of two is exact
+
+
+@pytest.mark.parametrize("unit, large", [
+    (BlockDesign(dims=(30, 30, 30), ranks=(2, 2, 2), core_scale=0.5, seed=1),
+     BlockDesign(dims=(30, 30, 30), ranks=(2, 2, 2), sigma=_LARGE, core_scale=0.5 * _LARGE,
+                 seed=1)),
+    (SimDesign(dims=(24, 20), T=10, gamma_x=0.1, seed=3),
+     SimDesign(dims=(24, 20), T=10, gamma_x=0.1, sigma_x=_LARGE, sigma_y=_LARGE, seed=3)),
+    (LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2), seed=4),
+     LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2), c_x=math.exp(300), seed=4)),
+], ids=["block", "coupled", "lowrank-log_cx=300"])
+def test_a_large_accepted_scale_runs_to_finite_values(unit, large):
+    methods = DESIGN_METHODS[type(unit)]
+    rows = run_experiment([Task("t", large)], methods, replications=1)
+    assert rows and all(math.isfinite(r.value) for r in rows)
+    # scaled noise and signal: every clustering error is as at unit scale
+    unit_rows = run_experiment([Task("t", unit)], methods, replications=1)
+    assert [r for r in rows if r.metric == "cer"] == [r for r in unit_rows if r.metric == "cer"]
 
 
 def test_subspace_methods_share_grams_without_changing_bits():

@@ -200,6 +200,21 @@ def test_infeasible_designs_rejected():
                  id="lowrank-sigma_x"),
     pytest.param(LowRankDesign, {"c_x": math.inf}, "c_x must be finite and >= 0", id="lowrank-c_x"),
     pytest.param(LowRankDesign, {"c_y": math.nan}, "c_y must be finite and >= 0", id="lowrank-c_y"),
+    # finite scales whose squares over the tensor's entries overflow
+    pytest.param(SimDesign, {"sigma_x": 1e200}, r"sigma_x = 1e\+200 is above",
+                 id="sim-sigma_x-large"),
+    pytest.param(SimDesign, {"gamma_x": 100.0}, r"sigma_x \* sqrt\(snr_x\) = inf is above",
+                 id="sim-gamma_x-large"),
+    pytest.param(SimDesign, {"gamma_y": 65.0}, r"sigma_y \* sqrt\(snr_y\) = 2\.95e\+150 is above",
+                 id="sim-gamma_y-large"),
+    pytest.param(BlockDesign, {"sigma": 1e200}, r"sigma = 1e\+200 is above",
+                 id="block-sigma-large"),
+    pytest.param(BlockDesign, {"core_scale": 1e160}, r"core_scale = 1e\+160 is above",
+                 id="block-core_scale-large"),
+    pytest.param(LowRankDesign, {"c_x": 2e148},
+                 r"c_x \* sqrt\(p1 \+ \(prod m\) T\) = 6\.\d+e\+149", id="lowrank-c_x-target"),
+    pytest.param(LowRankDesign, {"c_y": 1e149}, r"c_y \* sqrt\(p1 \+ T\) = 9\.\d+e\+149",
+                 id="lowrank-c_y-target"),
 ])
 def test_every_design_refuses_shapes_and_scales_no_draw_can_follow(design, change, message):
     with pytest.raises(InfeasibleDesignError, match=message):
