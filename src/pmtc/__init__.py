@@ -27,11 +27,11 @@ from .simulate import (
     gen_pmtc,
     gen_tensor_block,
 )
-from .tensor import UnfoldingGrams, lsvd, matricize, mode_product, subspace_distance
+from .tensor import lsvd, matricize, mode_product, subspace_distance
 
 __all__ = [
     "__version__",
-    "matricize", "mode_product", "lsvd", "subspace_distance", "UnfoldingGrams",
+    "matricize", "mode_product", "lsvd", "subspace_distance",
     "Membership", "EmptyClusterError",
     "KmeansResult", "kmeans_relaxed",
     "PchooiResult", "pchooi", "hooi",

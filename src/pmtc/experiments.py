@@ -41,7 +41,7 @@ from .simulate import (
     gen_pmtc,
     gen_tensor_block,
 )
-from .tensor import UnfoldingGrams, lsvd, slab_grams, subspace_distance
+from .tensor import lsvd, slab_grams, subspace_distance
 
 __all__ = [
     "CLUSTER_METHODS",
@@ -134,13 +134,13 @@ def _draw_and_fit(design: SimDesign | BlockDesign, methods):
     or ``auto``'s test reads first) from the finished slabs (see
     :func:`pmtc.tensor.slab_grams`).  Then the helper fits the coupled family
     while this thread fits ``X: HSC`` (the BLAS and LAPACK kernels release
-    the GIL).  Both families share one set of unfolding Grams, so each
-    mode's full-tensor Gram is formed at most once per draw.  The streamed
-    Grams are the same sums in the same order as when formed after the
-    draw, and each family makes the same calls on the same inputs as it
-    would alone, so the memberships are the same bit for bit either way.
-    The helper has finished when this returns or raises, so no thread
-    outlives the call.
+    the GIL).  Both families read the streamed Grams and only ``auto``'s
+    test forms mode 1's, so each mode's full-tensor Gram is formed at most
+    once per draw.  The streamed Grams are the same sums in the same order
+    as when formed after the draw, and each family makes the same calls on
+    the same inputs as it would alone, so the memberships are the same bit
+    for bit either way.  The helper has finished when this returns or
+    raises, so no thread outlives the call.
     """
     coupled = isinstance(design, SimDesign)
     slabs = queue.SimpleQueue()
@@ -165,7 +165,7 @@ def _draw_and_fit(design: SimDesign | BlockDesign, methods):
         finally:
             slabs.put(None)  # the end of the stream, also when the draw raised
         x, y = (data.x, data.y) if coupled else (data, None)
-        grams = UnfoldingGrams(x, pending.result())
+        grams = pending.result()
         if coupled:
             pending = helper.submit(family, y, "auto", "X+Y: PMTSC")
         fitted = family(None, 1.0, "X: HSC")[1]
@@ -192,7 +192,7 @@ def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
 def _run_subspace_task(task: Task, rep: int, methods) -> list[Row]:
     design = replace(task.design, seed=task.design.seed + rep)
     data, truth = gen_coupled_lowrank(design)
-    grams = UnfoldingGrams(data.x)  # PCHOOI and HOOI start from the same Grams
+    grams = slab_grams(data.x, range(1, len(design.ranks)))  # PCHOOI's and HOOI's starts
     rows: list[Row] = []
     for method in methods:
         if method == "PCHOOI":
@@ -227,9 +227,11 @@ def run_experiment(
     paired.  Every method must be one that each task's design supports
     (``DESIGN_METHODS``).  A clustering draw fits all of those, and
     ``methods`` selects the ones whose rows are returned, in its order.
-    ``threads`` sets the worker-process count; each process draws and fits a
-    clustering replication on up to two threads, so a run uses up to
-    ``2 * threads`` threads.  Results are identical for any value.
+    ``threads`` caps the worker-process count, which is never more than the
+    number of jobs (one per task and replication); with one worker the jobs
+    run in this process.  Each process draws and fits a clustering
+    replication on up to two threads, so a run uses up to ``2 * threads``
+    threads.  Results are identical for any value.
     """
     methods = tuple(methods)
     for task in tasks:
@@ -246,10 +248,11 @@ def run_experiment(
             if progress:
                 print(f"  completed {n + 1}/{len(jobs)} replication jobs", file=sys.stderr)
 
-    if threads <= 1:
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         collect(map(_run_one, jobs))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             collect(pool.map(_run_one, jobs, chunksize=1))
     return rows
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product, top_eigvecs
+from .tensor import lsvd, matricize, multi_mode_product, top_eigvecs, unfolding_gram
 
 __all__ = ["PchooiResult", "pchooi", "hooi", "coupled_block"]
 
@@ -47,7 +47,7 @@ class PchooiResult:
     last_unfolding: np.ndarray | None = field(repr=False, compare=False)
 
 
-def _check_inputs(x: np.ndarray, y: np.ndarray | None, ranks) -> int:
+def _check_inputs(x: np.ndarray, y: np.ndarray | None, ranks, grams=None) -> int:
     d = len(ranks)
     if x.ndim not in (d, d + 1):
         raise ValueError(f"tensor order {x.ndim} incompatible with {d} ranks")
@@ -61,7 +61,15 @@ def _check_inputs(x: np.ndarray, y: np.ndarray | None, ranks) -> int:
             raise ValueError(
                 f"panel shape {y.shape} does not match tensor modes ({x.shape[0]}, {x.shape[-1]})"
             )
+    for mode, g in (grams or {}).items():
+        if not 0 <= mode < x.ndim or np.shape(g) != (x.shape[mode],) * 2:
+            raise ValueError(f"a {np.shape(g)} Gram given for mode {mode} of a {x.shape} tensor")
     return d
+
+
+def _gram(x: np.ndarray, grams: dict[int, np.ndarray] | None, mode: int) -> np.ndarray:
+    """Mode ``mode``'s unfolding Gram of ``x``: the given one, else one formed here and not kept."""
+    return grams[mode] if grams is not None and mode in grams else unfolding_gram(x, mode)
 
 
 def coupled_block(z: np.ndarray, y: np.ndarray | None, omega: float) -> np.ndarray:
@@ -87,7 +95,7 @@ def pchooi(
     max_iter: int = 50,
     tol: float = 3e-3,
     omega: float = 1.0,
-    grams: UnfoldingGrams | None = None,
+    grams: dict[int, np.ndarray] | None = None,
 ) -> PchooiResult:
     """Estimate per-mode orthonormal bases for the clustered modes of ``x``.
 
@@ -96,13 +104,13 @@ def pchooi(
     tensor block of the coupled mode-1 Gram omega z z' + y y'; omega=0
     recovers SVD-on-y, large omega approaches HOOI-on-x.
 
-    ``x`` is brought into C order once here (a copy only for another
-    layout); every mode product runs on its free reshape, and no other
-    full-size array is formed.  The start takes the top eigenvectors of each
-    mode's unfolding Gram from ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams`
-    of ``x``, built here when not given; pass one to share the Grams with
-    other calls on the same tensor), with omega G_1 + y y' for the coupled
-    mode 1, and lsvd(y) for mode 1 at omega=0.  The first iteration
+    ``x`` is brought into C order once here (a copy only for another layout);
+    every mode product runs on its free reshape, and no other full-size array
+    is formed.  The start takes the top eigenvectors of each mode's unfolding
+    Gram, with omega G_1 + y y' for the coupled mode 1, and lsvd(y) for mode 1
+    at omega=0.  ``grams`` holds the Grams of ``x`` already formed, by 0-based
+    mode; a missing one is formed where it is read and not kept, and a given
+    one that is not p_i x p_i raises ValueError.  The first iteration
     overwrites the start of the first mode it updates before reading it, so
     when ``max_iter`` >= 1 that start is skipped: mode 1's for HOOI and at
     omega > 0 (a two-mode fit then forms the Gram of mode 2 alone), mode 2's
@@ -129,8 +137,7 @@ def pchooi(
     y = None if y is None else np.asarray(y, dtype=float)
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    d = _check_inputs(x, y, ranks)
-    grams = UnfoldingGrams.of(x, grams)
+    d = _check_inputs(x, y, ranks, grams)
 
     fixed_mode1 = y is not None and omega == 0.0
     yy = None if y is None or fixed_mode1 else y @ y.T
@@ -140,10 +147,11 @@ def pchooi(
     if fixed_mode1:
         bases[0] = lsvd(y, ranks[0])
     elif unread != 0:
-        bases[0] = top_eigvecs(grams[0] if yy is None else omega * grams[0] + yy, ranks[0])
+        g = _gram(x, grams, 0)
+        bases[0] = top_eigvecs(g if yy is None else omega * g + yy, ranks[0])
     for i in range(1, d):
         if i != unread:
-            bases[i] = top_eigvecs(grams[i], ranks[i])
+            bases[i] = top_eigvecs(_gram(x, grams, i), ranks[i])
 
     updated = range(1 if fixed_mode1 else 0, d)
     iterations = 0
@@ -173,13 +181,13 @@ def pchooi(
     return PchooiResult(bases, iterations, converged, block if d > 1 else None)
 
 
-def hooi(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None) -> PchooiResult:
+def hooi(x: np.ndarray, ranks, grams: dict[int, np.ndarray] | None = None) -> PchooiResult:
     """Plain higher-order orthogonal iteration on the tensor alone (``grams``
     as in :func:`pchooi`)."""
     return pchooi(x, None, ranks, grams=grams)
 
 
-def tensor_informative(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None) -> bool:
+def tensor_informative(x: np.ndarray, ranks, grams: dict[int, np.ndarray] | None = None) -> bool:
     """Whether every clustered mode's unfolding clears the spectral noise edge.
 
     Checks that the rank-m_i-th singular value of each mode unfolding exceeds
@@ -190,17 +198,18 @@ def tensor_informative(x: np.ndarray, ranks, grams: UnfoldingGrams | None = None
     spectrally indistinguishable from noise, the regime where a
     noise-dominated block should not enter a coupled objective; use the test
     to pick the coupling weight (1 if informative, else 0).  The singular
-    values come from the unfolding Grams in ``grams``
-    (:class:`~pmtc.tensor.UnfoldingGrams` of ``x``, built here when not
-    given), which a later PCHOOI or HOOI start on ``x`` can reuse.
+    values come from the unfolding Grams, given in ``grams`` as in
+    :func:`pchooi` (a later PCHOOI or HOOI start on ``x`` can take the same
+    dict) or formed here and not kept.
     """
-    grams = UnfoldingGrams.of(x, grams)
+    x = np.ascontiguousarray(x, dtype=float)
+    _check_inputs(x, None, ranks, grams)
     # last mode first: a PCHOOI or HOOI start skips mode 1's Gram, so a draw
     # that fails on a later mode never forms it
     for i, m in reversed(list(enumerate(ranks))):
-        p = grams.x.shape[i]
-        cols = grams.x.size // p
-        eigs = np.linalg.eigvalsh(grams[i])
+        p = x.shape[i]
+        cols = x.size // p
+        eigs = np.linalg.eigvalsh(_gram(x, grams, i))
         s = np.sqrt(np.maximum(eigs[::-1], 0.0))
         sigma = float(np.median(s[: min(p, cols)])) / math.sqrt(max(p, cols))
         if s[m - 1] <= sigma * (math.sqrt(p) + math.sqrt(cols)):

@@ -22,7 +22,7 @@ from .metrics import total_r2
 from .pchooi import tensor_informative
 from .pmtlloyd import LloydTrace, pmtlloyd
 from .pmtsc import SpectralInit, pmtsc
-from .tensor import UnfoldingGrams
+from .tensor import slab_grams
 
 __all__ = ["PmtcEstimate", "cluster", "refine", "fit_pmtc", "rank_normalize",
            "evaluate_split", "evaluate_rolling"]
@@ -66,12 +66,13 @@ def refine(
     """Lloyd refinement of the warm start ``start`` at its own coupling
     weight, and its stopping record (see :func:`pmtc.pmtlloyd.pmtlloyd`).
 
-    At ``start.omega == 0`` the coupled objective is the panel's alone, which
-    the spectral stage's k-means already solves to Lloyd convergence; the
-    refinement would be a fixed point, so ``start.memberships`` is returned
-    as is, after 0 sweeps and converged.
+    At ``start.omega == 0`` with a panel the coupled objective is the
+    panel's alone, which the spectral stage's k-means already solves to
+    Lloyd convergence; the refinement would be a fixed point, so
+    ``start.memberships`` is returned as is, after 0 sweeps and converged.
+    Without a panel the weight plays no part, and Lloyd always runs.
     """
-    if start.omega > 0:
+    if start.omega > 0 or y is None:
         return pmtlloyd(x, y, start.memberships, max_iter=max_iter, projection=projection,
                         omega=start.omega)
     return start.memberships, LloydTrace(0, True)
@@ -83,20 +84,22 @@ def cluster(
     ranks,
     omega: float | str = 1.0,
     seed: int = 0,
-    grams: UnfoldingGrams | None = None,
+    grams: dict[int, np.ndarray] | None = None,
 ) -> SpectralInit:
     """The PMTSC warm start on PCHOOI bases, with the coupling weight it used.
 
     ``omega="auto"`` keeps the tensor block in the coupled mode only when it
     clears the spectral noise edge (see :func:`pmtc.pchooi.tensor_informative`),
     else drops to the panel-only limit (a tensor indistinguishable from noise
-    could only drag the shared mode down).  The test and PCHOOI's start share
-    the unfolding Grams in ``grams`` (:class:`~pmtc.tensor.UnfoldingGrams` of
-    ``x``, built here when not given).  :func:`refine` takes the result.
+    could only drag the shared mode down).  The test and PCHOOI's start
+    share the unfolding Grams in ``grams`` (as in :func:`pmtc.pchooi.pchooi`);
+    under ``auto`` without them, those of modes 2, 3, ... are formed here in
+    one pass.  :func:`refine` takes the result.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    grams = UnfoldingGrams.of(x, grams)
     if omega == "auto":
+        if grams is None:
+            grams = slab_grams(x, range(1, len(ranks)))
         omega = 1.0 if tensor_informative(x, ranks, grams) else 0.0
     return pmtsc(x, y, ranks, seed=seed, omega=omega, grams=grams)
 

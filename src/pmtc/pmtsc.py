@@ -15,7 +15,7 @@ import numpy as np
 from .kmeans import kmeans_relaxed
 from .membership import Membership
 from .pchooi import coupled_block, pchooi
-from .tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product
+from .tensor import lsvd, matricize, multi_mode_product
 
 __all__ = ["SpectralInit", "pmtsc", "spectral_cluster_rows"]
 
@@ -53,13 +53,14 @@ def pmtsc(
     ranks,
     seed: int = 0,
     omega: float = 1.0,
-    grams: UnfoldingGrams | None = None,
+    grams: dict[int, np.ndarray] | None = None,
 ) -> SpectralInit:
     """Warm-start memberships for every clustered mode of ``x``.
 
     ``ranks`` are the cluster counts r_i, which are also the subspace ranks
     of the PCHOOI bases estimated here with coupling weight ``omega``
-    (``grams`` is passed on to :func:`~pmtc.pchooi.pchooi`).  Each mode is
+    (``grams``, the unfolding Grams of ``x`` already formed by 0-based mode,
+    is passed on to :func:`~pmtc.pchooi.pchooi`).  Each mode is
     clustered by :func:`kmeans_relaxed`, deterministic given ``seed``, on
     p_i x r_i isometric scores of the doubly projected p_i x n_i unfolding
     (same pairwise row distances, see :func:`_scores`), which is itself never

@@ -9,7 +9,7 @@ and returns a C-contiguous result, so chains of products never copy the
 full tensor.
 
 The hot path never holds a second full-size tensor: products only shrink
-it, and :class:`UnfoldingGrams` forms each mode's Gram matrix slab by slab.
+it, and :func:`unfolding_gram` forms a mode's Gram matrix slab by slab.
 :func:`matricize` is the only code that fixes an unfolding's column order,
 and that order is C order too: the mode-k columns run over the other modes
 in increasing order, the last fastest.  For an order-3 tensor A (0-based)
@@ -24,7 +24,6 @@ it is taken only of small projected tensors and single slabs.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +33,7 @@ __all__ = [
     "mode_product",
     "lsvd",
     "top_eigvecs",
-    "UnfoldingGrams",
+    "unfolding_gram",
     "slab_grams",
     "subspace_distance",
 ]
@@ -162,55 +161,16 @@ def slab_grams(slabs, modes) -> dict[int, np.ndarray]:
     return sums
 
 
-class UnfoldingGrams:
-    """The Gram matrices ``a @ a.T`` of the mode unfoldings of one tensor.
-
-    ``grams[i]`` is formed on first access and kept, so the algorithms that
-    start from a mode's spectrum (PCHOOI/HOOI and
-    :func:`~pmtc.pchooi.tensor_informative`) pass over the full tensor once
-    per mode, however many of them run on the same draw.  No Gram copies the
-    tensor: mode 1 is one GEMM on its free unfolding view, mode k > 1 the
-    :func:`slab_grams` sum over mode-1 slabs, so the extra memory is one
-    slab.  ``formed`` holds Grams already summed, by mode, such as those
-    :func:`slab_grams` took from the slabs of a draw as they were made;
-    they must be the Grams of ``x``.
-
-    A holder may be shared between threads: each mode has its own lock, so
-    a Gram is still formed once, and one mode's Gram can form while another
-    mode's is read.
-    """
-
-    def __init__(self, x: np.ndarray, formed: dict[int, np.ndarray] | None = None):
-        self.x = np.ascontiguousarray(x, dtype=float)
-        self._grams: dict[int, np.ndarray] = dict(formed or {})
-        self._locks = [threading.Lock() for _ in range(self.x.ndim)]
-
-    @classmethod
-    def of(cls, x: np.ndarray, grams: UnfoldingGrams | None) -> UnfoldingGrams:
-        """``grams`` when given (it must belong to a tensor of ``x``'s shape),
-        else a new holder for ``x``."""
-        if grams is None:
-            return cls(x)
-        if grams.x.shape != np.shape(x):
-            raise ValueError(f"Grams of a {grams.x.shape} tensor given for a {np.shape(x)} tensor")
-        return grams
-
-    def form(self, mode: int) -> np.ndarray:
-        """The mode-``mode`` unfolding Gram, formed slab by slab and not kept."""
-        x = self.x
-        if mode == 0:
-            a = matricize(x, 0)
-            return a @ a.T
-        return slab_grams(x, (mode,))[mode]
-
-    def __getitem__(self, mode: int) -> np.ndarray:
-        g = self._grams.get(mode)
-        if g is None:
-            with self._locks[mode]:
-                g = self._grams.get(mode)
-                if g is None:
-                    g = self._grams[mode] = self.form(mode)
-        return g
+def unfolding_gram(x: np.ndarray, mode: int) -> np.ndarray:
+    """The Gram ``a @ a.T`` of the mode-``mode`` unfolding ``a`` of ``x``, formed
+    without a copy of the tensor: mode 0 is one GEMM on its free unfolding
+    view, any other mode the :func:`slab_grams` sum over mode-1 slabs."""
+    x = np.ascontiguousarray(x, dtype=float)
+    _check_mode(x.ndim, mode)
+    if mode == 0:
+        a = matricize(x, 0)
+        return a @ a.T
+    return slab_grams(x, (mode,))[mode]
 
 
 def subspace_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from pmtc.simulate import (
     gen_coupled_lowrank,
     gen_pmtc,
 )
-from pmtc.tensor import UnfoldingGrams, subspace_distance
+from pmtc.tensor import subspace_distance, unfolding_gram
 
 
 def test_results_csv_cells_parse_as_floats(tmp_path):
@@ -139,7 +139,40 @@ def test_streamed_grams_equal_the_formed_grams_bit_for_bit(monkeypatch, design):
     [grams] = streamed  # clustered modes 2, 3, ...
     assert sorted(grams) == list(range(1, len(design.ranks)))
     for mode, g in grams.items():
-        assert np.array_equal(g.view(np.uint64), UnfoldingGrams(x).form(mode).view(np.uint64))
+        assert np.array_equal(g.view(np.uint64), unfolding_gram(x, mode).view(np.uint64))
+
+
+def _record_formed_grams(monkeypatch, design) -> list:
+    """Record the mode of every full-tensor unfolding Gram that a start or
+    ``auto``'s test forms after the draw (:func:`pmtc.tensor.unfolding_gram`,
+    or the one pass of :func:`pmtc.pipeline.cluster`), and every ``lsvd``
+    call in ``pmtc.pchooi`` or ``pmtc.pmtsc`` on a full-tensor unfolding."""
+    got = []
+    # the package exports functions of these module names
+    pchooi_module = importlib.import_module("pmtc.pchooi")
+    pipeline_module = importlib.import_module("pmtc.pipeline")
+
+    def unfolding_gram(x, mode, original=pchooi_module.unfolding_gram):
+        got.append(mode)
+        return original(x, mode)
+
+    def slab_grams(slabs, modes, original=pipeline_module.slab_grams):
+        got.extend(modes)
+        return original(slabs, modes)
+
+    monkeypatch.setattr(pchooi_module, "unfolding_gram", unfolding_gram)
+    monkeypatch.setattr(pipeline_module, "slab_grams", slab_grams)
+    entries = math.prod(design.dims) * getattr(design, "T", 1)
+    for name in ("pmtc.pchooi", "pmtc.pmtsc"):
+        module = importlib.import_module(name)
+
+        def lsvd(a, rank, original_lsvd=module.lsvd):
+            if np.size(a) >= entries:  # an unfolding of the whole tensor, not its Gram
+                got.append(("lsvd", np.shape(a)))
+            return original_lsvd(a, rank)
+
+        monkeypatch.setattr(module, "lsvd", lsvd)
+    return got
 
 
 @pytest.mark.parametrize("design, formed", [
@@ -150,24 +183,7 @@ def test_streamed_grams_equal_the_formed_grams_bit_for_bit(monkeypatch, design):
     (BlockDesign(dims=(30, 30, 30), ranks=(2, 2, 2), core_scale=0.5, seed=1), []),
 ], ids=["lowsnr", "highsnr", "block"])
 def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, formed):
-    got = []  # the mode of every full-tensor unfolding Gram formed
-    original_form = UnfoldingGrams.form
-
-    def form(self, mode):
-        got.append(mode)
-        return original_form(self, mode)
-
-    monkeypatch.setattr(UnfoldingGrams, "form", form)
-    entries = math.prod(design.dims) * getattr(design, "T", 1)
-    for name in ("pmtc.pchooi", "pmtc.pmtsc"):  # the package exports functions of these names
-        module = importlib.import_module(name)
-
-        def lsvd(a, rank, original_lsvd=module.lsvd):
-            if np.size(a) >= entries:  # an unfolding of the whole tensor, outside the holder
-                got.append(("lsvd", np.shape(a)))
-            return original_lsvd(a, rank)
-
-        monkeypatch.setattr(module, "lsvd", lsvd)
+    got = _record_formed_grams(monkeypatch, design)
     methods = DESIGN_METHODS[type(design)]
     rows = experiments._run_cluster_task(Task("t", design), 0, methods)
     assert got == formed
@@ -177,14 +193,8 @@ def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, formed):
 @pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
 def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
     design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
-    grams_computed = []  # mode of every full-tensor unfolding Gram, streamed or formed
-
-    original_form = UnfoldingGrams.form
-
-    def form(self, mode):
-        grams_computed.append(mode)
-        return original_form(self, mode)
-
+    # mode of every full-tensor unfolding Gram, streamed or formed
+    grams_computed = _record_formed_grams(monkeypatch, design)
     original_slab_grams = experiments.slab_grams
 
     def slab_grams(slabs, modes):
@@ -192,18 +202,7 @@ def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
         grams_computed.extend(grams)
         return grams
 
-    monkeypatch.setattr(UnfoldingGrams, "form", form)
     monkeypatch.setattr(experiments, "slab_grams", slab_grams)
-    entries = math.prod(design.dims) * design.T
-    for name in ("pmtc.pchooi", "pmtc.pmtsc"):  # the package exports functions of these names
-        module = importlib.import_module(name)
-
-        def lsvd(a, rank, original_lsvd=module.lsvd):
-            if np.size(a) >= entries:  # an unfolding of the whole tensor, outside the holder
-                grams_computed.append(("lsvd", np.shape(a)))
-            return original_lsvd(a, rank)
-
-        monkeypatch.setattr(module, "lsvd", lsvd)
     experiments._draw_and_fit(design, CLUSTER_METHODS)
     # the draw streams mode 2's Gram; at -0.5 mode 2 fails the noise-edge
     # test and no start reads mode 1's Gram, at 0.1 the test forms it once
@@ -319,9 +318,18 @@ def test_a_large_accepted_scale_runs_to_finite_values(unit, large):
     assert [r for r in rows if r.metric == "cer"] == [r for r in unit_rows if r.metric == "cer"]
 
 
-def test_subspace_methods_share_grams_without_changing_bits():
+def test_subspace_methods_share_grams_without_changing_bits(monkeypatch):
     design = LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2), seed=4)
+    formed = _record_formed_grams(monkeypatch, design)
+    original_slab_grams = experiments.slab_grams
+
+    def slab_grams(slabs, modes):
+        formed.append(("one pass", tuple(modes)))
+        return original_slab_grams(slabs, modes)
+
+    monkeypatch.setattr(experiments, "slab_grams", slab_grams)
     rows = run_experiment([Task("lowrank", design)], SUBSPACE_METHODS, replications=1)
+    assert formed == [("one pass", (1,))]  # mode 2's Gram, for both starts; mode 1's unread
     data, truth = gen_coupled_lowrank(design)
     alone = {"PCHOOI": pchooi(data.x, data.y, design.ranks).bases,
              "HOOI": hooi(data.x, design.ranks).bases}
@@ -330,3 +338,31 @@ def test_subspace_methods_share_grams_without_changing_bits():
             u = alone[row.method][row.mode - 1]
             assert row.value == subspace_distance(u, truth.bases[row.mode - 1])
     assert {r.method for r in rows} == set(SUBSPACE_METHODS)
+
+
+@pytest.mark.parametrize("threads, replications, workers", [
+    (3, 1, None),  # one job runs in this process
+    (64, 2, 2),  # never more workers than jobs
+    (2, 3, 2),
+])
+def test_the_worker_pool_is_capped_at_the_job_count(monkeypatch, threads, replications, workers):
+    started = []  # the max_workers of every pool
+
+    class Recorder:  # runs the jobs in this process, so no worker is started
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    tasks = [Task("lowrank", LowRankDesign(dims=(12, 10), T=8, ranks=(2, 2), seed=4))]
+    rows = run_experiment(tasks, SUBSPACE_METHODS, replications, threads=threads)
+    assert started == ([] if workers is None else [workers])
+    assert rows == run_experiment(tasks, SUBSPACE_METHODS, replications)

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+import importlib
+
 from pmtc import tensor
 from pmtc.pchooi import coupled_block, hooi, pchooi, tensor_informative
 from pmtc.simulate import LowRankDesign, SimDesign, gen_coupled_lowrank, gen_pmtc
 from pmtc.tensor import (
-    UnfoldingGrams,
     lsvd,
     matricize,
     multi_mode_product,
+    slab_grams,
     subspace_distance,
     top_eigvecs,
+    unfolding_gram,
 )
 
 
@@ -174,13 +177,17 @@ def record_products(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
 def test_shared_grams_change_no_bits(omega):
     x, y, ranks = small_draw()
     y, omega = (None, 1.0) if omega is None else (y, omega)
-    grams = UnfoldingGrams(x)
-    tensor_informative(x, ranks, grams)  # fills every mode's Gram
+    grams = {mode: unfolding_gram(x, mode) for mode in range(len(ranks))}
+    given = dict(grams)
+    assert tensor_informative(x, ranks, grams)  # reads every mode's Gram
     own = pchooi(x, y, ranks, omega=omega)
-    shared = pchooi(x, y, ranks, omega=omega, grams=grams)
-    assert own.iterations_used == shared.iterations_used
-    for a, b in zip(own.bases, shared.bases):
-        assert np.array_equal(a, b)
+    for shared_grams in (grams, {1: grams[1]}):  # every Gram given, or only mode 2's
+        shared = pchooi(x, y, ranks, omega=omega, grams=shared_grams)
+        assert own.iterations_used == shared.iterations_used
+        for a, b in zip(own.bases, shared.bases):
+            assert np.array_equal(a, b)
+    assert grams.keys() == given.keys()  # read, never written
+    assert all(grams[mode] is given[mode] for mode in grams)
     # the start takes the top eigenvectors of the kept Grams (the coupled
     # mode 1 those of omega G_1 + y y'), and spans each unfolding's (or the
     # coupled block's) top left singular subspace
@@ -233,8 +240,34 @@ def test_single_clustered_mode(omega):
 
 def test_grams_of_another_shape_rejected():
     x, y, ranks = small_draw()
-    with pytest.raises(ValueError):
-        pchooi(x, y, ranks, grams=UnfoldingGrams(x[:-1]))
+    fewer_rows = {0: unfolding_gram(x[:-1], 0)}  # a Gram pchooi's start never reads
+    fewer_columns = slab_grams(x[:, :-1], (1,))
+    for grams in (fewer_rows, fewer_columns, {3: np.eye(2)}):
+        with pytest.raises(ValueError):
+            pchooi(x, y, ranks, grams=grams)
+        with pytest.raises(ValueError):
+            tensor_informative(x, ranks, grams)
+
+
+@pytest.mark.parametrize("gamma_x, given, formed", [
+    (-0.5, False, [1]),  # mode 2 fails the test, so mode 1's Gram is never formed
+    (-0.5, True, []),
+    (0.1, False, [1, 0]),  # mode 1's Gram is formed only once mode 2 has passed
+    (0.1, True, [0]),
+])
+def test_tensor_informative_forms_mode_1s_gram_last(monkeypatch, gamma_x, given, formed):
+    x, _, ranks = small_draw(gamma_x)
+    grams = {1: unfolding_gram(x, 1)} if given else None
+    module = importlib.import_module("pmtc.pchooi")  # the package exports a function of this name
+    got, original = [], module.unfolding_gram
+
+    def counted(x, mode):
+        got.append(mode)
+        return original(x, mode)
+
+    monkeypatch.setattr(module, "unfolding_gram", counted)
+    assert tensor_informative(x, ranks, grams) == (gamma_x > 0)
+    assert got == formed
 
 
 def test_zero_weight_iterations_skip_the_mode1_projection(monkeypatch):

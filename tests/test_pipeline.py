@@ -15,13 +15,20 @@ import scipy.stats
 
 import pmtc
 from pmtc.factors import estimate_observed
+from pmtc.metrics import total_r2
 from pmtc.pchooi import hooi, pchooi
-from pmtc.pipeline import cluster, fit_pmtc, rank_normalize, refine
+from pmtc.pipeline import (
+    cluster,
+    evaluate_rolling,
+    evaluate_split,
+    fit_pmtc,
+    rank_normalize,
+    refine,
+)
 from pmtc.pmtlloyd import pmtlloyd
 from pmtc.simulate import SimDesign, gen_pmtc
-from pmtc.tensor import UnfoldingGrams
 
-from test_experiments import _HIGHSNR_MEMBERSHIPS, _LOWSNR_MEMBERSHIPS
+from test_experiments import _HIGHSNR_MEMBERSHIPS, _LOWSNR_MEMBERSHIPS, _record_formed_grams
 
 _COUPLED = "X+Y: PMTSC+PMTLloyd"
 
@@ -63,6 +70,18 @@ def test_zero_omega_skips_refinement():
     assert lloyd.iterations_used == 0 and lloyd.converged
 
 
+def test_without_a_panel_every_weight_refines_the_same_start():
+    # without a panel the weight plays no part in the start, nor in Lloyd
+    design = SimDesign(dims=(60, 50), T=30, gamma_x=-0.12, seed=2)
+    data, _ = gen_pmtc(design)
+    starts = [cluster(data.x, None, design.ranks, omega, seed=2) for omega in (0.0, 1.0)]
+    assert _labels(starts[0].memberships) == _labels(starts[1].memberships)
+    (zero, zero_trace), (one, one_trace) = (refine(data.x, None, s) for s in starts)
+    assert _labels(zero) == _labels(one)
+    assert zero_trace == one_trace and zero_trace.iterations_used >= 1
+    assert _labels(zero) != _labels(starts[0].memberships)  # Lloyd moved a label
+
+
 @pytest.mark.parametrize("omega", [1.0, "auto"])
 def test_cluster_holds_no_second_full_size_tensor(omega):
     design = SimDesign(dims=(100, 100), T=60, gamma_x=0.1, seed=5)
@@ -82,20 +101,16 @@ def test_cluster_holds_no_second_full_size_tensor(omega):
 def test_fit_skips_the_start_its_first_iteration_overwrites(monkeypatch, omega):
     design, data, _ = _draw(-0.5)
     x, y = data.x, data.y
-    formed, solved = [], []  # modes of the Grams formed; sizes of the matrices pchooi solves
+    formed = _record_formed_grams(monkeypatch, design)  # modes of the Grams formed
+    solved = []  # sizes of the matrices pchooi solves
 
     module = importlib.import_module("pmtc.pchooi")  # the package exports a function of this name
-    original_form, original_top = UnfoldingGrams.form, module.top_eigvecs
-
-    def form(self, mode):
-        formed.append(mode)
-        return original_form(self, mode)
+    original_top = module.top_eigvecs
 
     def top_eigvecs(g, rank):
         solved.append(g.shape[0])
         return original_top(g, rank)
 
-    monkeypatch.setattr(UnfoldingGrams, "form", form)
     monkeypatch.setattr(module, "top_eigvecs", top_eigvecs)
     p1, p2 = x.shape[:2]
     if omega is None:  # mode 1's start skipped; mode 1 then updates by lsvd
@@ -107,6 +122,16 @@ def test_fit_skips_the_start_its_first_iteration_overwrites(monkeypatch, omega):
     else:  # coupled mode 1's start skipped; each iteration solves its coupled Gram
         start = cluster(x, y, design.ranks, omega, seed=1)
         assert formed == [1] and solved == [p2] + [p1] * start.pchooi_iterations
+
+
+@pytest.mark.parametrize("gamma_x, formed", [(-0.5, [1]), (0.1, [1, 0])])
+def test_auto_without_given_grams_forms_each_gram_once(monkeypatch, gamma_x, formed):
+    # one pass forms mode 2's Gram for the test and PCHOOI's start; the
+    # test forms mode 1's only once mode 2 has passed
+    design, data, _ = _draw(gamma_x)
+    got = _record_formed_grams(monkeypatch, design)
+    start = cluster(data.x, data.y, design.ranks, "auto", seed=1)
+    assert got == formed and start.omega == (gamma_x > 0)
 
 
 def test_estimate_bundle_is_consistent():
@@ -125,6 +150,54 @@ def test_zero_latent_factor_count_is_rejected_not_defaulted():
     design, data, _ = _draw(0.1)
     with pytest.raises(ValueError):
         fit_pmtc(data.x, data.y, design.ranks, num_factors=0, omega=1.0, seed=1)
+
+
+def _evaluation_panel():
+    """A 30-period panel with its 5 observed factors, true groups and the
+    cross-sectional mean as the market-excess series."""
+    design = SimDesign(dims=(30, 20), T=30, gamma_x=0.1, seed=4)
+    data, truth = gen_pmtc(design)
+    return data.y, truth.f, data.y.mean(axis=0), truth.memberships[0]
+
+
+def _window_r2(y, f, market, member, train, test, demean):
+    """In- and out-of-sample total R-squared of loadings fitted on the ``train`` columns."""
+    b = estimate_observed(y[:, train], member, f[:, train], demean=demean).loadings
+    return (total_r2(y[:, train], f[:, train], market[train], member, b),
+            total_r2(y[:, test], f[:, test], market[test], member, b))
+
+
+@pytest.mark.parametrize("demean", [True, False])
+@pytest.mark.parametrize("split", [15, 29])  # 29 = T - 1 holds out one period
+def test_evaluate_split_fits_on_the_first_periods_and_tests_on_the_rest(split, demean):
+    y, f, market, member = _evaluation_panel()
+    ins, oos = _window_r2(y, f, market, member, range(split), range(split, 30), demean)
+    assert evaluate_split(y, f, market, member, split, demean) == {"ins_r2": ins, "oos_r2": oos}
+
+
+@pytest.mark.parametrize("demean", [True, False])
+@pytest.mark.parametrize("window, starts", [
+    (8, [0, 8, 16, 24]),  # the last block holds 6 periods
+    (10, [0, 10, 20]),
+    (29, [0, 29]),  # one window: T - 1 periods, then one held out
+])
+def test_evaluate_rolling_averages_each_window_tested_on_the_next(window, starts, demean):
+    y, f, market, member = _evaluation_panel()
+    blocks = [range(s, min(s + window, 30)) for s in starts]
+    pairs = [_window_r2(y, f, market, member, a, b, demean) for a, b in zip(blocks, blocks[1:])]
+    report = evaluate_rolling(y, f, market, member, window, demean)
+    assert report == {"ins_r2": float(np.mean([p[0] for p in pairs])),
+                      "oos_r2": float(np.mean([p[1] for p in pairs])),
+                      "windows": float(len(blocks) - 1)}
+
+
+@pytest.mark.parametrize("n", [-1, 0, 30, 31])
+def test_split_and_window_outside_the_periods_are_refused(n):
+    y, f, market, member = _evaluation_panel()
+    with pytest.raises(ValueError, match="must lie in \\[1, 29\\]"):
+        evaluate_split(y, f, market, member, n)
+    with pytest.raises(ValueError, match="must lie in \\[1, 29\\]"):
+        evaluate_rolling(y, f, market, member, n)
 
 
 def test_fit_results_do_not_keep_the_input_tensor_alive():

@@ -7,7 +7,7 @@ from pmtc.metrics import cer
 from pmtc.pmtsc import _mode_seeds, _scores, pmtsc, spectral_cluster_rows
 from pmtc.simulate import SimDesign, gen_pmtc
 from pmtc.pchooi import coupled_block, pchooi, tensor_informative
-from pmtc.tensor import UnfoldingGrams, lsvd, matricize, multi_mode_product
+from pmtc.tensor import lsvd, matricize, multi_mode_product, unfolding_gram
 
 from test_pchooi import record_products, single_mode_draw, small_draw
 
@@ -103,8 +103,8 @@ def test_kmeans_on_scores_matches_full_features(seed, omega):
 def test_shared_grams_change_no_labels(omega):
     x, y, ranks = small_draw()
     y, omega = (None, 1.0) if omega is None else (y, omega)
-    grams = UnfoldingGrams(x)
-    tensor_informative(x, ranks, grams)
+    grams = {mode: unfolding_gram(x, mode) for mode in range(len(ranks))}
+    assert tensor_informative(x, ranks, grams)
     own = pmtsc(x, y, ranks, seed=1, omega=omega)
     shared = pmtsc(x, y, ranks, seed=1, omega=omega, grams=grams)
     for a, b in zip(own.memberships, shared.memberships):

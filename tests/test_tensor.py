@@ -1,4 +1,3 @@
-import threading
 import tracemalloc
 
 import numpy as np
@@ -8,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmtc.tensor import (
-    UnfoldingGrams,
     lsvd,
     matricize,
     mode_product,
     multi_mode_product,
+    slab_grams,
     subspace_distance,
+    unfolding_gram,
 )
 
 
@@ -292,61 +292,29 @@ def test_lsvd_path_follows_shape(monkeypatch):
 @pytest.mark.parametrize("dims", [(7, 5), (6, 5, 4), (5, 4, 3, 6)])
 def test_unfolding_grams_equal_the_gram_of_each_unfolding(dims):
     x = np.random.default_rng(15).standard_normal(dims)
-    grams = UnfoldingGrams(x)
+    streamed = slab_grams(x, range(1, x.ndim))  # every mode but the first, in one pass
     for mode in range(x.ndim):
         a = matricize(x, mode)
         ref = a @ a.T
-        assert np.linalg.norm(grams[mode] - ref) <= 1e-13 * np.linalg.norm(ref)
+        g = unfolding_gram(x, mode)
+        assert np.linalg.norm(g - ref) <= 1e-13 * np.linalg.norm(ref)
+        # the same sums whatever the layout, and whichever modes a pass forms
+        assert np.array_equal(unfolding_gram(np.asfortranarray(x), mode), g)
+        if mode:
+            assert np.array_equal(streamed[mode], g)
+    for mode in (-1, x.ndim):
+        with pytest.raises(ValueError):
+            unfolding_gram(x, mode)
 
 
 def test_unfolding_grams_hold_no_copy_of_the_tensor():
     x = np.random.default_rng(16).standard_normal((100, 100, 60))
     tracemalloc.start()
     try:
-        grams = UnfoldingGrams(x)
         for mode in range(x.ndim):
-            grams[mode]
+            unfolding_gram(x, mode)
+        slab_grams(x, range(1, x.ndim))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * x.nbytes
-
-
-def test_unfolding_grams_are_formed_once_when_shared_between_threads(monkeypatch):
-    x = np.random.default_rng(5).standard_normal((6, 5, 4))
-    grams = UnfoldingGrams(x)
-    formed, entered, release = [], threading.Event(), threading.Event()
-    original = UnfoldingGrams.form
-
-    def form(self, mode):
-        formed.append(mode)
-        if formed.count(mode) == 1 and mode == 1:
-            entered.set()
-            release.wait(10)  # the first former of mode 1 holds it until released
-        return original(self, mode)
-
-    monkeypatch.setattr(UnfoldingGrams, "form", form)
-    got = {}
-
-    def get(name, mode):
-        got[name] = grams[mode]
-
-    first = threading.Thread(target=get, args=("first", 1))
-    first.start()
-    assert entered.wait(10)
-    second = threading.Thread(target=get, args=("second", 1))
-    other_mode = threading.Thread(target=get, args=("other", 0))
-    second.start()
-    other_mode.start()
-    other_mode.join(5)
-    second.join(0.5)
-    try:
-        assert not other_mode.is_alive()  # mode 1 being formed does not block mode 0
-        assert second.is_alive()  # the second request for mode 1 waits for the first
-    finally:
-        release.set()
-        first.join()
-        second.join()
-    assert sorted(formed) == [0, 1]
-    assert got["first"] is got["second"] is grams[1]
-    assert np.array_equal(got["other"], original(grams, 0))
