@@ -29,6 +29,7 @@ from .experiments import run_experiment, write_panels, write_results_csv
 from .pipeline import evaluate_rolling, evaluate_split, fit_pmtc, rank_normalize
 from .presets import PRESET_NAMES, build_preset
 from .simulate import InfeasibleDesignError
+from .tensor import usable_cores
 
 _EXIT_CONFIG = 2
 _EXIT_INFEASIBLE = 3
@@ -37,6 +38,7 @@ _EXIT_UNREADABLE = 5
 
 _RUN_KEYS = ("preset", "seed", "replications")  # the run section manifest.json writes
 _META_KEYS = {"versions", "config_hash", "resolved_params"}
+_DEFAULT_THREADS = "one per usable core with OPENBLAS_NUM_THREADS=1, else 1"
 
 
 class CliError(Exception):
@@ -169,10 +171,13 @@ def _cmd_simulate(args) -> int:
         raise CliError(_EXIT_CONFIG, f"invalid configuration: {exc}")
 
     os.makedirs(args.out, exist_ok=True)
+    # workers running OpenBLAS's own threads would contend for the cores
+    threads = args.threads or (usable_cores() if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1)
     print(f"preset {preset}: {len(run.tasks)} grid points x {run.replications} replications, "
-          f"{len(run.methods)} methods, {args.threads} worker(s)", file=sys.stderr)
+          f"{len(run.methods)} methods, at most {threads} worker(s)"
+          f"{'' if args.threads else f' ({_DEFAULT_THREADS})'}", file=sys.stderr)
     rows = run_experiment(run.tasks, run.methods, run.replications,
-                          threads=args.threads, progress=args.progress)
+                          threads=threads, progress=args.progress)
     write_results_csv(rows, os.path.join(args.out, "results.csv"))
     panel_files = write_panels(rows, run.tasks, run.panels, run.methods, args.out)
     # the hash covers what determines the results, so a replay of this
@@ -304,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--seed", type=_int_at_least(0))
     sim.add_argument("--replications", type=_int_at_least(1))
-    sim.add_argument("--threads", type=_int_at_least(1), default=1)
+    sim.add_argument("--threads", type=_int_at_least(1), help=f"default: {_DEFAULT_THREADS}")
     sim.add_argument("--override", action="append", metavar="KEY=VALUE")
     sim.add_argument("--progress", action="store_true")
     sim.set_defaults(func=_cmd_simulate)

@@ -15,8 +15,8 @@ Replication seeds derive as ``design.seed + replication``; results are
 gathered in task/replication order, so output files are byte-identical for
 any worker count.  ``DESIGN_METHODS`` holds the methods each kind of design
 supports.  A clustering draw fits all of them, whichever ``methods`` a run
-asks for, on at most two threads (``_draw_and_fit``); the second thread
-changes no output.
+asks for, on the calling thread, one helper thread and the process's
+kernel thread (``_draw_and_fit``); no thread changes an output.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .simulate import (
     gen_pmtc,
     gen_tensor_block,
 )
-from .tensor import lsvd, slab_grams, subspace_distance
+from .tensor import lsvd, sharing_cores, slab_grams, subspace_distance
 
 __all__ = [
     "CLUSTER_METHODS",
@@ -134,13 +134,16 @@ def _draw_and_fit(design: SimDesign | BlockDesign, methods):
     or ``auto``'s test reads first) from the finished slabs (see
     :func:`pmtc.tensor.slab_grams`).  Then the helper fits the coupled family
     while this thread fits ``X: HSC`` (the BLAS and LAPACK kernels release
-    the GIL).  Both families read the streamed Grams and only ``auto``'s
-    test forms mode 1's, so each mode's full-tensor Gram is formed at most
-    once per draw.  The streamed Grams are the same sums in the same order
-    as when formed after the draw, and each family makes the same calls on
-    the same inputs as it would alone, so the memberships are the same bit
-    for bit either way.  The helper has finished when this returns or
-    raises, so no thread outlives the call.
+    the GIL).  Both run inside :func:`pmtc.tensor.sharing_cores`, so while
+    both run they keep their mode products whole, and the one left running
+    splits its full-size products with the process's kernel thread.  Both
+    families read the streamed Grams and only ``auto``'s test forms mode
+    1's, so each mode's full-tensor Gram is formed at most once per draw.
+    The streamed Grams are the same sums in the same order as when formed
+    after the draw, and each family makes the same calls on the same inputs
+    as it would alone, so the memberships are the same bit for bit either
+    way.  The helper has finished when this returns or raises, so only the
+    kernel thread, idle, outlives the call.
     """
     coupled = isinstance(design, SimDesign)
     slabs = queue.SimpleQueue()
@@ -151,12 +154,13 @@ def _draw_and_fit(design: SimDesign | BlockDesign, methods):
 
     def family(panel, omega, name):
         """The warm start named ``name``, and the memberships of it and its refinements."""
-        start = cluster(x, panel, design.ranks, omega, design.seed, grams=grams)
-        return start, {
-            name: start.memberships,
-            f"{name}+HLloyd": refine(x, panel, start, projection="oblique")[0],
-            f"{name}+PMTLloyd": refine(x, panel, start, projection="orthogonal")[0],
-        }
+        with sharing_cores():
+            start = cluster(x, panel, design.ranks, omega, design.seed, grams=grams)
+            return start, {
+                name: start.memberships,
+                f"{name}+HLloyd": refine(x, panel, start, projection="oblique")[0],
+                f"{name}+PMTLloyd": refine(x, panel, start, projection="orthogonal")[0],
+            }
 
     with ThreadPoolExecutor(1) as helper:
         pending = helper.submit(slab_grams, handed_over(), range(1, len(design.ranks)))
@@ -229,9 +233,10 @@ def run_experiment(
     ``methods`` selects the ones whose rows are returned, in its order.
     ``threads`` caps the worker-process count, which is never more than the
     number of jobs (one per task and replication); with one worker the jobs
-    run in this process.  Each process draws and fits a clustering
-    replication on up to two threads, so a run uses up to ``2 * threads``
-    threads.  Results are identical for any value.
+    run in this process.  A clustering draw runs on up to two threads at a
+    time (``_draw_and_fit``): the two families, or one family and the kernel
+    thread, which worker processes never use.  So a run keeps up to
+    ``2 * threads`` threads busy; results are the same for any value.
     """
     methods = tuple(methods)
     for task in tasks:

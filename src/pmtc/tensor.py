@@ -6,7 +6,10 @@ algorithms normalise their inputs once with ``np.ascontiguousarray``, and
 :func:`mode_product` keeps it.  A mode-k product is a single (batched) GEMM
 on the free reshape of ``x`` to ``(prod(shape[:k]), p_k, prod(shape[k+1:]))``
 and returns a C-contiguous result, so chains of products never copy the
-full tensor.
+full tensor.  They are bound by memory bandwidth, so from ``_SPLIT_SIZE``
+entries on the calling thread computes half the GEMM work and the process's
+one kernel thread the rest, unless the process is a pool worker or the
+threads inside :func:`sharing_cores` already fill the cores.
 
 The hot path never holds a second full-size tensor: products only shrink
 it, and :func:`unfolding_gram` forms a mode's Gram matrix slab by slab.
@@ -23,7 +26,12 @@ it is taken only of small projected tensors and single slabs.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg
@@ -37,6 +45,27 @@ __all__ = [
     "slab_grams",
     "subspace_distance",
 ]
+
+
+_SPLIT_SIZE = 1 << 20  # entries of x; set from the size sweep that CHANGES.md records
+_SMALL_GEMM = 1 << 20  # multiply-adds; OpenBLAS computes a GEMM of at most 100**3 its own way
+_fitting: set[int] = set()  # the threads inside sharing_cores()
+_kernel_pools: dict[int, ThreadPoolExecutor] = {}  # by process id: a forked child makes its own
+
+
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def sharing_cores():
+    """Mark the calling thread as fitting; no product splits while such threads fill the cores."""
+    _fitting.add(threading.get_ident())
+    try:
+        yield
+    finally:
+        _fitting.discard(threading.get_ident())
 
 
 def _check_mode(ndim: int, mode: int) -> None:
@@ -62,7 +91,9 @@ def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
     ``u`` must have shape (r, x.shape[mode]); the result replaces that
     dimension with r and is C-contiguous.  Satisfies
     matricize(result, mode) == u @ matricize(x, mode).  A C-contiguous ``x``
-    is not copied; any other layout is copied once into C order.
+    is not copied; any other layout is copied once into C order.  A large
+    product is split where no bit changes: the batch of GEMMs, or the one
+    GEMM's columns or rows.
     """
     x = np.ascontiguousarray(x)
     u = np.asarray(u)
@@ -72,13 +103,33 @@ def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
             f"matrix of shape {u.shape} cannot contract mode {mode} of size {x.shape[mode]}"
         )
     lead, p, trail = math.prod(x.shape[:mode]), x.shape[mode], math.prod(x.shape[mode + 1 :])
-    new_dims = x.shape[:mode] + (u.shape[0],) + x.shape[mode + 1 :]
-    if trail == 1:
+    out = np.empty(x.shape[:mode] + u.shape[:1] + x.shape[mode + 1 :], np.result_type(u, x))
+    if lead != 1 and trail != 1:  # one GEMM per batch entry; split the batch
+        b, c = x.reshape(lead, p, trail), out.reshape(lead, len(u), trail)
+        part, half = lambda s: (u, b[s], c[s]), lead // 2
+    elif trail == 1:
         # The batch would be matrix-vector products, which round differently
         # from u @ matricize(x, mode); one GEMM from the right matches it (bit
-        # for bit with OpenBLAS).
-        return (x.reshape(lead, p) @ u.T).reshape(new_dims)
-    return np.matmul(u, x.reshape(lead, p, trail)).reshape(new_dims)
+        # for bit with OpenBLAS).  Split its rows.
+        a, c = x.reshape(lead, p), out.reshape(lead, len(u))
+        part, half = lambda s: (a[s], u.T, c[s]), lead // 128 * 64
+    else:  # mode 0, one GEMM; split its columns
+        b, c = x.reshape(p, trail), out.reshape(len(u), trail)
+        part, half = lambda s: (u, b[:, s], c[:, s]), trail // 128 * 64
+    # Cut at a multiple of 64, OpenBLAS tiles each half of one GEMM as in the whole,
+    # unless r == 1 (GEMV) or a half is a small GEMM.
+    if (lead == 1 or trail == 1) and (len(u) == 1 or u.size * half < _SMALL_GEMM):
+        half = 0
+    if (x.size >= _SPLIT_SIZE and half > 0 and multiprocessing.parent_process() is None
+            and max(len(_fitting), 1) < usable_cores()):
+        pool = _kernel_pools.get(os.getpid()) or _kernel_pools.setdefault(
+            os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="pmtc-kernel"))
+        first = pool.submit(np.matmul, *part(slice(half)))
+        np.matmul(*part(slice(half, None)))
+        first.result()
+    else:
+        np.matmul(*part(slice(None)))
+    return out
 
 
 def multi_mode_product(x: np.ndarray, mats: dict[int, np.ndarray]) -> np.ndarray:

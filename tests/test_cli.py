@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from pmtc import io
+from pmtc import cli, io
 from pmtc.cli import main
 from pmtc.pipeline import fit_pmtc
 from pmtc.simulate import SimDesign, gen_pmtc
@@ -219,6 +219,28 @@ def test_worker_count_does_not_change_results(tmp_path, capsys):
     assert one == (tmp_path / "2" / "results.csv").read_bytes()
     assert len(one.splitlines()) > 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("blas_threads, cores, pools", [
+    ("1", 1, []), ("1", 2, [2]), ("1", 3, [2]),  # _TINY has two jobs, so never more workers
+    (None, 2, []), ("2", 2, []),  # workers with OpenBLAS's own threads would contend
+])
+def test_simulate_defaults_to_one_worker_per_usable_core(monkeypatch, pool_recorder, tmp_path,
+                                                          capsys, blas_threads, cores, pools):
+    monkeypatch.setattr(cli, "usable_cores", lambda: cores)
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    assert main(["simulate", *_TINY, "--out", str(tmp_path / "default")]) == 0
+    assert pool_recorder == pools
+    workers = cores if blas_threads == "1" else 1
+    assert f"at most {workers} worker(s) (one per usable core" in capsys.readouterr().err
+    assert main(["simulate", *_TINY, "--threads", "1", "--out", str(tmp_path / "1")]) == 0
+    assert pool_recorder == pools  # one worker runs in this process
+    assert "at most 1 worker(s)\n" in capsys.readouterr().err
+    for name in ("results.csv", "manifest.json"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 def test_manifest_replay_keeps_hash_and_results(tmp_path, capsys):

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from pmtc import experiments
+from pmtc import experiments, tensor
 from pmtc.experiments import (
     CLUSTER_METHODS,
     DESIGN_METHODS,
@@ -345,24 +345,26 @@ def test_subspace_methods_share_grams_without_changing_bits(monkeypatch):
     (64, 2, 2),  # never more workers than jobs
     (2, 3, 2),
 ])
-def test_the_worker_pool_is_capped_at_the_job_count(monkeypatch, threads, replications, workers):
-    started = []  # the max_workers of every pool
-
-    class Recorder:  # runs the jobs in this process, so no worker is started
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+def test_the_worker_pool_is_capped_at_the_job_count(pool_recorder, threads, replications, workers):
     tasks = [Task("lowrank", LowRankDesign(dims=(12, 10), T=8, ranks=(2, 2), seed=4))]
     rows = run_experiment(tasks, SUBSPACE_METHODS, replications, threads=threads)
-    assert started == ([] if workers is None else [workers])
+    assert pool_recorder == ([] if workers is None else [workers])
     assert rows == run_experiment(tasks, SUBSPACE_METHODS, replications)
+
+
+@pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
+def test_a_full_size_draw_fits_the_same_memberships_with_split_products(kernel_pool, monkeypatch,
+                                                                       gamma_x):
+    # 110 x 100 x 100 entries: every fit's first product on the tensor may split
+    design = SimDesign(dims=(110, 100), T=100, gamma_x=gamma_x, seed=5)
+    split = experiments._draw_and_fit(design, CLUSTER_METHODS)[2]
+    # only the family left running splits: the two families fill both cores.
+    # At gamma_x = -0.5 the coupled family (omega = 0) ends long before HSC's.
+    assert set(kernel_pool.fitting) <= {1}
+    assert kernel_pool.halves or gamma_x > 0
+    with monkeypatch.context() as m:
+        m.setattr(tensor, "_SPLIT_SIZE", math.inf)
+        whole = experiments._draw_and_fit(design, CLUSTER_METHODS)[2]
+    for method, members in split.items():
+        for split_m, whole_m in zip(members, whole[method]):
+            assert np.array_equal(split_m.labels, whole_m.labels)

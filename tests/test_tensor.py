@@ -1,4 +1,11 @@
+import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +13,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmtc import tensor
+from pmtc.simulate import BlockDesign, gen_tensor_block
 from pmtc.tensor import (
     lsvd,
     matricize,
@@ -318,3 +327,157 @@ def test_unfolding_grams_hold_no_copy_of_the_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * x.nbytes
+
+
+def _unsplit(x, mode, u, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(tensor, "_SPLIT_SIZE", math.inf)
+        return mode_product(x, mode, u)
+
+
+@pytest.mark.parametrize("shape", [(201, 199, 121), (128, 128, 64), (64, 64, 16, 16)])
+@pytest.mark.parametrize("rank", [2, 5, 16])
+def test_split_products_equal_unsplit_ones_bit_for_bit(kernel_pool, monkeypatch, shape, rank):
+    # mode 0 splits the one GEMM's columns, the last mode its rows and any
+    # other mode the batch of GEMMs
+    rng = np.random.default_rng(rank)
+    x = rng.standard_normal(shape)
+    for mode in range(len(shape)):
+        u = rng.standard_normal((rank, shape[mode]))
+        split = mode_product(x, mode, u)
+        assert len(kernel_pool.halves) == mode + 1
+        assert np.array_equal(split, _unsplit(x, mode, u, monkeypatch))
+        assert split.flags.c_contiguous
+    first, last = kernel_pool.halves[0], kernel_pool.halves[-1]
+    assert first[1] % 64 == 0 and last[0] % 64 == 0  # the columns and rows cut
+
+
+def test_block_tensor_projections_split_bit_for_bit(kernel_pool, monkeypatch):
+    # a 3-mode block tensor with no time mode, contracted with its membership
+    # projections as PMTSC and Lloyd do
+    design = BlockDesign(dims=(103, 101, 105), ranks=(3, 4, 5), core_scale=0.5, seed=2)
+    x, truth = gen_tensor_block(design)
+    for mode, member in enumerate(truth.memberships):
+        u = member.one_hot().T / np.sqrt(member.one_hot().sum(axis=0))[:, None]
+        assert np.array_equal(mode_product(x, mode, u), _unsplit(x, mode, u, monkeypatch))
+    assert len(kernel_pool.halves) == 3
+
+
+@pytest.mark.parametrize("shape, rank, cores, halves", [
+    ((128, 128, 64), 5, 2, 3),  # 2**20 entries: every mode splits
+    ((127, 128, 64), 5, 2, 0),  # one slab fewer: none does
+    ((128, 128, 64), 5, 1, 0),  # one usable core: none does
+    ((128, 128, 64), 1, 2, 1),  # r = 1: only the batch splits; the others would be GEMVs
+    ((1100, 1000), 3, 2, 2),
+    ((1100, 1000), 2, 2, 0),  # halves of under 2**20 multiply-adds would be small GEMMs
+])
+def test_only_full_size_products_on_two_cores_reach_the_kernel_thread(
+        kernel_pool, monkeypatch, shape, rank, cores, halves):
+    monkeypatch.setattr(tensor, "usable_cores", lambda: cores)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(shape)
+    for mode in range(len(shape)):
+        u = rng.standard_normal((rank, shape[mode]))
+        assert np.array_equal(mode_product(x, mode, u), _unsplit(x, mode, u, monkeypatch))
+    assert len(kernel_pool.halves) == halves
+
+
+@pytest.mark.parametrize("cores, halves", [(2, 0), (3, 1)])
+def test_no_product_splits_while_fitting_threads_fill_the_cores(kernel_pool, monkeypatch,
+                                                                cores, halves):
+    monkeypatch.setattr(tensor, "usable_cores", lambda: cores)
+    x, u = np.ones((128, 128, 64)), np.ones((5, 128))
+    entered, leave = threading.Event(), threading.Event()
+
+    def fit_elsewhere():
+        with tensor.sharing_cores():
+            entered.set()
+            leave.wait(timeout=60)
+
+    other = threading.Thread(target=fit_elsewhere)
+    other.start()
+    try:
+        assert entered.wait(timeout=60)
+        with tensor.sharing_cores():
+            assert np.array_equal(mode_product(x, 1, u), np.full((128, 5, 64), 128.0))
+            assert len(kernel_pool.halves) == halves  # two fitting threads leave a core idle of 3
+    finally:
+        leave.set()
+        other.join(timeout=60)
+    with tensor.sharing_cores():  # the other thread is done: this one fits alone
+        mode_product(x, 1, u)
+    assert len(kernel_pool.halves) == halves + 1
+    assert tensor._fitting == set()
+
+
+def _product_in_a_child(seed):
+    rng = np.random.default_rng(seed)
+    x, u = rng.standard_normal((128, 128, 64)), rng.standard_normal((5, 128))
+    return mode_product(x, 0, u), [t.name for t in threading.enumerate()]
+
+
+def test_a_pool_worker_keeps_its_products_whole(monkeypatch):
+    # the workers fill the cores between them, so a worker never starts a
+    # kernel thread, also when its parent has one
+    monkeypatch.setattr(tensor, "usable_cores", lambda: 2)
+    rng = np.random.default_rng(4)
+    x, u = rng.standard_normal((128, 128, 64)), rng.standard_normal((5, 128))
+    want = mode_product(x, 0, u)
+    assert any(t.name.startswith("pmtc-kernel") for t in threading.enumerate())
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        got, names = pool.submit(_product_in_a_child, 4).result(timeout=60)
+    assert np.array_equal(got, want)
+    assert not any(name.startswith("pmtc-kernel") for name in names)
+
+
+def test_a_forked_process_splits_on_its_own_kernel_thread(monkeypatch):
+    # A process forked outside multiprocessing is no pool worker.  Had it
+    # handed its half to the parent's kernel thread, which it does not have,
+    # it would wait for ever; the alarm ends it instead.
+    monkeypatch.setattr(tensor, "usable_cores", lambda: 2)
+    rng = np.random.default_rng(4)
+    x, u = rng.standard_normal((128, 128, 64)), rng.standard_normal((5, 128))
+    want = mode_product(x, 0, u)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child
+        try:
+            signal.alarm(60)
+            got, names = _product_in_a_child(4)
+            ok = np.array_equal(got, want) and "pmtc-kernel" in " ".join(names)
+            os.write(write, b"1" if ok else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as reply:
+        assert reply.read() == b"1"
+    assert os.waitpid(pid, 0)[1] == 0
+
+
+def test_threads_splitting_at_once_share_the_kernel_thread(kernel_pool, monkeypatch):
+    # more splitting threads than cores, switching often: every half is still
+    # computed once, into its own product, and no thread waits for ever
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((128, 128, 64))
+    jobs = [(mode, rng.standard_normal((3 + t, x.shape[mode]))) for t in range(4) for mode in range(3)]
+    want = [_unsplit(x, mode, u, monkeypatch) for mode, u in jobs]
+    got = [None] * len(jobs)
+
+    def work(t):
+        for _ in range(5):
+            for j in range(3 * t, 3 * t + 3):
+                got[j] = mode_product(x, *jobs[j])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(kernel_pool.halves) == 5 * len(jobs)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
