@@ -15,8 +15,8 @@ Replication seeds derive as ``design.seed + replication``; results are
 gathered in task/replication order, so output files are byte-identical for
 any worker count.  ``DESIGN_METHODS`` holds the methods each kind of design
 supports.  A clustering draw fits all of them, whichever ``methods`` a run
-asks for, on the calling thread, one helper thread and the process's
-kernel thread (``_draw_and_fit``); no thread changes an output.
+asks for; ``_draw_and_fit`` says which thread fits what, and no thread
+changes an output.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def _draw_and_fit(design: SimDesign | BlockDesign, methods):
     after the draw, and each family makes the same calls on the same inputs
     as it would alone, so the memberships are the same bit for bit either
     way.  The helper has finished when this returns or raises, so only the
-    kernel thread, idle, outlives the call.
+    kernel thread (see :mod:`pmtc.tensor`), idle, outlives the call.
     """
     coupled = isinstance(design, SimDesign)
     slabs = queue.SimpleQueue()
@@ -181,9 +181,8 @@ def _draw_and_fit(design: SimDesign | BlockDesign, methods):
     return data, truth, {m: fitted[m] for m in methods}
 
 
-def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
-    """Draw one replication of ``task`` and score ``methods`` on it."""
-    design = replace(task.design, seed=task.design.seed + rep)
+def _run_cluster_task(task: Task, design, rep: int, methods) -> list[Row]:
+    """Draw ``design``, replication ``rep`` of ``task``, and score ``methods`` on it."""
     data, truth, fitted = _draw_and_fit(design, methods)
     rows: list[Row] = []
     for method, final in fitted.items():
@@ -193,8 +192,7 @@ def _run_cluster_task(task: Task, rep: int, methods) -> list[Row]:
     return rows
 
 
-def _run_subspace_task(task: Task, rep: int, methods) -> list[Row]:
-    design = replace(task.design, seed=task.design.seed + rep)
+def _run_subspace_task(task: Task, design, rep: int, methods) -> list[Row]:
     data, truth = gen_coupled_lowrank(design)
     grams = slab_grams(data.x, range(1, len(design.ranks)))  # PCHOOI's and HOOI's starts
     rows: list[Row] = []
@@ -213,9 +211,10 @@ def _run_subspace_task(task: Task, rep: int, methods) -> list[Row]:
 
 def _run_one(job) -> list[Row]:
     task, rep, methods = job
-    if isinstance(task.design, LowRankDesign):
-        return _run_subspace_task(task, rep, methods)
-    return _run_cluster_task(task, rep, methods)
+    design = replace(task.design, seed=task.design.seed + rep)
+    if isinstance(design, LowRankDesign):
+        return _run_subspace_task(task, design, rep, methods)
+    return _run_cluster_task(task, design, rep, methods)
 
 
 def run_experiment(
@@ -233,10 +232,9 @@ def run_experiment(
     ``methods`` selects the ones whose rows are returned, in its order.
     ``threads`` caps the worker-process count, which is never more than the
     number of jobs (one per task and replication); with one worker the jobs
-    run in this process.  A clustering draw runs on up to two threads at a
-    time (``_draw_and_fit``): the two families, or one family and the kernel
-    thread, which worker processes never use.  So a run keeps up to
-    ``2 * threads`` threads busy; results are the same for any value.
+    run in this process.  Each clustering draw keeps up to two threads busy
+    (see ``_draw_and_fit``), so a run keeps up to ``2 * threads``; results
+    are the same for any value.
     """
     methods = tuple(methods)
     for task in tasks:

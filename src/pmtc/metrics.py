@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .membership import Membership
-from .pchooi import coupled_block
 from .tensor import matricize, multi_mode_product
 
 __all__ = ["cer", "misclustering_loss", "total_r2"]
@@ -104,13 +103,11 @@ def rescaled_core_rows(
 
 @dataclass(frozen=True)
 class SeparationStats:
-    """Minimum pairwise squared distances between rescaled block centers.
-
-    ``delta_sq[0]`` includes the panel-centroid term when one is present;
+    """Minimum pairwise squared distances between rescaled block centers,
+    per mode of the core and, when a panel is present, of its centroids;
     modes with a single cluster carry an infinity sentinel.
     """
 
-    delta_sq: tuple[float, ...]
     delta_x_sq: tuple[float, ...]
     delta_y_sq: float | None
 
@@ -120,23 +117,12 @@ def separations(
 ) -> SeparationStats:
     """Separation statistics of a block model with the given memberships."""
     core = np.asarray(core, dtype=float)
-    s_y = None if s_y is None else np.asarray(s_y, dtype=float)
-    d = len(memberships)
     delta_x: list[float] = []
-    delta: list[float] = []
-    y_sq = None if s_y is None else _min_pairwise_sq(s_y)
-    for i in range(d):
-        if memberships[i].num_clusters == 1:
-            delta_x.append(math.inf)
-            delta.append(math.inf)
-            continue
+    for i in range(len(memberships)):
         rows = rescaled_core_rows(core, memberships, i + 1)
         delta_x.append(_min_pairwise_sq(rows))
-        if i == 0 and s_y is not None:
-            delta.append(_min_pairwise_sq(coupled_block(rows, s_y, 1.0)))
-        else:
-            delta.append(delta_x[-1])
-    return SeparationStats(tuple(delta), tuple(delta_x), y_sq)
+    y_sq = None if s_y is None else _min_pairwise_sq(np.asarray(s_y, dtype=float))
+    return SeparationStats(tuple(delta_x), y_sq)
 
 
 def total_r2(

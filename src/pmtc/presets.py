@@ -26,7 +26,6 @@ __all__ = ["PresetRun", "PRESET_NAMES", "build_preset"]
 
 @dataclass(frozen=True)
 class PresetRun:
-    name: str
     tasks: list[Task]
     methods: tuple[str, ...]
     panels: list[PanelSpec]
@@ -39,12 +38,19 @@ def _grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 
 def _parse_grid(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        return tuple(float(v) for v in value.split(","))
+    if isinstance(value, str):  # "" is the empty grid, as [] is in a JSON config
+        return tuple(float(v) for v in value.split(",")) if value else ()
     return tuple(float(v) for v in np.atleast_1d(value))
 
 
 _COMMON = {"replications": 100, "seed": 0}
+# the coupled block-model presets' design, before each one's own entries
+_COUPLED = {
+    **_COMMON,
+    "p1": 200, "p2": 200, "T": 120, "r1": 5, "r2": 5, "m1": 5,
+    "gamma_x": -0.5, "gamma_y": -0.1,
+    "imbalance": None,
+}
 
 _PARAMS = {
     "fig1": {
@@ -56,12 +62,9 @@ _PARAMS = {
         "log_cx_grid": _grid(0.0, 2.0, 9),
     },
     "fig2": {
-        **_COMMON,
-        "p1": 200, "p2": 200, "T": 120, "r1": 5, "r2": 5, "m1": 5,
-        "gamma_x": -0.5, "gamma_y": -0.1,
+        **_COUPLED,
         "gamma_y_grid": _grid(-0.45, 0.10, 12),
         "gamma_x_grid": _grid(-0.70, -0.30, 9),
-        "imbalance": None,
     },
     "figA1": {
         **_COMMON,
@@ -69,28 +72,22 @@ _PARAMS = {
         "scale_grid": (0.04, 0.06, 0.08, 0.10, 0.12, 0.16, 0.20),
     },
     "figA3": {
-        **_COMMON,
-        "p1": 200, "p2": 200, "T": 120, "r1": 5, "r2": 5, "m1": 5,
+        **_COUPLED,
         "gamma_x": -0.55, "gamma_y": -0.20,
         "gamma_y_grid": _grid(-0.45, 1.0, 12),
         "gamma_x_grid": _grid(-0.70, -0.04, 12),
-        "imbalance": None,
     },
     "figA5": {
-        **_COMMON,
-        "p1": 200, "p2": 200, "T": 120, "r1": 5, "r2": 5, "m1": 5,
-        "gamma_x": -0.5, "gamma_y": -0.1,
+        **_COUPLED,
         "gamma_y_grid": _grid(-0.40, 0.10, 11),
         "gamma_x_grid": _grid(-0.70, 0.40, 12),
         "imbalance": (0.1, 0.1, 0.15, 0.2, 0.45),
     },
     "figA7": {
-        **_COMMON,
-        "p1": 100, "p2": 100, "T": 60, "r1": 5, "r2": 5, "m1": 5,
-        "gamma_x": -0.5, "gamma_y": -0.1,
+        **_COUPLED,
+        "p1": 100, "p2": 100, "T": 60,
         "gamma_y_grid": _grid(-0.45, 0.10, 12),
         "gamma_x_grid": _grid(-0.70, -0.30, 9),
-        "imbalance": None,
     },
 }
 PRESET_NAMES = tuple(sorted(_PARAMS))
@@ -150,7 +147,7 @@ def _pmtc_tasks(name: str, q: dict) -> list[Task]:
     balance = None if q["imbalance"] is None else (tuple(q["imbalance"]),) * 2
     base = dict(
         dims=(q["p1"], q["p2"]), T=q["T"], ranks=(q["r1"], q["r2"]), m1=q["m1"],
-        mu_b=(1.0, 1.0, 1.0, 0.0, 0.0) if q["m1"] == 5 else (1.0,),
+        mu_b=SimDesign.mu_b if q["m1"] == 5 else (1.0,),
         balance=balance, seed=q["seed"],
     )
     tasks = []
@@ -206,4 +203,4 @@ def build_preset(name: str, overrides: dict | None = None) -> PresetRun:
         design = SimDesign
         tasks = _pmtc_tasks(name, q)
         panels = _pmtc_panels(name)
-    return PresetRun(name, tasks, DESIGN_METHODS[design], panels, q["replications"], q)
+    return PresetRun(tasks, DESIGN_METHODS[design], panels, q["replications"], q)

@@ -145,8 +145,11 @@ class SimDesign:
             balance = tuple(tuple(float(w) for w in ws) for ws in self.balance)
             if len(balance) != len(self.dims):
                 raise InfeasibleDesignError("balance needs one weight vector per mode")
-            for ws, r in zip(balance, self.ranks):
-                if len(ws) != r or any(w <= 0 for w in ws) or abs(sum(ws) - 1.0) > 1e-8:
+            for i, (ws, r) in enumerate(zip(balance, self.ranks)):
+                if len(ws) != r:
+                    raise InfeasibleDesignError(
+                        f"mode {i + 1} has r_{i + 1} = {r} clusters but {len(ws)} balance weights")
+                if any(w <= 0 for w in ws) or abs(sum(ws) - 1.0) > 1e-8:
                     raise InfeasibleDesignError("balance weights must be positive and sum to 1")
             object.__setattr__(self, "balance", balance)
 
@@ -282,9 +285,7 @@ def gen_pmtc(design: SimDesign, on_slab=None) -> tuple[CoupledData, GroundTruth]
         f = _MU_F + rng.standard_normal((design.m1, design.T))
 
         stats = metrics.separations(core, members, b @ f)
-        # delta_sq[0] joins the core and panel separations of mode 1; the
-        # other modes are core only
-        if 0.0 in stats.delta_sq or (design.sigma_y > 0 and stats.delta_y_sq == 0.0):
+        if 0.0 in stats.delta_x_sq or (design.sigma_y > 0 and stats.delta_y_sq == 0.0):
             last = "zero separation"
             continue
 
@@ -324,7 +325,7 @@ def gen_tensor_block(design: BlockDesign, on_slab=None) -> tuple[np.ndarray, Gro
             continue
         core = rng.normal(0.0, design.core_scale, size=ranks)
         stats = metrics.separations(core, members)
-        if 0.0 in stats.delta_sq:
+        if 0.0 in stats.delta_x_sq:
             last = "zero separation"
             continue
         x = _block_tensor(rng, design.sigma, core, members, on_slab)

@@ -6,10 +6,16 @@ algorithms normalise their inputs once with ``np.ascontiguousarray``, and
 :func:`mode_product` keeps it.  A mode-k product is a single (batched) GEMM
 on the free reshape of ``x`` to ``(prod(shape[:k]), p_k, prod(shape[k+1:]))``
 and returns a C-contiguous result, so chains of products never copy the
-full tensor.  They are bound by memory bandwidth, so from ``_SPLIT_SIZE``
-entries on the calling thread computes half the GEMM work and the process's
-one kernel thread the rest, unless the process is a pool worker or the
-threads inside :func:`sharing_cores` already fill the cores.
+full tensor.
+
+Those products are bound by memory bandwidth, so one on ``_SPLIT_SIZE``
+entries or more is split in two: the calling thread computes one half and
+the process's one kernel thread (``pmtc-kernel``, idle between products)
+the other.  The cut falls where no bit changes: between the batch's GEMMs
+for a middle mode, else between the one GEMM's columns (mode 0) or rows
+(last mode), at a multiple of 64.  No product splits in a process that
+multiprocessing started (a pool's worker, whose siblings fill the cores),
+nor while the threads inside :func:`sharing_cores` fill them.
 
 The hot path never holds a second full-size tensor: products only shrink
 it, and :func:`unfolding_gram` forms a mode's Gram matrix slab by slab.
@@ -91,9 +97,9 @@ def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
     ``u`` must have shape (r, x.shape[mode]); the result replaces that
     dimension with r and is C-contiguous.  Satisfies
     matricize(result, mode) == u @ matricize(x, mode).  A C-contiguous ``x``
-    is not copied; any other layout is copied once into C order.  A large
-    product is split where no bit changes: the batch of GEMMs, or the one
-    GEMM's columns or rows.
+    is not copied; any other layout is copied once into C order.  A product
+    on a full-size tensor may run on two threads, bit for bit (see the
+    module docstring).
     """
     x = np.ascontiguousarray(x)
     u = np.asarray(u)

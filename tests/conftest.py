@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -5,6 +6,23 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from pmtc import experiments, tensor
+
+
+@pytest.fixture(autouse=True)
+def nothing_left_running():
+    """Fail a test that leaves a thread or a child process running.  Only the
+    main thread and this process's kernel thread (``tensor``'s), idle, may
+    outlive a test; idle means it runs a no-op at once, not after work left
+    behind."""
+    yield
+    kernel = tensor._kernel_pools.get(os.getpid())
+    if kernel is not None:
+        kernel.submit(lambda: None).result(timeout=10)
+    left = [t.name for t in threading.enumerate()
+            if t is not threading.main_thread() and not t.name.startswith("pmtc-kernel")]
+    assert not left, f"threads left running: {left}"
+    children = multiprocessing.active_children()
+    assert not children, f"child processes left running: {children}"
 
 
 @pytest.fixture

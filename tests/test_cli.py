@@ -11,9 +11,10 @@ from pmtc.simulate import SimDesign, gen_pmtc
 
 # A figA7 grid small enough to run in about a second: one gamma_y and one
 # gamma_x point, one replication.
-_TINY = ["--preset", "figA7", "--replications", "1", "--override", "p1=20",
-         "--override", "p2=16", "--override", "T=8",
-         "--override", "gamma_y_grid=0.0", "--override", "gamma_x_grid=-0.1"]
+_TINY_OVERRIDES = {"p1": 20, "p2": 16, "T": 8, "gamma_y_grid": "0.0", "gamma_x_grid": "-0.1"}
+_TINY = ["--preset", "figA7", "--replications", "1",
+         *(arg for key, value in _TINY_OVERRIDES.items()
+           for arg in ("--override", f"{key}={value}"))]
 
 
 @pytest.fixture
@@ -46,6 +47,20 @@ def _last_line(err: str) -> str:
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _tiny_config(path, **overrides):
+    """Write a config of the tiny figA7 grid, with ``overrides`` in its overrides section."""
+    path.write_text(json.dumps({"run": {"preset": "figA7", "replications": 1},
+                                "overrides": {**_TINY_OVERRIDES, **overrides}}))
+    return str(path)
+
+
+def _outputs(out):
+    """The bytes of every file simulate wrote to ``out`` but manifest.json, and its
+    config_hash: a run's results, whichever spelling of its config asked for it."""
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    return files, _read_json(out / "manifest.json")["config_hash"]
 
 
 def test_fit_then_eval_outputs_parse_back(tmp_path, fit_inputs, capsys):
@@ -97,6 +112,21 @@ def test_fit_summary_is_pinned(tmp_path, fit_inputs):
     assert (out / "fit_summary.json").read_text() == json.dumps(expected, indent=2,
                                                                 sort_keys=True) + "\n"
 
+
+@pytest.mark.parametrize("omega", ["auto", "0.5"])
+def test_fit_takes_omega_auto_or_a_weight(tmp_path, fit_inputs, omega):
+    _, data, truth, paths = fit_inputs
+    out = tmp_path / "fit"
+    assert main(_fit_argv(paths, out) + ["--omega", omega]) == 0
+    weight = omega if omega == "auto" else float(omega)
+    est = fit_pmtc(data.x, data.y, (5, 5), factors=truth.f, omega=weight)
+    for i, m in enumerate(est.memberships):
+        assert np.array_equal(io.read_membership_csv(out / f"membership_mode{i + 1}.csv").labels,
+                              m.labels)
+    assert _read_json(out / "fit_summary.json")["omega"] == est.start.omega
+    assert _read_json(out / "manifest.json")["overrides"]["omega"] == weight
+
+
 def test_fit_without_factors_fits_latent_factors(tmp_path, fit_inputs):
     _, data, _, paths = fit_inputs
     out = tmp_path / "fit"
@@ -144,6 +174,21 @@ def test_unreadable_tensor_exits_5(tmp_path, fit_inputs, damage, capsys):
     assert err.count(paths["x.pmtc"]) == 1
     assert ("README.md" in err) == (damage == "version_1")
     assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("1,2,3\n4,5\n", "ragged rows (widths [2, 3])"),
+], ids=["empty", "ragged"])
+def test_empty_or_ragged_returns_exits_5(tmp_path, fit_inputs, capsys, text, message):
+    paths = fit_inputs[3]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    paths["returns.csv"] = str(bad)
+    out = tmp_path / "fit"
+    assert main(_fit_argv(paths, out)) == 5
+    assert capsys.readouterr().err == f"error: cannot parse {bad}: {message}\n"
+    assert not out.exists()
 
 
 def test_fit_with_rank_normalize_writes_both_memberships(tmp_path, fit_inputs):
@@ -211,6 +256,73 @@ def test_infeasible_design_exits_3_and_unknown_key_exits_2(tmp_path):
     assert main(base + ["--override", "no_such_key=1"]) == 2
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_draw_that_fails_exits_3_from_any_worker(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    argv = ["simulate", "--preset", "figA1", "--replications", "1", "--override", "scale_grid=0",
+            "--threads", threads, "--out", str(out)]
+    assert main(argv) == 3  # with 2, the error crosses from a worker process
+    assert _last_line(capsys.readouterr().err) == (
+        "error: infeasible design: no valid draw in 100 attempts (last failure: zero separation)")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra, code, message", [
+    (["--config", "absent.json"], 5, "cannot read config"),
+    (["--preset", "figA7", "--override", "p1"], 2, "override 'p1' is not of the form key=value"),
+    ([], 2, "no preset given"),
+], ids=["missing-config", "override-without-equals", "no-preset"])
+def test_simulate_refusals_exit_before_any_output(tmp_path, monkeypatch, capsys, extra, code,
+                                                 message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", *extra, "--out", "out"]) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_grid_reads_the_same_from_the_command_line_and_a_config(tmp_path, capsys):
+    config = _tiny_config(tmp_path / "run.json", gamma_y_grid=[])
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "json")]) == 0
+    argv = ["simulate", *_TINY, "--override", "gamma_y_grid=", "--out", str(tmp_path / "flag")]
+    assert main(argv) == 0
+    files, config_hash = _outputs(tmp_path / "flag")
+    assert (files, config_hash) == _outputs(tmp_path / "json")
+    assert b"gamma_y=" not in files["results.csv"] and b"gamma_x=" in files["results.csv"]
+    capsys.readouterr()
+
+
+def test_a_json_list_grid_reads_as_its_comma_separated_string(tmp_path, capsys):
+    for name, grid in (("list", [-0.1, 0.0]), ("string", "-0.1,0.0")):
+        config = _tiny_config(tmp_path / f"{name}.json", gamma_x_grid=grid)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / name)]) == 0
+    assert _outputs(tmp_path / "list") == _outputs(tmp_path / "string")
+    capsys.readouterr()
+
+
+def test_an_imbalance_override_reaches_the_draws(tmp_path, capsys):
+    weights = "0.1,0.15,0.2,0.25,0.3"
+    for name, extra in (("balanced", []), ("imbalanced", ["--override", f"imbalance={weights}"])):
+        assert main(["simulate", *_TINY, *extra, "--out", str(tmp_path / name)]) == 0
+    resolved = _read_json(tmp_path / "imbalanced" / "manifest.json")["resolved_params"]
+    assert resolved["imbalance"] == [0.1, 0.15, 0.2, 0.25, 0.3]
+    results = [(tmp_path / name / "results.csv").read_bytes()
+               for name in ("balanced", "imbalanced")]
+    assert results[0] != results[1]
+    capsys.readouterr()
+
+
+def test_progress_prints_one_line_per_job_and_changes_no_output(tmp_path, capsys):
+    errs = {}
+    for name, extra in (("quiet", []), ("progress", ["--progress"])):
+        assert main(["simulate", *_TINY, *extra, "--out", str(tmp_path / name)]) == 0
+        errs[name] = [ln for ln in capsys.readouterr().err.splitlines() if "completed" in ln]
+    assert errs == {"quiet": [], "progress": ["  completed 1/2 replication jobs",
+                                              "  completed 2/2 replication jobs"]}
+    for path in (tmp_path / "quiet").iterdir():
+        assert path.read_bytes() == (tmp_path / "progress" / path.name).read_bytes()
+
+
 def test_worker_count_does_not_change_results(tmp_path, capsys):
     for threads in ("1", "2"):
         argv = ["simulate", *_TINY, "--threads", threads, "--out", str(tmp_path / threads)]
@@ -265,6 +377,8 @@ def test_manifest_replay_keeps_hash_and_results(tmp_path, capsys):
     pytest.param("run.ini", "[run]\npreset = figA7\nreplications = 1\n\n[overrides]\np1 = 20\n"
                  "p2 = 16\nT = 8\ngamma_y_grid = 0.0\ngamma_x_grid = -0.1\n",
                  "invalid JSON config", id="ini"),
+    pytest.param("run.json", '{"runs": {"preset": "figA7"}}', "unknown config section 'runs'",
+                 id="unknown_section"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, name, text, message):
     config = tmp_path / name
@@ -303,6 +417,7 @@ def test_command_line_beats_the_config(tmp_path, capsys):
     ("fig1", "log_cx=400"),  # finite, but the draw's Grams would overflow
     ("figA7", "gamma_x_grid=100"),
     ("figA1", "sigma=1e200"),
+    ("fig2", "imbalance=0.5,0.5"),  # positive, sums to 1, but two weights for five clusters
 ])
 def test_invalid_design_override_exits_3_before_any_output(tmp_path, capsys, preset, override):
     out = tmp_path / "out"
@@ -389,6 +504,17 @@ def test_eval_membership_skipping_a_cluster_exits_5(tmp_path, fit_inputs, capsys
         "id,cluster\n" + "".join(f"{j + 1},{1 + 2 * (j % 2)}\n" for j in range(30)))
     assert main(_eval_argv(fit_inputs[3], tmp_path, "index:12")) == 5
     assert _last_line(capsys.readouterr().err).startswith("error: cannot parse")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("asset,group\n1,1\n2,2\n", "expected an 'id,cluster' membership file"),
+    ("id,cluster\n2,1\n1,2\n", "ids must be 1..p in order"),
+], ids=["wrong-header", "ids-out-of-order"])
+def test_eval_malformed_membership_exits_5(tmp_path, fit_inputs, capsys, text, message):
+    (tmp_path / "membership_mode1.csv").write_text(text)
+    assert main(_eval_argv(fit_inputs[3], tmp_path, "index:12")) == 5
+    assert _last_line(capsys.readouterr().err).endswith(f"membership_mode1.csv: {message}")
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_eval_header_only_membership_exits_5(tmp_path, fit_inputs, capsys):

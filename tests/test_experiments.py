@@ -185,7 +185,7 @@ def _record_formed_grams(monkeypatch, design) -> list:
 def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, formed):
     got = _record_formed_grams(monkeypatch, design)
     methods = DESIGN_METHODS[type(design)]
-    rows = experiments._run_cluster_task(Task("t", design), 0, methods)
+    rows = experiments._run_cluster_task(Task("t", design), design, 0, methods)
     assert got == formed
     assert {r.method for r in rows} == set(methods)
 

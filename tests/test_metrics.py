@@ -154,7 +154,6 @@ def test_separations_pairwise_oracle():
     s_y = rng.standard_normal((3, 7))
     stats = separations(core, members, s_y)
     rows1 = rescaled_core_rows(core, members, 1)
-    joint = np.concatenate([rows1, s_y], axis=1)
 
     def min_pairwise(m):
         return min(
@@ -163,7 +162,6 @@ def test_separations_pairwise_oracle():
             for b in range(a + 1, m.shape[0])
         )
 
-    assert abs(stats.delta_sq[0] - min_pairwise(joint)) < 1e-12
     assert abs(stats.delta_x_sq[0] - min_pairwise(rows1)) < 1e-12
     assert abs(stats.delta_y_sq - min_pairwise(s_y)) < 1e-12
 
@@ -176,22 +174,27 @@ def test_separations_coupled_inequality():
         members = [Membership(rng.integers(0, 3, 15), 3), Membership(rng.integers(0, 3, 15), 3)]
         s_y = rng.standard_normal((3, 6))
         stats = separations(core, members, s_y)
-        assert stats.delta_sq[0] >= stats.delta_x_sq[0] + stats.delta_y_sq - 1e-12
+        # each pair of mode-1 blocks is apart in the core and in the panel
+        joint = np.concatenate([rescaled_core_rows(core, members, 1), s_y], axis=1)
+        for a in range(3):
+            for b in range(a):
+                gap = float(np.sum((joint[a] - joint[b]) ** 2))
+                assert gap >= stats.delta_x_sq[0] + stats.delta_y_sq - 1e-12
 
 
 def test_separations_single_cluster_sentinel():
     core = np.zeros((1, 2, 3))
     members = [Membership(np.zeros(5, dtype=int), 1), Membership(np.array([0, 1, 0]), 2)]
     stats = separations(core, members)
-    assert stats.delta_sq[0] == math.inf
-    assert math.isfinite(stats.delta_sq[1])
+    assert stats.delta_x_sq[0] == math.inf
+    assert math.isfinite(stats.delta_x_sq[1])
 
 
 def test_separations_degenerate_flag():
     core = np.zeros((2, 2, 3))
     members = [Membership(np.array([0, 1, 0]), 2), Membership(np.array([0, 1]), 2)]
     stats = separations(core, members)
-    assert 0.0 in stats.delta_sq
+    assert 0.0 in stats.delta_x_sq
 
 
 def _eval_args(rng, p=6, m=2, t=8):

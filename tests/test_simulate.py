@@ -184,6 +184,37 @@ def test_infeasible_designs_rejected():
         SimDesign(dims=(10, 10), T=5, ranks=(2, 2), m1=3)  # mu_b length mismatch
 
 
+@pytest.mark.parametrize("generator, design", [
+    (gen_pmtc, SimDesign(dims=(12, 10), T=6, ranks=(2, 2), m1=2, mu_b=(1.0,), seed=3)),
+    (gen_tensor_block, BlockDesign(dims=(12, 10, 8), ranks=(2, 2, 2), seed=3)),
+], ids=["coupled", "block"])
+def test_a_zero_core_separation_is_redrawn(monkeypatch, generator, design):
+    draws = []
+
+    def first_draw_coincides(core, members, s_y=None):
+        """The real statistics, but two mode-1 core rows coincide in the first draw."""
+        stats = separations(core, members, s_y)
+        draws.append(stats)
+        if len(draws) > 1:
+            return stats
+        return replace(stats, delta_x_sq=(0.0,) + stats.delta_x_sq[1:])
+
+    monkeypatch.setattr(simulate.metrics, "separations", first_draw_coincides)
+    generator(design)
+    assert len(draws) == 2
+    monkeypatch.setattr(simulate.metrics, "separations",
+                        lambda *args: replace(draws[0], delta_x_sq=(0.0, 1.0)))
+    with pytest.raises(InfeasibleDesignError, match=r"\(last failure: zero separation\)$"):
+        generator(design)
+
+
+def test_a_wrong_weight_count_is_refused_naming_the_mode():
+    with pytest.raises(InfeasibleDesignError,
+                       match=r"^mode 2 has r_2 = 3 clusters but 2 balance weights$"):
+        SimDesign(dims=(10, 10), T=5, ranks=(2, 3), m1=2, mu_b=(1.0,),
+                  balance=((0.5, 0.5), (0.5, 0.5)))
+
+
 @pytest.mark.parametrize("design, change, message", [
     pytest.param(SimDesign, {"sigma_x": -1.0}, "sigma_x must be finite and >= 0", id="sim-sigma_x"),
     pytest.param(SimDesign, {"sigma_y": math.nan}, "sigma_y must be finite and >= 0",
