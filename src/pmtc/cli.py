@@ -233,7 +233,6 @@ def _cmd_fit(args) -> int:
             factors=factors,
             num_factors=args.num_factors,
             omega=args.omega, seed=args.seed, demean=args.demean == "on",
-            lloyd_iters=args.lloyd_iters,
         )
     except ValueError as exc:
         raise CliError(_EXIT_SHAPE, f"inconsistent inputs: {exc}")
@@ -326,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--demean", choices=("on", "off"), default="on")
     fit.add_argument("--rank-normalize", action="store_true",
                      help="cross-sectional rank normalization of the tensor")
-    fit.add_argument("--lloyd-iters", type=_int_at_least(1))
     fit.add_argument("--seed", type=_int_at_least(0), default=0)
     fit.add_argument("--out", default="fit_out")
     fit.set_defaults(func=_cmd_fit)

@@ -11,12 +11,13 @@ A replication writes only what the figure panels plot: ``cer`` per mode,
 ``loading_err_observed`` and ``loading_err_latent`` (coupled designs), or
 ``subspace_dist`` per mode (subspace methods).
 
-Replication seeds derive as ``design.seed + replication``; results are
-gathered in task/replication order, so output files are byte-identical for
-any worker count.  ``DESIGN_METHODS`` holds the methods each kind of design
-supports.  A clustering draw fits all of them, whichever ``methods`` a run
-asks for; ``_draw_and_fit`` says which thread fits what, and no thread
-changes an output.
+A job is one replication of one distinct design, drawn with seed
+``design.seed + replication``; a design two tasks share is drawn once and
+written under both ids.  Rows come in task/replication order, so output
+files are byte-identical for any worker count.  ``DESIGN_METHODS`` holds
+the methods each kind of design supports.  A clustering draw fits all of
+them, whichever ``methods`` a run asks for; ``_draw_and_fit`` says which
+thread fits what, and no thread changes an output.
 """
 
 from __future__ import annotations
@@ -91,28 +92,22 @@ class Row:
     metric: str
     value: float
 
-    def __post_init__(self):
-        # metrics return numpy scalars; a plain float keeps repr() parseable
-        object.__setattr__(self, "value", float(self.value))
 
-
-def _loading_rows(rows, task, method, rep, y, m1_hat, truth, num_factors):
+def _loading_scores(method, y, m1_hat, truth, num_factors):
     b_obs = estimate_observed(y, m1_hat, truth.f, demean=True).loadings
     err = per_asset_loadings(b_obs, m1_hat) - per_asset_loadings(truth.b, truth.memberships[0])
-    rows.append(Row(task.experiment_id, method, rep, 1, "loading_err_observed",
-                    float(np.linalg.norm(err))))
+    yield method, 1, "loading_err_observed", np.linalg.norm(err)
     if num_factors <= m1_hat.num_clusters:
         est = estimate_latent(y, m1_hat, num_factors)
         u_hat = lsvd(m1_hat.one_hot() @ est.loadings, num_factors)
         u_true = lsvd(truth.memberships[0].one_hot() @ truth.b, num_factors)
-        rows.append(Row(task.experiment_id, method, rep, 1, "loading_err_latent",
-                        subspace_distance(u_hat, u_true)))
+        yield method, 1, "loading_err_latent", subspace_distance(u_hat, u_true)
 
 
-def _cluster_rows(rows, task, method, rep, final, truth):
+def _cluster_scores(method, final, truth):
     for i, m_final in enumerate(final):
         c, _ = metrics.cer(m_final, truth.memberships[i])
-        rows.append(Row(task.experiment_id, method, rep, i + 1, "cer", c))
+        yield method, i + 1, "cer", c
 
 
 def _draw_and_fit(design: SimDesign | BlockDesign, methods):
@@ -181,21 +176,21 @@ def _draw_and_fit(design: SimDesign | BlockDesign, methods):
     return data, truth, {m: fitted[m] for m in methods}
 
 
-def _run_cluster_task(task: Task, design, rep: int, methods) -> list[Row]:
-    """Draw ``design``, replication ``rep`` of ``task``, and score ``methods`` on it."""
+def _run_cluster_task(design, methods) -> list[tuple]:
+    """Draw ``design`` and return the ``(method, mode, metric, value)`` scores of ``methods``."""
     data, truth, fitted = _draw_and_fit(design, methods)
-    rows: list[Row] = []
+    scores: list[tuple] = []
     for method, final in fitted.items():
-        _cluster_rows(rows, task, method, rep, final, truth)
+        scores += _cluster_scores(method, final, truth)
         if isinstance(design, SimDesign):
-            _loading_rows(rows, task, method, rep, data.y, final[0], truth, design.m1)
-    return rows
+            scores += _loading_scores(method, data.y, final[0], truth, design.m1)
+    return scores
 
 
-def _run_subspace_task(task: Task, design, rep: int, methods) -> list[Row]:
+def _run_subspace_task(design, methods) -> list[tuple]:
     data, truth = gen_coupled_lowrank(design)
     grams = slab_grams(data.x, range(1, len(design.ranks)))  # PCHOOI's and HOOI's starts
-    rows: list[Row] = []
+    scores: list[tuple] = []
     for method in methods:
         if method == "PCHOOI":
             bases = pchooi(data.x, data.y, design.ranks, grams=grams).bases
@@ -204,17 +199,16 @@ def _run_subspace_task(task: Task, design, rep: int, methods) -> list[Row]:
         else:  # SVD-Y
             bases = [lsvd(data.y, design.ranks[0])]
         for i, u in enumerate(bases):
-            rows.append(Row(task.experiment_id, method, rep, i + 1, "subspace_dist",
-                            subspace_distance(u, truth.bases[i])))
-    return rows
+            scores.append((method, i + 1, "subspace_dist", subspace_distance(u, truth.bases[i])))
+    return scores
 
 
-def _run_one(job) -> list[Row]:
-    task, rep, methods = job
-    design = replace(task.design, seed=task.design.seed + rep)
+def _run_one(job) -> list[tuple]:
+    design, rep, methods = job
+    design = replace(design, seed=design.seed + rep)
     if isinstance(design, LowRankDesign):
-        return _run_subspace_task(task, design, rep, methods)
-    return _run_cluster_task(task, design, rep, methods)
+        return _run_subspace_task(design, methods)
+    return _run_cluster_task(design, methods)
 
 
 def run_experiment(
@@ -231,7 +225,8 @@ def run_experiment(
     (``DESIGN_METHODS``).  A clustering draw fits all of those, and
     ``methods`` selects the ones whose rows are returned, in its order.
     ``threads`` caps the worker-process count, which is never more than the
-    number of jobs (one per task and replication); with one worker the jobs
+    number of jobs: one per distinct design and replication, so tasks that
+    share a design share its draws and their rows.  With one worker the jobs
     run in this process.  Each clustering draw keeps up to two threads busy
     (see ``_draw_and_fit``), so a run keeps up to ``2 * threads``; results
     are the same for any value.
@@ -242,12 +237,14 @@ def run_experiment(
             if m not in DESIGN_METHODS[type(task.design)]:
                 raise ValueError(f"method {m!r} is not one that task {task.experiment_id!r}'s "
                                  f"{type(task.design).__name__} supports")
-    jobs = [(task, rep, methods) for task in tasks for rep in range(replications)]
-    rows: list[Row] = []
+    # designs are frozen dataclasses, and equal designs give equal draws
+    jobs = list(dict.fromkeys((task.design, rep, methods)
+                              for task in tasks for rep in range(replications)))
+    scores = {}
 
     def collect(results) -> None:
-        for n, chunk in enumerate(results):
-            rows.extend(chunk)
+        for n, (job, got) in enumerate(zip(jobs, results)):
+            scores[job] = got
             if progress:
                 print(f"  completed {n + 1}/{len(jobs)} replication jobs", file=sys.stderr)
 
@@ -257,7 +254,10 @@ def run_experiment(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             collect(pool.map(_run_one, jobs, chunksize=1))
-    return rows
+    # metrics return numpy scalars; a plain float keeps repr() parseable
+    return [Row(task.experiment_id, method, rep, mode, metric, float(value))
+            for task in tasks for rep in range(replications)
+            for method, mode, metric, value in scores[task.design, rep, methods]]
 
 
 def write_results_csv(rows: list[Row], path) -> None:

@@ -61,7 +61,6 @@ def refine(
     y: np.ndarray | None,
     start: SpectralInit,
     projection: str = "orthogonal",
-    max_iter: int | None = None,
 ) -> tuple[list[Membership], LloydTrace]:
     """Lloyd refinement of the warm start ``start`` at its own coupling
     weight, and its stopping record (see :func:`pmtc.pmtlloyd.pmtlloyd`).
@@ -73,8 +72,7 @@ def refine(
     Without a panel the weight plays no part, and Lloyd always runs.
     """
     if start.omega > 0 or y is None:
-        return pmtlloyd(x, y, start.memberships, max_iter=max_iter, projection=projection,
-                        omega=start.omega)
+        return pmtlloyd(x, y, start.memberships, projection=projection, omega=start.omega)
     return start.memberships, LloydTrace(0, True)
 
 
@@ -113,22 +111,21 @@ def fit_pmtc(
     omega: float | str = 1.0,
     seed: int = 0,
     demean: bool = True,
-    lloyd_iters: int | None = None,
 ) -> PmtcEstimate:
     """Fit memberships and group-level factor loadings to (x, y).
 
     ``ranks`` are the per-mode cluster counts.  The memberships are the
-    :func:`cluster` warm start after :func:`refine` with at most
-    ``lloyd_iters`` sweeps.  With observed ``factors`` the loadings come from
-    group-level least squares (``demean`` controls the time-series demeaning
-    step); otherwise a latent-factor PCA estimate with ``num_factors``
-    components (default: the mode-1 cluster count) is returned.
+    :func:`cluster` warm start after :func:`refine`.  With observed
+    ``factors`` the loadings come from group-level least squares (``demean``
+    controls the time-series demeaning step); otherwise a latent-factor PCA
+    estimate with ``num_factors`` components (default: the mode-1 cluster
+    count) is returned.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ranks = tuple(int(r) for r in ranks)
     start = cluster(x, y, ranks, omega, seed)
-    final, lloyd = refine(x, y, start, max_iter=lloyd_iters)
+    final, lloyd = refine(x, y, start)
     if factors is not None:
         est = estimate_observed(y, final[0], factors, demean=demean)
     else:

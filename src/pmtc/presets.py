@@ -128,7 +128,7 @@ def _exp(key: str, log_c: float) -> float:
     return math.exp(log_c)
 
 
-def _lowrank_tasks(name: str, q: dict) -> list[Task]:
+def _lowrank_tasks(name: str, q: dict) -> tuple[list[Task], list[PanelSpec]]:
     base = dict(
         dims=(q["p1"], q["p2"]), T=q["T"], ranks=(q["m1"], q["m2"]),
         sigma_x=q["sigma_x"], sigma_y=q["sigma_y"], seed=q["seed"],
@@ -140,10 +140,12 @@ def _lowrank_tasks(name: str, q: dict) -> list[Task]:
     for v in q["log_cx_grid"]:
         d = LowRankDesign(c_x=_exp("log_cx_grid", v), c_y=_exp("log_cy", q["log_cy"]), **base)
         tasks.append(Task(f"{name}:log_cx={v}", d, "vary_log_cx", v))
-    return tasks
+    panels = [PanelSpec(f"{name}_u{mode}_vs_{x}", f"vary_{x}", mode, "subspace_dist", x)
+              for mode in (1, 2) for x in ("log_cy", "log_cx")]
+    return tasks, panels
 
 
-def _pmtc_tasks(name: str, q: dict) -> list[Task]:
+def _pmtc_tasks(name: str, q: dict) -> tuple[list[Task], list[PanelSpec]]:
     balance = None if q["imbalance"] is None else (tuple(q["imbalance"]),) * 2
     base = dict(
         dims=(q["p1"], q["p2"]), T=q["T"], ranks=(q["r1"], q["r2"]), m1=q["m1"],
@@ -157,16 +159,12 @@ def _pmtc_tasks(name: str, q: dict) -> list[Task]:
     for v in q["gamma_x_grid"]:
         d = SimDesign(gamma_x=v, gamma_y=q["gamma_y"], **base)
         tasks.append(Task(f"{name}:gamma_x={v}", d, "vary_gamma_x", v))
-    return tasks
-
-
-def _pmtc_panels(name: str) -> list[PanelSpec]:
-    """Misclustering-rate panels per mode, then loading-error panels, each
-    against gamma_y and gamma_x."""
+    # misclustering-rate panels per mode, then loading-error panels, each against both
     kinds = [("cer_mode1", 1, "cer"), ("cer_mode2", 2, "cer"),
              ("obs_err", 1, "loading_err_observed"), ("latent_err", 1, "loading_err_latent")]
-    return [PanelSpec(f"{name}_{kind}_vs_{x}", f"vary_{x}", mode, metric, x)
-            for kind, mode, metric in kinds for x in ("gamma_y", "gamma_x")]
+    panels = [PanelSpec(f"{name}_{kind}_vs_{x}", f"vary_{x}", mode, metric, x)
+              for kind, mode, metric in kinds for x in ("gamma_y", "gamma_x")]
+    return tasks, panels
 
 
 def _blockmodel_tasks(name: str, q: dict) -> tuple[list[Task], list[PanelSpec]]:
@@ -185,22 +183,14 @@ def _blockmodel_tasks(name: str, q: dict) -> tuple[list[Task], list[PanelSpec]]:
     return tasks, panels
 
 
+# the design kind and the builder of each preset that is not a coupled grid
+_BUILDERS = {"fig1": (LowRankDesign, _lowrank_tasks), "figA1": (BlockDesign, _blockmodel_tasks)}
+
+
 def build_preset(name: str, overrides: dict | None = None) -> PresetRun:
     q = _resolve(name, overrides)
-    if name == "fig1":
-        design = LowRankDesign
-        tasks = _lowrank_tasks(name, q)
-        panels = [
-            PanelSpec("fig1_u1_vs_log_cy", "vary_log_cy", 1, "subspace_dist", "log_cy"),
-            PanelSpec("fig1_u1_vs_log_cx", "vary_log_cx", 1, "subspace_dist", "log_cx"),
-            PanelSpec("fig1_u2_vs_log_cy", "vary_log_cy", 2, "subspace_dist", "log_cy"),
-            PanelSpec("fig1_u2_vs_log_cx", "vary_log_cx", 2, "subspace_dist", "log_cx"),
-        ]
-    elif name == "figA1":
-        design = BlockDesign
-        tasks, panels = _blockmodel_tasks(name, q)
-    else:
-        design = SimDesign
-        tasks = _pmtc_tasks(name, q)
-        panels = _pmtc_panels(name)
+    design, builder = _BUILDERS.get(name, (SimDesign, _pmtc_tasks))
+    tasks, panels = builder(name, q)
+    if not tasks:  # a run that can write no row is most likely a mistyped override
+        raise ValueError(f"preset {name} has no grid point: every grid it reads is empty")
     return PresetRun(tasks, DESIGN_METHODS[design], panels, q["replications"], q)

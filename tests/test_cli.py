@@ -323,6 +323,55 @@ def test_progress_prints_one_line_per_job_and_changes_no_output(tmp_path, capsys
         assert path.read_bytes() == (tmp_path / "progress" / path.name).read_bytes()
 
 
+def _tiny_fig2_argv(out, **grids):
+    """A fig2 run small enough to take about a second, with ``grids`` as its grids."""
+    overrides = {"p1": 20, "p2": 16, "T": 8, **grids}
+    return ["simulate", "--preset", "fig2", "--replications", "1", "--out", str(out),
+            *(arg for key, value in overrides.items() for arg in ("--override", f"{key}={value}"))]
+
+
+def test_progress_counts_one_job_per_distinct_design(tmp_path, capsys):
+    # gamma_y=-0.1 and gamma_x=-0.5 are fig2's base design: three grid points, two designs
+    argv = _tiny_fig2_argv(tmp_path / "out", gamma_y_grid="-0.1", gamma_x_grid="-0.5,0.1")
+    assert main([*argv, "--progress"]) == 0
+    err = capsys.readouterr().err
+    assert "3 grid points" in err
+    assert [ln for ln in err.splitlines() if "completed" in ln] == [
+        "  completed 1/2 replication jobs", "  completed 2/2 replication jobs"]
+
+
+_EMPTY_GRIDS = {"fig1": ("log_cy_grid", "log_cx_grid"), "fig2": ("gamma_y_grid", "gamma_x_grid"),
+                "figA1": ("scale_grid",)}
+
+
+@pytest.mark.parametrize("preset, config", [
+    ("fig2", False), ("fig2", True), ("figA1", False), ("fig1", False),
+], ids=["fig2", "fig2-config", "figA1", "fig1"])
+def test_a_run_with_no_grid_point_exits_2_before_any_output(tmp_path, capsys, preset, config):
+    grids = _EMPTY_GRIDS[preset]
+    if config:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"run": {"preset": preset},
+                                    "overrides": {grid: [] for grid in grids}}))
+        argv = ["simulate", "--config", str(path)]
+    else:
+        argv = ["simulate", "--preset", preset,
+                *(arg for grid in grids for arg in ("--override", f"{grid}="))]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: invalid configuration: preset {preset} has no "
+                                       "grid point: every grid it reads is empty\n")
+    assert not out.exists()
+
+
+def test_a_run_with_one_empty_scenario_still_writes_rows(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_tiny_fig2_argv(out, gamma_y_grid="", gamma_x_grid="-0.5")) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    assert len(lines) > 1 and all(line.startswith("fig2:gamma_x=-0.5,") for line in lines[1:])
+    capsys.readouterr()
+
+
 def test_worker_count_does_not_change_results(tmp_path, capsys):
     for threads in ("1", "2"):
         argv = ["simulate", *_TINY, "--threads", threads, "--out", str(tmp_path / threads)]
@@ -435,7 +484,6 @@ def test_invalid_design_override_exits_3_before_any_output(tmp_path, capsys, pre
     ["--omega", "-1"],
     ["--omega", "nan"],
     ["--omega", "inf"],
-    ["--lloyd-iters", "0"],
     ["--num-factors", "0"],
     ["--seed", "-1"],
 ])

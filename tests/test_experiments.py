@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,9 +186,9 @@ def _record_formed_grams(monkeypatch, design) -> list:
 def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, formed):
     got = _record_formed_grams(monkeypatch, design)
     methods = DESIGN_METHODS[type(design)]
-    rows = experiments._run_cluster_task(Task("t", design), design, 0, methods)
+    scores = experiments._run_cluster_task(design, methods)
     assert got == formed
-    assert {r.method for r in rows} == set(methods)
+    assert {method for method, *_ in scores} == set(methods)
 
 
 @pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
@@ -350,6 +351,15 @@ def test_the_worker_pool_is_capped_at_the_job_count(pool_recorder, threads, repl
     rows = run_experiment(tasks, SUBSPACE_METHODS, replications, threads=threads)
     assert pool_recorder == ([] if workers is None else [workers])
     assert rows == run_experiment(tasks, SUBSPACE_METHODS, replications)
+
+
+def test_two_tasks_with_one_design_are_one_job(pool_recorder):
+    design = LowRankDesign(dims=(12, 10), T=8, ranks=(2, 2), seed=4)
+    rows = run_experiment([Task("a", design), Task("b", design)], SUBSPACE_METHODS, 1, threads=2)
+    assert pool_recorder == []  # one job runs in this process
+    half = len(rows) // 2
+    assert [r.experiment_id for r in rows] == ["a"] * half + ["b"] * half
+    assert rows[:half] == [replace(r, experiment_id="a") for r in rows[half:]]
 
 
 @pytest.mark.parametrize("gamma_x", [-0.5, 0.1])

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pmtc import experiments
 from pmtc.experiments import run_experiment, write_panels, write_results_csv
 from pmtc.presets import PRESET_NAMES, build_preset
 
@@ -80,3 +81,51 @@ def test_panel_csvs_hold_the_mean_of_their_rows(tmp_path):
                     assert cell == ""
                     empty += 1
     assert empty > 0  # Y: SC clusters mode 1 only, so the mode-2 panels leave its cells empty
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_results_csv_unchanged_through_a_two_worker_pool(tmp_path, monkeypatch, name):
+    started = []
+
+    class Pool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    run = build_preset(name, {**_TINY[name], "replications": 1})
+    path = tmp_path / "results.csv"
+    write_results_csv(run_experiment(run.tasks, run.methods, run.replications, threads=2), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _RESULTS_SHA256[name]
+    # fig1's tiny grid is one design, so one job that runs in this process
+    assert started == ([] if name == "fig1" else [2])
+
+
+@pytest.mark.parametrize("name, jobs", [
+    ("fig1", 17), ("fig2", 20), ("figA1", 28), ("figA3", 24), ("figA5", 22), ("figA7", 20),
+])
+def test_a_preset_submits_one_job_per_distinct_design_and_replication(monkeypatch, name, jobs):
+    submitted = []
+    monkeypatch.setattr(experiments, "_run_one", lambda job: submitted.append(job) or [])
+    run = build_preset(name, {"replications": 2})
+    assert run_experiment(run.tasks, run.methods, run.replications) == []
+    assert len(submitted) == len(set(submitted)) == 2 * jobs
+
+
+def test_a_design_two_tasks_share_is_drawn_once_and_written_under_both_ids(monkeypatch):
+    drawn = []
+    original = experiments._draw_and_fit
+
+    def draw_and_fit(design, methods):
+        drawn.append(design)
+        return original(design, methods)
+
+    monkeypatch.setattr(experiments, "_draw_and_fit", draw_and_fit)
+    # gamma_y=-0.1 and gamma_x=-0.5 are the preset's base design, so both scenarios hold it
+    run = build_preset("fig2", {**_TINY["fig2"], "replications": 2})
+    rows = run_experiment(run.tasks, run.methods, run.replications)
+    assert len(drawn) == len(set(drawn)) == 4
+    shared = [[(r.method, r.replication, r.mode, r.metric, r.value)
+               for r in rows if r.experiment_id == f"fig2:{key}"]
+              for key in ("gamma_y=-0.1", "gamma_x=-0.5")]
+    assert shared[0] == shared[1] and shared[0]
