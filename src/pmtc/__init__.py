@@ -12,7 +12,7 @@ from .factors import FactorEstimate, estimate_latent, estimate_observed, per_ass
 from .kmeans import KmeansResult, kmeans_relaxed
 from .membership import EmptyClusterError, Membership
 from .metrics import cer, misclustering_loss, total_r2
-from .pchooi import PchooiResult, hooi, pchooi
+from .pchooi import PchooiResult, pchooi
 from .pipeline import PmtcEstimate, evaluate_rolling, evaluate_split, fit_pmtc, rank_normalize
 from .pmtlloyd import LloydTrace, pmtlloyd
 from .pmtsc import SpectralInit, pmtsc, spectral_cluster_rows
@@ -34,7 +34,7 @@ __all__ = [
     "matricize", "mode_product", "lsvd", "subspace_distance",
     "Membership", "EmptyClusterError",
     "KmeansResult", "kmeans_relaxed",
-    "PchooiResult", "pchooi", "hooi",
+    "PchooiResult", "pchooi",
     "SpectralInit", "pmtsc", "spectral_cluster_rows",
     "LloydTrace", "pmtlloyd",
     "FactorEstimate", "estimate_latent", "estimate_observed", "per_asset_loadings",

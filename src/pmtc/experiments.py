@@ -11,13 +11,13 @@ A replication writes only what the figure panels plot: ``cer`` per mode,
 ``loading_err_observed`` and ``loading_err_latent`` (coupled designs), or
 ``subspace_dist`` per mode (subspace methods).
 
-A job is one replication of one distinct design, drawn with seed
-``design.seed + replication``; a design two tasks share is drawn once and
-written under both ids.  Rows come in task/replication order, so output
-files are byte-identical for any worker count.  ``DESIGN_METHODS`` holds
-the methods each kind of design supports.  A clustering draw fits all of
-them, whichever ``methods`` a run asks for; ``_draw_and_fit`` says which
-thread fits what, and no thread changes an output.
+A job is a design and a replication: one draw, with seed
+``design.seed + replication``, scored for every method the design supports
+(``DESIGN_METHODS``).  ``run_experiment`` then picks each task's rows, in
+the order its ``methods`` name them, so a design two tasks share is drawn
+once and written under both ids, and output files are byte-identical for
+any worker count.  ``_draw_and_fit`` says which thread fits what, and no
+thread changes an output.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import metrics
 from .factors import estimate_latent, estimate_observed, per_asset_loadings
-from .pchooi import hooi, pchooi
+from .pchooi import pchooi
 from .pipeline import cluster, refine
 from .pmtsc import spectral_cluster_rows
 from .simulate import (
@@ -93,27 +93,27 @@ class Row:
     value: float
 
 
-def _loading_scores(method, y, m1_hat, truth, num_factors):
+def _loading_scores(y, m1_hat, truth, num_factors):
     b_obs = estimate_observed(y, m1_hat, truth.f, demean=True).loadings
     err = per_asset_loadings(b_obs, m1_hat) - per_asset_loadings(truth.b, truth.memberships[0])
-    yield method, 1, "loading_err_observed", np.linalg.norm(err)
+    yield 1, "loading_err_observed", np.linalg.norm(err)
     if num_factors <= m1_hat.num_clusters:
         est = estimate_latent(y, m1_hat, num_factors)
         u_hat = lsvd(m1_hat.one_hot() @ est.loadings, num_factors)
         u_true = lsvd(truth.memberships[0].one_hot() @ truth.b, num_factors)
-        yield method, 1, "loading_err_latent", subspace_distance(u_hat, u_true)
+        yield 1, "loading_err_latent", subspace_distance(u_hat, u_true)
 
 
-def _cluster_scores(method, final, truth):
+def _cluster_scores(final, truth):
     for i, m_final in enumerate(final):
         c, _ = metrics.cer(m_final, truth.memberships[i])
-        yield method, i + 1, "cer", c
+        yield i + 1, "cer", c
 
 
-def _draw_and_fit(design: SimDesign | BlockDesign, methods):
-    """Draw one replication of ``design`` and fit every clustering method it
-    supports; return the draw, its ground truth, and the final memberships
-    of each of ``methods``, in their order.
+def _draw_and_fit(design: SimDesign | BlockDesign):
+    """A clustering job: draw one replication of ``design``, fit every method
+    it supports, whichever rows a run keeps, and return the draw, its ground
+    truth and each method's final memberships, in ``DESIGN_METHODS`` order.
 
     Each family has one warm start, a :func:`pmtc.pipeline.cluster` call: the
     coupled methods with ``omega="auto"`` (a coupled design's), the
@@ -173,42 +173,32 @@ def _draw_and_fit(design: SimDesign | BlockDesign, methods):
             fitted.update(fitted_xy)
             fitted["Y: SC"] = [start.memberships[0] if start.omega == 0.0
                                else spectral_cluster_rows(y, design.ranks[0], seed=design.seed)]
-    return data, truth, {m: fitted[m] for m in methods}
+    return data, truth, {m: fitted[m] for m in DESIGN_METHODS[type(design)]}
 
 
-def _run_cluster_task(design, methods) -> list[tuple]:
-    """Draw ``design`` and return the ``(method, mode, metric, value)`` scores of ``methods``."""
-    data, truth, fitted = _draw_and_fit(design, methods)
-    scores: list[tuple] = []
-    for method, final in fitted.items():
-        scores += _cluster_scores(method, final, truth)
-        if isinstance(design, SimDesign):
-            scores += _loading_scores(method, data.y, final[0], truth, design.m1)
-    return scores
-
-
-def _run_subspace_task(design, methods) -> list[tuple]:
-    data, truth = gen_coupled_lowrank(design)
-    grams = slab_grams(data.x, range(1, len(design.ranks)))  # PCHOOI's and HOOI's starts
-    scores: list[tuple] = []
-    for method in methods:
-        if method == "PCHOOI":
-            bases = pchooi(data.x, data.y, design.ranks, grams=grams).bases
-        elif method == "HOOI":
-            bases = hooi(data.x, design.ranks, grams=grams).bases
-        else:  # SVD-Y
-            bases = [lsvd(data.y, design.ranks[0])]
-        for i, u in enumerate(bases):
-            scores.append((method, i + 1, "subspace_dist", subspace_distance(u, truth.bases[i])))
-    return scores
-
-
-def _run_one(job) -> list[tuple]:
-    design, rep, methods = job
+def _run_one(job) -> dict[str, list[tuple]]:
+    """Draw one replication of a design and score every method it supports:
+    ``{method: [(mode, metric, value), ...]}``."""
+    design, rep = job
     design = replace(design, seed=design.seed + rep)
     if isinstance(design, LowRankDesign):
-        return _run_subspace_task(design, methods)
-    return _run_cluster_task(design, methods)
+        data, truth = gen_coupled_lowrank(design)
+        grams = slab_grams(data.x, range(1, len(design.ranks)))  # PCHOOI's and HOOI's starts
+        fitted = {
+            "PCHOOI": pchooi(data.x, data.y, design.ranks, grams=grams).bases,
+            "HOOI": pchooi(data.x, None, design.ranks, grams=grams).bases,
+            "SVD-Y": [lsvd(data.y, design.ranks[0])],
+        }
+        return {method: [(i + 1, "subspace_dist", subspace_distance(u, truth.bases[i]))
+                         for i, u in enumerate(bases)]
+                for method, bases in fitted.items()}
+    data, truth, fitted = _draw_and_fit(design)
+    scores = {}
+    for method, final in fitted.items():
+        scores[method] = list(_cluster_scores(final, truth))
+        if isinstance(design, SimDesign):
+            scores[method] += _loading_scores(data.y, final[0], truth, design.m1)
+    return scores
 
 
 def run_experiment(
@@ -222,14 +212,14 @@ def run_experiment(
 
     All methods within a replication share the same draw, so comparisons are
     paired.  Every method must be one that each task's design supports
-    (``DESIGN_METHODS``).  A clustering draw fits all of those, and
-    ``methods`` selects the ones whose rows are returned, in its order.
+    (``DESIGN_METHODS``).  A job is a design and a replication, and it scores
+    every method the design supports; here each task's rows are picked from
+    its jobs, replication by replication, in the order ``methods`` names
+    them.  So tasks that share a design share its draws and their rows.
     ``threads`` caps the worker-process count, which is never more than the
-    number of jobs: one per distinct design and replication, so tasks that
-    share a design share its draws and their rows.  With one worker the jobs
-    run in this process.  Each clustering draw keeps up to two threads busy
-    (see ``_draw_and_fit``), so a run keeps up to ``2 * threads``; results
-    are the same for any value.
+    number of jobs.  With one worker the jobs run in this process.  Each
+    clustering draw keeps up to two threads busy (see ``_draw_and_fit``), so
+    a run keeps up to ``2 * threads``; results are the same for any value.
     """
     methods = tuple(methods)
     for task in tasks:
@@ -238,7 +228,7 @@ def run_experiment(
                 raise ValueError(f"method {m!r} is not one that task {task.experiment_id!r}'s "
                                  f"{type(task.design).__name__} supports")
     # designs are frozen dataclasses, and equal designs give equal draws
-    jobs = list(dict.fromkeys((task.design, rep, methods)
+    jobs = list(dict.fromkeys((task.design, rep)
                               for task in tasks for rep in range(replications)))
     scores = {}
 
@@ -256,8 +246,8 @@ def run_experiment(
             collect(pool.map(_run_one, jobs, chunksize=1))
     # metrics return numpy scalars; a plain float keeps repr() parseable
     return [Row(task.experiment_id, method, rep, mode, metric, float(value))
-            for task in tasks for rep in range(replications)
-            for method, mode, metric, value in scores[task.design, rep, methods]]
+            for task in tasks for rep in range(replications) for method in methods
+            for mode, metric, value in scores[task.design, rep][method]]
 
 
 def write_results_csv(rows: list[Row], path) -> None:

@@ -6,7 +6,7 @@ the iteration alternates truncated SVD updates of the per-mode bases.  The
 mode-1 step takes the top eigenvectors of the coupled Gram omega z z' + y y'
 of the projected tensor unfolding z and ``y``, which is where the coupling
 enters; the other modes follow the standard orthogonal-iteration update.
-With ``y=None`` this reduces to plain HOOI on the tensor.
+With ``y=None``, ``pchooi(x, None, ranks)`` is plain HOOI on the tensor.
 
 Each update maximises the coupled objective
 omega ||x ×_i U_i'||^2 + ||U_1' y||^2 over one basis with the others held,
@@ -27,7 +27,7 @@ import numpy as np
 
 from .tensor import lsvd, matricize, multi_mode_product, top_eigvecs, unfolding_gram
 
-__all__ = ["PchooiResult", "pchooi", "hooi", "coupled_block"]
+__all__ = ["PchooiResult", "pchooi", "coupled_block"]
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,14 @@ def pchooi(
     mode; a missing one is formed where it is read and not kept, and a given
     one that is not p_i x p_i raises ValueError.  The first iteration
     overwrites the start of the first mode it updates before reading it, so
-    when ``max_iter`` >= 1 that start is skipped: mode 1's for HOOI and at
-    omega > 0 (a two-mode fit then forms the Gram of mode 2 alone), mode 2's
-    at omega=0 (no Gram at all for two modes).  ``max_iter=0`` returns every
-    start.  An iteration updates each mode in turn from its projected
-    unfolding z = matricize(x ×_{j≠i} U_j', i): lsvd(z), or for the coupled
-    mode 1 the top eigenvectors of omega z z' + y y' (y y' formed once per
-    call).  At omega=0 U_1 = lsvd(y) never changes and the loop skips it.
+    when ``max_iter`` >= 1 that start is skipped: mode 1's for
+    ``pchooi(x, None, ...)`` and at omega > 0 (a two-mode fit then forms the
+    Gram of mode 2 alone), mode 2's at omega=0 (no Gram at all for two
+    modes).  ``max_iter=0`` returns every start.  An iteration updates each
+    mode in turn from its projected unfolding z = matricize(x ×_{j≠i} U_j', i):
+    lsvd(z), or for the coupled mode 1 the top eigenvectors of
+    omega z z' + y y' (y y' formed once per call).  At omega=0
+    U_1 = lsvd(y) never changes and the loop skips it.
 
     Iterations stop once one raises the objective
     omega ||x ×_i U_i'||^2 + ||U_1' y||^2 by no more than ``tol`` times its
@@ -126,10 +127,10 @@ def pchooi(
     for why this is safe).  When an iteration updates at most one basis
     (omega=0 with two clustered modes, or one clustered mode), that update
     reads only bases that never change, so the first iteration is final and
-    converged.  For HOOI, and at omega=0 where U_1 is fixed, the
-    objective is ||x ×_i U_i'||^2.  The tensor term is ||U_d' z||^2 for the
-    projected unfolding z that the last mode's update has just formed, an
-    r x n product rather than a pass over ``x``.  ``converged`` is False
+    converged.  For ``pchooi(x, None, ...)``, and at omega=0 where U_1 is
+    fixed, the objective is ||x ×_i U_i'||^2.  The tensor term is
+    ||U_d' z||^2 for the projected unfolding z that the last mode's update
+    has just formed, an r x n product rather than a pass over ``x``.  ``converged`` is False
     when ``max_iter`` stopped the iterations instead.  Returns the bases and
     the stopping record.
     """
@@ -181,12 +182,6 @@ def pchooi(
     return PchooiResult(bases, iterations, converged, block if d > 1 else None)
 
 
-def hooi(x: np.ndarray, ranks, grams: dict[int, np.ndarray] | None = None) -> PchooiResult:
-    """Plain higher-order orthogonal iteration on the tensor alone (``grams``
-    as in :func:`pchooi`)."""
-    return pchooi(x, None, ranks, grams=grams)
-
-
 def tensor_informative(x: np.ndarray, ranks, grams: dict[int, np.ndarray] | None = None) -> bool:
     """Whether every clustered mode's unfolding clears the spectral noise edge.
 
@@ -199,12 +194,12 @@ def tensor_informative(x: np.ndarray, ranks, grams: dict[int, np.ndarray] | None
     noise-dominated block should not enter a coupled objective; use the test
     to pick the coupling weight (1 if informative, else 0).  The singular
     values come from the unfolding Grams, given in ``grams`` as in
-    :func:`pchooi` (a later PCHOOI or HOOI start on ``x`` can take the same
-    dict) or formed here and not kept.
+    :func:`pchooi` (a later ``pchooi`` start on ``x``, with or without a panel,
+    can take the same dict) or formed here and not kept.
     """
     x = np.ascontiguousarray(x, dtype=float)
     _check_inputs(x, None, ranks, grams)
-    # last mode first: a PCHOOI or HOOI start skips mode 1's Gram, so a draw
+    # last mode first: a pchooi start skips mode 1's Gram, so a draw
     # that fails on a later mode never forms it
     for i, m in reversed(list(enumerate(ranks))):
         p = x.shape[i]

@@ -6,8 +6,8 @@ panel sharing mode 1, with the block separations normalized to target
 signal-to-noise levels), the pure Gaussian tensor block model used by the
 co-clustering comparisons, and the coupled low-rank Tucker model used by the
 subspace-estimation experiments, all with Gaussian noise.  Every generator is
-a pure function of its design, including the seed; degenerate draws are
-retried on derived sub-seeds.
+a pure function of its design, including the seed; the two block models
+share one attempt loop, which retries a degenerate draw on derived sub-seeds.
 """
 
 from __future__ import annotations
@@ -261,24 +261,38 @@ def _draw_memberships(rng, dims, ranks, balance) -> list[Membership] | None:
     return members
 
 
+def _attempts(seed: int, dims, ranks, balance):
+    """The block draws' one attempt loop: attempt ``a`` = 0, 1, ... draws the
+    memberships from ``_rng_for(seed, a)`` and, if no cluster is empty,
+    yields ``(rng, members)``.  The caller draws the rest from ``rng`` and
+    returns on the first draw it accepts, so a resumed loop means a rejected
+    one: a zero separation.  After ``_MAX_ATTEMPTS`` (>= 1) failed attempts
+    this raises, naming the last failure.
+    """
+    for attempt in range(_MAX_ATTEMPTS):
+        rng = _rng_for(seed, attempt)
+        members = _draw_memberships(rng, dims, ranks, balance)
+        if members is None:
+            last = "empty cluster"
+            continue
+        yield rng, members
+        last = "zero separation"
+    raise InfeasibleDesignError(
+        f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"
+    )
+
+
 def gen_pmtc(design: SimDesign, on_slab=None) -> tuple[CoupledData, GroundTruth]:
     """Draw one coupled block-model replication.
 
-    Deterministic given ``design.seed``; draws with an empty cluster or zero
-    separation are retried on derived sub-seeds (bounded, then error).  The
+    Deterministic given ``design.seed``; an attempt with an empty cluster or
+    zero separation is retried on the next sub-seed (see ``_attempts``).  The
     tensor is drawn one mode-1 slab at a time, and ``on_slab``, if given, is
     called once with each finished slab ``x[i]``, in order of ``i``, so a
     caller can work on the slabs while the rest are drawn (the harness sums
     their unfolding Grams on another thread); it must not write to them.
     """
-    last = "no attempts made"
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = _rng_for(design.seed, attempt)
-        members = _draw_memberships(rng, design.dims, design.ranks, design.balance)
-        if members is None:
-            last = "empty cluster"
-            continue
-
+    for rng, members in _attempts(design.seed, design.dims, design.ranks, design.balance):
         core = rng.normal(0.0, 1.0, size=design.ranks + (design.T,))
         b = rng.standard_normal((design.ranks[0], design.m1))
         b += np.resize(np.asarray(design.mu_b), design.m1)[np.newaxis, :]
@@ -286,7 +300,6 @@ def gen_pmtc(design: SimDesign, on_slab=None) -> tuple[CoupledData, GroundTruth]
 
         stats = metrics.separations(core, members, b @ f)
         if 0.0 in stats.delta_x_sq or (design.sigma_y > 0 and stats.delta_y_sq == 0.0):
-            last = "zero separation"
             continue
 
         if design.sigma_x > 0:
@@ -301,38 +314,25 @@ def gen_pmtc(design: SimDesign, on_slab=None) -> tuple[CoupledData, GroundTruth]
         x = _block_tensor(rng, design.sigma_x, core, members, on_slab)
         y = s_y[members[0].labels] + _noise(rng, design.sigma_y, (design.dims[0], design.T))
         return CoupledData(x, y), GroundTruth(members, core, b, f, s_y)
-    raise InfeasibleDesignError(
-        f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"
-    )
 
 
 def gen_tensor_block(design: BlockDesign, on_slab=None) -> tuple[np.ndarray, GroundTruth]:
     """Draw one Gaussian tensor block model replication (no coupled panel).
 
-    The tensor is drawn one mode-1 slab at a time, as in :func:`gen_pmtc`,
-    which describes ``on_slab``; it is the only full-size array held.
+    Attempts are retried, and the tensor is drawn one mode-1 slab at a time,
+    as in :func:`gen_pmtc`, which describes ``on_slab``; it is the only
+    full-size array held.
     """
-    dims, ranks = design.dims, design.ranks
     balance = None
     if design.balance is not None:
-        balance = (tuple(design.balance),) * len(dims)
-    last = "no attempts made"
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = _rng_for(design.seed, attempt)
-        members = _draw_memberships(rng, dims, ranks, balance)
-        if members is None:
-            last = "empty cluster"
-            continue
-        core = rng.normal(0.0, design.core_scale, size=ranks)
+        balance = (tuple(design.balance),) * len(design.dims)
+    for rng, members in _attempts(design.seed, design.dims, design.ranks, balance):
+        core = rng.normal(0.0, design.core_scale, size=design.ranks)
         stats = metrics.separations(core, members)
         if 0.0 in stats.delta_x_sq:
-            last = "zero separation"
             continue
         x = _block_tensor(rng, design.sigma, core, members, on_slab)
         return x, GroundTruth(members, core, None, None, None)
-    raise InfeasibleDesignError(
-        f"no valid draw in {_MAX_ATTEMPTS} attempts (last failure: {last})"
-    )
 
 
 def _scale_to_min_singular(core: np.ndarray, d: int, target: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from pmtc.experiments import (
     run_experiment,
     write_results_csv,
 )
-from pmtc.pchooi import hooi, pchooi
+from pmtc.pchooi import pchooi
 from pmtc.simulate import (
     BlockDesign,
     LowRankDesign,
@@ -74,7 +74,7 @@ _HIGHSNR_MEMBERSHIPS = {
 ])
 def test_six_method_memberships_unchanged(gamma_x, expected):
     design = SimDesign(dims=(60, 50), T=30, gamma_x=gamma_x, seed=1)
-    got = experiments._draw_and_fit(design, CLUSTER_METHODS)[2]
+    got = experiments._draw_and_fit(design)[2]
     labels = {method: tuple("".join(map(str, m.labels)) for m in final)
               for method, final in got.items()}
     assert labels == expected
@@ -93,7 +93,7 @@ def test_panel_clustering_reuses_the_zero_weight_warm_start(monkeypatch, gamma_x
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "spectral_cluster_rows", spectral_cluster_rows)
-    got = experiments._draw_and_fit(design, CLUSTER_METHODS)[2]
+    got = experiments._draw_and_fit(design)[2]
     assert len(ran) == calls
     expected = _LOWSNR_MEMBERSHIPS if gamma_x < 0 else _HIGHSNR_MEMBERSHIPS
     assert "".join(map(str, got["Y: SC"][0].labels)) == expected["Y: SC"][0]
@@ -112,7 +112,7 @@ def test_a_failing_helper_family_raises_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(experiments, "cluster", cluster)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
-        experiments._draw_and_fit(design, CLUSTER_METHODS)
+        experiments._draw_and_fit(design)
     assert raised.value is failure
     assert threading.active_count() == before
 
@@ -133,7 +133,7 @@ def test_streamed_grams_equal_the_formed_grams_bit_for_bit(monkeypatch, design):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter between the threads as often as it can
     try:
-        drawn = experiments._draw_and_fit(design, DESIGN_METHODS[type(design)])[0]
+        drawn = experiments._draw_and_fit(design)[0]
     finally:
         sys.setswitchinterval(interval)
     x = drawn.x if isinstance(design, SimDesign) else drawn
@@ -185,10 +185,9 @@ def _record_formed_grams(monkeypatch, design) -> list:
 ], ids=["lowsnr", "highsnr", "block"])
 def test_a_streamed_gram_is_never_formed_again(monkeypatch, design, formed):
     got = _record_formed_grams(monkeypatch, design)
-    methods = DESIGN_METHODS[type(design)]
-    scores = experiments._run_cluster_task(design, methods)
+    scores = experiments._run_one((design, 0))
     assert got == formed
-    assert {method for method, *_ in scores} == set(methods)
+    assert set(scores) == set(DESIGN_METHODS[type(design)])
 
 
 @pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
@@ -204,7 +203,7 @@ def test_one_unfolding_gram_per_mode_per_draw(monkeypatch, gamma_x):
         return grams
 
     monkeypatch.setattr(experiments, "slab_grams", slab_grams)
-    experiments._draw_and_fit(design, CLUSTER_METHODS)
+    experiments._draw_and_fit(design)
     # the draw streams mode 2's Gram; at -0.5 mode 2 fails the noise-edge
     # test and no start reads mode 1's Gram, at 0.1 the test forms it once
     assert sorted(grams_computed) == ([1] if gamma_x < 0 else [0, 1])
@@ -236,18 +235,12 @@ def test_a_failing_stream_raises_and_leaves_no_thread(monkeypatch, where):
         monkeypatch.setattr(experiments, "slab_grams", slab_grams)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
-        experiments._draw_and_fit(SimDesign(dims=(24, 20), T=10, seed=3), CLUSTER_METHODS)
+        experiments._draw_and_fit(SimDesign(dims=(24, 20), T=10, seed=3))
     assert raised.value is failure
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("methods", [
-    CLUSTER_METHODS,
-    ("X: HSC+HLloyd", "X: HSC+PMTLloyd"),
-    ("Y: SC", "X+Y: PMTSC", "X+Y: PMTSC+PMTLloyd"),
-], ids=["all", "hsc", "coupled"])
-def test_the_coupled_start_runs_on_the_draws_one_helper_thread(monkeypatch, methods):
-    # whichever methods are asked for, both families are fitted
+def test_the_coupled_start_runs_on_the_draws_one_helper_thread(monkeypatch):
     design = SimDesign(dims=(24, 20), T=10, gamma_x=0.1, seed=3)
     threads = {}  # the threads that summed the streamed Grams and ran each family's start
     original_grams, original_cluster = experiments.slab_grams, experiments.cluster
@@ -263,9 +256,9 @@ def test_the_coupled_start_runs_on_the_draws_one_helper_thread(monkeypatch, meth
     monkeypatch.setattr(experiments, "slab_grams", slab_grams)
     monkeypatch.setattr(experiments, "cluster", cluster)
     before = threading.active_count()
-    got = experiments._draw_and_fit(design, methods)[2]
+    got = experiments._draw_and_fit(design)[2]
     assert threading.active_count() == before
-    assert tuple(got) == methods
+    assert tuple(got) == CLUSTER_METHODS  # both families, whichever rows a run keeps
     assert threads["hsc"] is threading.main_thread()
     assert threads["coupled"] is threads["grams"] is not threading.main_thread()
 
@@ -273,7 +266,8 @@ def test_the_coupled_start_runs_on_the_draws_one_helper_thread(monkeypatch, meth
 @pytest.mark.parametrize("design", [
     SimDesign(dims=(24, 20), T=10, gamma_x=0.1, seed=3),
     BlockDesign(dims=(20, 20, 20), ranks=(2, 2, 2), core_scale=0.5, seed=1),
-], ids=["coupled", "block"])
+    LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2), seed=4),
+], ids=["coupled", "block", "lowrank"])
 def test_a_method_subset_gets_exactly_the_full_runs_rows(design):
     every = DESIGN_METHODS[type(design)]
     full = run_experiment([Task("t", design)], every, replications=2)
@@ -333,7 +327,7 @@ def test_subspace_methods_share_grams_without_changing_bits(monkeypatch):
     assert formed == [("one pass", (1,))]  # mode 2's Gram, for both starts; mode 1's unread
     data, truth = gen_coupled_lowrank(design)
     alone = {"PCHOOI": pchooi(data.x, data.y, design.ranks).bases,
-             "HOOI": hooi(data.x, design.ranks).bases}
+             "HOOI": pchooi(data.x, None, design.ranks).bases}
     for row in rows:
         if row.method in alone:
             u = alone[row.method][row.mode - 1]
@@ -367,14 +361,14 @@ def test_a_full_size_draw_fits_the_same_memberships_with_split_products(kernel_p
                                                                        gamma_x):
     # 110 x 100 x 100 entries: every fit's first product on the tensor may split
     design = SimDesign(dims=(110, 100), T=100, gamma_x=gamma_x, seed=5)
-    split = experiments._draw_and_fit(design, CLUSTER_METHODS)[2]
+    split = experiments._draw_and_fit(design)[2]
     # only the family left running splits: the two families fill both cores.
     # At gamma_x = -0.5 the coupled family (omega = 0) ends long before HSC's.
     assert set(kernel_pool.fitting) <= {1}
     assert kernel_pool.halves or gamma_x > 0
     with monkeypatch.context() as m:
         m.setattr(tensor, "_SPLIT_SIZE", math.inf)
-        whole = experiments._draw_and_fit(design, CLUSTER_METHODS)[2]
+        whole = experiments._draw_and_fit(design)[2]
     for method, members in split.items():
         for split_m, whole_m in zip(members, whole[method]):
             assert np.array_equal(split_m.labels, whole_m.labels)

@@ -4,7 +4,7 @@ import pytest
 import importlib
 
 from pmtc import tensor
-from pmtc.pchooi import coupled_block, hooi, pchooi, tensor_informative
+from pmtc.pchooi import coupled_block, pchooi, tensor_informative
 from pmtc.simulate import LowRankDesign, SimDesign, gen_coupled_lowrank, gen_pmtc
 from pmtc.tensor import (
     lsvd,
@@ -67,15 +67,6 @@ def test_rotation_invariance_of_projectors():
     assert subspace_distance(res.bases[0], us[0] @ q) < 1e-8
 
 
-def test_hooi_matches_pchooi_without_panel():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((10, 9, 8))
-    a = hooi(x, (2, 2))
-    b = pchooi(x, None, (2, 2))
-    for ua, ub in zip(a.bases, b.bases):
-        assert np.array_equal(ua, ub)
-
-
 def test_omega_zero_reduces_to_panel_svd():
     data, _ = gen_coupled_lowrank(LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2), seed=7))
     res = pchooi(data.x, data.y, (3, 2), omega=0.0)
@@ -93,7 +84,7 @@ def test_coupled_block_at_zero_weight_is_the_panel():
 def test_large_omega_approaches_hooi():
     data, _ = gen_coupled_lowrank(LowRankDesign(dims=(20, 15), T=12, ranks=(3, 2), seed=8))
     res = pchooi(data.x, data.y, (3, 2), omega=1e8)
-    base = hooi(data.x, (3, 2))
+    base = pchooi(data.x, None, (3, 2))
     assert subspace_distance(res.bases[0], base.bases[0]) < 1e-3
 
 
@@ -119,7 +110,7 @@ def test_coupling_dominates_at_zero_panel_noise():
                           c_x=1.0, c_y=1.0, seed=seed)
         data, truth = gen_coupled_lowrank(d)
         u_c = pchooi(data.x, data.y, d.ranks).bases[0]
-        u_h = hooi(data.x, d.ranks).bases[0]
+        u_h = pchooi(data.x, None, d.ranks).bases[0]
         gaps.append(
             subspace_distance(u_h, truth.bases[0]) - subspace_distance(u_c, truth.bases[0])
         )
@@ -226,7 +217,7 @@ def single_mode_draw(seed=5):
 def test_single_clustered_mode(omega):
     x, y, ranks = single_mode_draw()
     if omega is None:
-        res = hooi(x, ranks)
+        res = pchooi(x, None, ranks)
         expect = lsvd(x, ranks[0])
     else:
         res = pchooi(x, y, ranks, omega=omega)
@@ -334,4 +325,4 @@ def test_one_clustered_mode_stops_after_one_iteration():
     for panel, omega in ((None, 1.0), (y, 1.0), (y, 0.0)):
         res = pchooi(x, panel, (3,), omega=omega)
         assert res.converged and res.iterations_used == 1
-    assert hooi(x, (3,)).bases[0].tobytes() == lsvd(x, 3).tobytes()
+    assert pchooi(x, None, (3,)).bases[0].tobytes() == lsvd(x, 3).tobytes()

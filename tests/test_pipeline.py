@@ -16,7 +16,7 @@ import scipy.stats
 import pmtc
 from pmtc.factors import estimate_observed
 from pmtc.metrics import total_r2
-from pmtc.pchooi import hooi, pchooi
+from pmtc.pchooi import pchooi
 from pmtc.pipeline import (
     cluster,
     evaluate_rolling,
@@ -114,7 +114,7 @@ def test_fit_skips_the_start_its_first_iteration_overwrites(monkeypatch, omega):
     monkeypatch.setattr(module, "top_eigvecs", top_eigvecs)
     p1, p2 = x.shape[:2]
     if omega is None:  # mode 1's start skipped; mode 1 then updates by lsvd
-        hooi(x, design.ranks)
+        pchooi(x, None, design.ranks)
         assert formed == [1] and solved == [p2]
     elif omega == 0.0:  # mode 1 is lsvd(y); mode 2's start skipped
         cluster(x, y, design.ranks, omega, seed=1)

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pmtc.presets import PRESET_NAMES, build_preset
 _SMALL = {"p1": 20, "p2": 16, "T": 8}
 _COUPLED_GRID = {**_SMALL, "gamma_y_grid": "-0.1", "gamma_x_grid": "-0.5,0.1"}
 _TINY = {
-    "fig1": {**_SMALL, "log_cy_grid": "2.0", "log_cx_grid": "1.0"},
+    "fig1": {**_SMALL, "log_cy_grid": "2.0", "log_cx_grid": "0.5"},
     "fig2": _COUPLED_GRID,
     "figA1": {"scale_grid": "0.2"},
     "figA3": _COUPLED_GRID,
@@ -24,7 +25,7 @@ _TINY = {
 # they are; a change that alters an estimate or the set of rows on purpose
 # re-captures them.
 _RESULTS_SHA256 = {
-    "fig1": "a8283baac08cf175d56c019e3bb996fef786322210c1d73988d8f1d416fc36eb",
+    "fig1": "7f56982691712e4e25ed39a3479f2b376f7bd30206bfa1ea229942131f27ec91",
     "fig2": "708c0ccff128b539dfec5f9bafa2cdd149e830b96e96e0c954727dc04f9d76b9",
     "figA1": "24f74bc6c0acc9f4bc6201822d556eec7481248ceaa3e84058008b96f83cf396",
     "figA3": "04f70a4cbe7460100bceb6935975c129ed3c1cca4917bd24a34960d3dc40aa38",
@@ -97,8 +98,7 @@ def test_preset_results_csv_unchanged_through_a_two_worker_pool(tmp_path, monkey
     path = tmp_path / "results.csv"
     write_results_csv(run_experiment(run.tasks, run.methods, run.replications, threads=2), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _RESULTS_SHA256[name]
-    # fig1's tiny grid is one design, so one job that runs in this process
-    assert started == ([] if name == "fig1" else [2])
+    assert started == [2]  # every tiny grid holds two or more distinct designs
 
 
 @pytest.mark.parametrize("name, jobs", [
@@ -106,7 +106,8 @@ def test_preset_results_csv_unchanged_through_a_two_worker_pool(tmp_path, monkey
 ])
 def test_a_preset_submits_one_job_per_distinct_design_and_replication(monkeypatch, name, jobs):
     submitted = []
-    monkeypatch.setattr(experiments, "_run_one", lambda job: submitted.append(job) or [])
+    monkeypatch.setattr(experiments, "_run_one",
+                        lambda job: submitted.append(job) or defaultdict(list))
     run = build_preset(name, {"replications": 2})
     assert run_experiment(run.tasks, run.methods, run.replications) == []
     assert len(submitted) == len(set(submitted)) == 2 * jobs
@@ -116,9 +117,9 @@ def test_a_design_two_tasks_share_is_drawn_once_and_written_under_both_ids(monke
     drawn = []
     original = experiments._draw_and_fit
 
-    def draw_and_fit(design, methods):
+    def draw_and_fit(design):
         drawn.append(design)
-        return original(design, methods)
+        return original(design)
 
     monkeypatch.setattr(experiments, "_draw_and_fit", draw_and_fit)
     # gamma_y=-0.1 and gamma_x=-0.5 are the preset's base design, so both scenarios hold it

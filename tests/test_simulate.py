@@ -184,11 +184,32 @@ def test_infeasible_designs_rejected():
         SimDesign(dims=(10, 10), T=5, ranks=(2, 2), m1=3)  # mu_b length mismatch
 
 
-@pytest.mark.parametrize("generator, design", [
+_BLOCK_DRAWS = pytest.mark.parametrize("generator, design", [
     (gen_pmtc, SimDesign(dims=(12, 10), T=6, ranks=(2, 2), m1=2, mu_b=(1.0,), seed=3)),
     (gen_tensor_block, BlockDesign(dims=(12, 10, 8), ranks=(2, 2, 2), seed=3)),
 ], ids=["coupled", "block"])
+
+
+def _record_attempts(monkeypatch) -> tuple[list, list]:
+    """Record the number of each attempt's sub-seed, and the memberships each attempt draws."""
+    attempts, drawn = [], []
+
+    def rng_for(seed, attempt, original=simulate._rng_for):
+        attempts.append(attempt)
+        return original(seed, attempt)
+
+    def draw_memberships(*args, original=simulate._draw_memberships):
+        drawn.append(original(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(simulate, "_rng_for", rng_for)
+    monkeypatch.setattr(simulate, "_draw_memberships", draw_memberships)
+    return attempts, drawn
+
+
+@_BLOCK_DRAWS
 def test_a_zero_core_separation_is_redrawn(monkeypatch, generator, design):
+    attempts, drawn = _record_attempts(monkeypatch)
     draws = []
 
     def first_draw_coincides(core, members, s_y=None):
@@ -200,11 +221,31 @@ def test_a_zero_core_separation_is_redrawn(monkeypatch, generator, design):
         return replace(stats, delta_x_sq=(0.0,) + stats.delta_x_sq[1:])
 
     monkeypatch.setattr(simulate.metrics, "separations", first_draw_coincides)
-    generator(design)
-    assert len(draws) == 2
+    truth = generator(design)[1]
+    assert len(draws) == 2 and attempts == [0, 1]
+    assert truth.memberships is drawn[1]  # the next attempt's draw
     monkeypatch.setattr(simulate.metrics, "separations",
                         lambda *args: replace(draws[0], delta_x_sq=(0.0, 1.0)))
     with pytest.raises(InfeasibleDesignError, match=r"\(last failure: zero separation\)$"):
+        generator(design)
+
+
+@_BLOCK_DRAWS
+def test_an_empty_cluster_is_redrawn(monkeypatch, generator, design):
+    attempts, drawn = _record_attempts(monkeypatch)
+    original = simulate._draw_memberships
+
+    def first_draw_empties_a_cluster(*args):
+        """The real memberships, but the first attempt leaves a cluster empty."""
+        members = original(*args)
+        return None if len(drawn) == 1 else members
+
+    monkeypatch.setattr(simulate, "_draw_memberships", first_draw_empties_a_cluster)
+    truth = generator(design)[1]
+    assert attempts == [0, 1]
+    assert truth.memberships is drawn[1]  # the next attempt's draw
+    monkeypatch.setattr(simulate, "_draw_memberships", lambda *args: None)
+    with pytest.raises(InfeasibleDesignError, match=r"\(last failure: empty cluster\)$"):
         generator(design)
 
 
