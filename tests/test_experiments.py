@@ -240,7 +240,13 @@ def test_a_failing_stream_raises_and_leaves_no_thread(monkeypatch, where):
     assert threading.active_count() == before
 
 
-def test_the_coupled_start_runs_on_the_draws_one_helper_thread(monkeypatch):
+@pytest.mark.parametrize("methods", [
+    CLUSTER_METHODS,
+    ("X: HSC+HLloyd", "X: HSC+PMTLloyd"),
+    ("Y: SC", "X+Y: PMTSC", "X+Y: PMTSC+PMTLloyd"),
+], ids=["all", "hsc", "coupled"])
+def test_the_coupled_start_runs_on_the_draws_one_helper_thread(monkeypatch, methods):
+    # whichever methods a run asks for, both families are fitted
     design = SimDesign(dims=(24, 20), T=10, gamma_x=0.1, seed=3)
     threads = {}  # the threads that summed the streamed Grams and ran each family's start
     original_grams, original_cluster = experiments.slab_grams, experiments.cluster
@@ -256,9 +262,9 @@ def test_the_coupled_start_runs_on_the_draws_one_helper_thread(monkeypatch):
     monkeypatch.setattr(experiments, "slab_grams", slab_grams)
     monkeypatch.setattr(experiments, "cluster", cluster)
     before = threading.active_count()
-    got = experiments._draw_and_fit(design)[2]
+    rows = run_experiment([Task("t", design)], methods, replications=1)  # in this process
     assert threading.active_count() == before
-    assert tuple(got) == CLUSTER_METHODS  # both families, whichever rows a run keeps
+    assert tuple(dict.fromkeys(r.method for r in rows)) == methods
     assert threads["hsc"] is threading.main_thread()
     assert threads["coupled"] is threads["grams"] is not threading.main_thread()
 
