@@ -29,7 +29,7 @@ from .experiments import run_experiment, write_panels, write_results_csv
 from .pipeline import evaluate_rolling, evaluate_split, fit_pmtc, rank_normalize
 from .presets import PRESET_NAMES, build_preset
 from .simulate import InfeasibleDesignError
-from .tensor import usable_cores
+from .tensor import one_blas_thread, usable_cores
 
 _EXIT_CONFIG = 2
 _EXIT_INFEASIBLE = 3
@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     # workers running OpenBLAS's own threads would contend for the cores
-    threads = args.threads or (usable_cores() if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1)
+    threads = args.threads or (usable_cores() if one_blas_thread() else 1)
     print(f"preset {preset}: {len(run.tasks)} grid points x {run.replications} replications, "
           f"{len(run.methods)} methods, at most {threads} worker(s)"
           f"{'' if args.threads else f' ({_DEFAULT_THREADS})'}", file=sys.stderr)

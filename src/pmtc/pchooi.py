@@ -11,11 +11,11 @@ With ``y=None``, ``pchooi(x, None, ranks)`` is plain HOOI on the tensor.
 Each update maximises the coupled objective
 omega ||x ×_i U_i'||^2 + ||U_1' y||^2 over one basis with the others held,
 so the objective never decreases, and the iteration stops once one sweep
-raises it by no more than a small share of its value.  Zhang & Xia (*Tensor
-SVD: statistical and computational limits*, IEEE Trans. Inf. Theory 2018)
-show why iterating further buys nothing: above the computational threshold
-HOOI from a spectral start converges in O(log) iterations, and below it more
-iterations do not improve the estimate.
+raises it by no more than ``_TOL`` times its value, or after ``_MAX_ITER``
+sweeps.  Zhang & Xia (*Tensor SVD: statistical and computational limits*,
+IEEE Trans. Inf. Theory 2018) show why iterating further buys nothing: above
+the computational threshold HOOI from a spectral start converges in O(log)
+iterations, and below it more iterations do not improve the estimate.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .tensor import lsvd, matricize, multi_mode_product, top_eigvecs, unfolding_
 
 __all__ = ["PchooiResult", "pchooi", "coupled_block"]
 
+_MAX_ITER = 50  # sweeps; the cap that ``converged=False`` reports
+_TOL = 3e-3  # the objective's relative rise below which a sweep is flat
+
 
 @dataclass(frozen=True)
 class PchooiResult:
@@ -37,8 +40,8 @@ class PchooiResult:
     ``last_unfolding`` is the last mode's projected unfolding
     matricize(x ×_{j<d} U_j', d) from the last iteration, which used the
     final bases of every other mode; PMTSC clusters that mode on it without
-    projecting the full tensor again.  None when ``max_iter`` was 0 or ``x``
-    has one clustered mode, whose features must also hold the panel.
+    projecting the full tensor again.  None when ``x`` has one clustered
+    mode, whose features must also hold the panel.
     """
 
     bases: list[np.ndarray]
@@ -92,8 +95,6 @@ def pchooi(
     x: np.ndarray,
     y: np.ndarray | None,
     ranks,
-    max_iter: int = 50,
-    tol: float = 3e-3,
     omega: float = 1.0,
     grams: dict[int, np.ndarray] | None = None,
 ) -> PchooiResult:
@@ -106,23 +107,21 @@ def pchooi(
 
     ``x`` is brought into C order once here (a copy only for another layout);
     every mode product runs on its free reshape, and no other full-size array
-    is formed.  The start takes the top eigenvectors of each mode's unfolding
-    Gram, with omega G_1 + y y' for the coupled mode 1, and lsvd(y) for mode 1
-    at omega=0.  ``grams`` holds the Grams of ``x`` already formed, by 0-based
+    is formed.  ``grams`` holds the Grams of ``x`` already formed, by 0-based
     mode; a missing one is formed where it is read and not kept, and a given
-    one that is not p_i x p_i raises ValueError.  The first iteration
-    overwrites the start of the first mode it updates before reading it, so
-    when ``max_iter`` >= 1 that start is skipped: mode 1's for
-    ``pchooi(x, None, ...)`` and at omega > 0 (a two-mode fit then forms the
-    Gram of mode 2 alone), mode 2's at omega=0 (no Gram at all for two
-    modes).  ``max_iter=0`` returns every start.  An iteration updates each
-    mode in turn from its projected unfolding z = matricize(x ×_{j≠i} U_j', i):
-    lsvd(z), or for the coupled mode 1 the top eigenvectors of
-    omega z z' + y y' (y y' formed once per call).  At omega=0
-    U_1 = lsvd(y) never changes and the loop skips it.
+    one that is not p_i x p_i raises ValueError.
+
+    At omega=0 U_1 = lsvd(y) never changes, and the iterations update modes
+    2, ..., d; otherwise they update every mode.  Each of those modes but
+    the first starts from the top eigenvectors of its unfolding Gram; the
+    first iteration overwrites the first before reading it, so a two-mode
+    fit forms the Gram of mode 2 alone, and none at omega=0.  An iteration
+    updates each mode in turn from its projected unfolding
+    z = matricize(x ×_{j≠i} U_j', i): lsvd(z), or for the coupled mode 1 the
+    top eigenvectors of omega z z' + y y' (y y' formed once per call).
 
     Iterations stop once one raises the objective
-    omega ||x ×_i U_i'||^2 + ||U_1' y||^2 by no more than ``tol`` times its
+    omega ||x ×_i U_i'||^2 + ||U_1' y||^2 by no more than ``_TOL`` times its
     value, checked from the second iteration on (see the module docstring
     for why this is safe).  When an iteration updates at most one basis
     (omega=0 with two clustered modes, or one clustered mode), that update
@@ -131,7 +130,7 @@ def pchooi(
     fixed, the objective is ||x ×_i U_i'||^2.  The tensor term is
     ||U_d' z||^2 for the projected unfolding z that the last mode's update
     has just formed, an r x n product rather than a pass over ``x``.  ``converged`` is False
-    when ``max_iter`` stopped the iterations instead.  Returns the bases and
+    when ``_MAX_ITER`` stopped the iterations instead.  Returns the bases and
     the stopping record.
     """
     x = np.ascontiguousarray(x, dtype=float)
@@ -142,27 +141,18 @@ def pchooi(
 
     fixed_mode1 = y is not None and omega == 0.0
     yy = None if y is None or fixed_mode1 else y @ y.T
-    # the first mode an iteration updates, whose start would go unread
-    unread = (1 if fixed_mode1 else 0) if max_iter > 0 else None
+    updated = range(1 if fixed_mode1 else 0, d)
     bases: list[np.ndarray | None] = [None] * d
     if fixed_mode1:
         bases[0] = lsvd(y, ranks[0])
-    elif unread != 0:
-        g = _gram(x, grams, 0)
-        bases[0] = top_eigvecs(g if yy is None else omega * g + yy, ranks[0])
-    for i in range(1, d):
-        if i != unread:
-            bases[i] = top_eigvecs(_gram(x, grams, i), ranks[i])
+    for i in updated[1:]:
+        bases[i] = top_eigvecs(_gram(x, grams, i), ranks[i])
 
-    updated = range(1 if fixed_mode1 else 0, d)
-    iterations = 0
-    converged = max_iter == 0
-    block = None  # projected unfolding of the mode updated last
+    converged = False
     value = 0.0
-    for _ in range(max_iter):
-        iterations += 1
+    for iterations in range(1, _MAX_ITER + 1):
         prev_value = value
-        block = None  # released before this iteration forms its own
+        block = None  # projected unfolding of the mode updated last; the old one goes first
         for i in updated:
             others = {j: bases[j].T for j in range(d) if j != i}
             block = matricize(multi_mode_product(x, others), i)
@@ -176,7 +166,7 @@ def pchooi(
         value = float(np.sum((bases[-1].T @ block) ** 2))
         if yy is not None:
             value = omega * value + float(np.sum((bases[0].T @ y) ** 2))
-        if iterations > 1 and value - prev_value <= tol * value:
+        if iterations > 1 and value - prev_value <= _TOL * value:
             converged = True
             break
     return PchooiResult(bases, iterations, converged, block if d > 1 else None)

@@ -13,7 +13,9 @@ entries or more is split in two: the calling thread computes one half and
 the process's one kernel thread (``pmtc-kernel``, idle between products)
 the other.  The cut falls where no bit changes: between the batch's GEMMs
 for a middle mode, else between the one GEMM's columns (mode 0) or rows
-(last mode), at a multiple of 64.  No product splits in a process that
+(last mode), at a multiple of 64.  That one GEMM splits only when the BLAS
+runs one thread (:func:`one_blas_thread`), since a threaded BLAS already
+spreads it over the cores.  No product splits in a process that
 multiprocessing started (a pool's worker, whose siblings fill the cores),
 nor while the threads inside :func:`sharing_cores` fill them.
 
@@ -62,6 +64,11 @@ _kernel_pools: dict[int, ThreadPoolExecutor] = {}  # by process id: a forked chi
 def usable_cores() -> int:
     """The number of cores this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def one_blas_thread() -> bool:
+    """Whether the BLAS runs one thread: ``OPENBLAS_NUM_THREADS`` is ``"1"``."""
+    return os.environ.get("OPENBLAS_NUM_THREADS") == "1"
 
 
 @contextlib.contextmanager
@@ -123,8 +130,9 @@ def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
         b, c = x.reshape(p, trail), out.reshape(len(u), trail)
         part, half = lambda s: (u, b[:, s], c[:, s]), trail // 128 * 64
     # Cut at a multiple of 64, OpenBLAS tiles each half of one GEMM as in the whole,
-    # unless r == 1 (GEMV) or a half is a small GEMM.
-    if (lead == 1 or trail == 1) and (len(u) == 1 or u.size * half < _SMALL_GEMM):
+    # unless r == 1 (GEMV) or a half is a small GEMM.  A threaded BLAS splits it itself.
+    if (lead == 1 or trail == 1) and (len(u) == 1 or u.size * half < _SMALL_GEMM
+                                      or not one_blas_thread()):
         half = 0
     if (x.size >= _SPLIT_SIZE and half > 0 and multiprocessing.parent_process() is None
             and max(len(_fitting), 1) < usable_cores()):

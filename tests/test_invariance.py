@@ -1,0 +1,113 @@
+"""Invariances of the whole fit, which hold whatever numbers it produces.
+
+Each case fits ``fit_pmtc`` at the figA7 shape (100 x 100 x 60, ranks
+(5, 5)) on fixed seeds, at two cells below the tensor's noise edge and two
+above it, under omega=1 and omega="auto":
+
+1. scaling x and y together leaves the memberships bit for bit the same;
+2. so does permuting x's time axis and y's columns together;
+3. permuting the assets leaves the warm start's mode 2 the same, and the
+   refined memberships the same partitions once mapped back where the fit
+   is exact.  Elsewhere mode 1 may move: its k-means++ seeding picks rows by
+   index, so in the hard regime the warm start depends on asset order, and
+   mode 2's Lloyd refinement reads mode 1's memberships;
+4. ``tensor_informative`` does not depend on the tensor's scale.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from pmtc.membership import Membership
+from pmtc.metrics import cer
+from pmtc.pchooi import tensor_informative
+from pmtc.pipeline import fit_pmtc
+from pmtc.simulate import SimDesign, gen_pmtc
+
+_BELOW = [(-0.1, -0.5), (-0.3, -0.15)]  # (gamma_y, gamma_x): the tensor is noise
+_ABOVE = [(-0.1, 0.1), (-0.3, 0.1)]
+_SEEDS = (0, 1, 2)
+_OMEGAS = (1.0, "auto")
+
+
+@functools.lru_cache(maxsize=None)
+def _draw(cell, seed):
+    gamma_y, gamma_x = cell
+    design = SimDesign(dims=(100, 100), T=60, gamma_x=gamma_x, gamma_y=gamma_y, seed=seed)
+    data, truth = gen_pmtc(design)
+    return data.x, data.y, design.ranks, truth.memberships
+
+
+@functools.lru_cache(maxsize=None)
+def _fit(cell, seed, omega):
+    x, y, ranks, _ = _draw(cell, seed)
+    return fit_pmtc(x, y, ranks, omega=omega)
+
+
+def _labels(memberships):
+    return [m.labels for m in memberships]
+
+
+def _same_partition(a, b) -> bool:
+    return a.num_clusters == b.num_clusters and cer(a, b)[0] == 0.0
+
+
+cases = pytest.mark.parametrize("cell", _BELOW + _ABOVE)
+omegas = pytest.mark.parametrize("omega", _OMEGAS)
+
+
+@cases
+@omegas
+def test_scaling_both_sources_keeps_the_memberships(cell, omega):
+    for seed in _SEEDS:
+        x, y, ranks, _ = _draw(cell, seed)
+        want = _labels(_fit(cell, seed, omega).memberships)
+        for c in (2.0, 3.0):
+            got = _labels(fit_pmtc(c * x, c * y, ranks, omega=omega).memberships)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (seed, c)
+
+
+@cases
+@omegas
+def test_permuting_the_periods_keeps_the_memberships(cell, omega):
+    for seed in _SEEDS:
+        x, y, ranks, _ = _draw(cell, seed)
+        want = _labels(_fit(cell, seed, omega).memberships)
+        periods = np.random.default_rng(seed).permutation(x.shape[-1])
+        got = _labels(fit_pmtc(x[..., periods], y[:, periods], ranks, omega=omega).memberships)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), seed
+
+
+@cases
+@omegas
+def test_permuting_the_assets_keeps_mode_2_and_exact_fits(cell, omega):
+    exact = 0
+    for seed in _SEEDS:
+        x, y, ranks, truth = _draw(cell, seed)
+        own = _fit(cell, seed, omega)
+        assets = np.random.default_rng(100 + seed).permutation(x.shape[0])
+        moved = fit_pmtc(x[assets], y[assets], ranks, omega=omega)
+        assert np.array_equal(moved.start.memberships[1].labels, own.start.memberships[1].labels)
+        back = np.empty_like(own.memberships[0].labels)
+        back[assets] = moved.memberships[0].labels
+        mode1 = Membership(back, own.memberships[0].num_clusters)
+        if all(cer(m, t)[0] == 0.0 for m, t in zip(own.memberships, truth)):
+            exact += 1
+            assert _same_partition(mode1, own.memberships[0]), seed
+        if _same_partition(mode1, own.memberships[0]):
+            assert np.array_equal(moved.memberships[1].labels, own.memberships[1].labels), seed
+    if cell in _ABOVE:  # the exact fits the mode-1 check needs
+        assert exact == len(_SEEDS)
+
+
+def test_the_noise_edge_test_ignores_the_tensors_scale():
+    verdicts = set()
+    for cell in _BELOW + _ABOVE:
+        for seed in _SEEDS:
+            x, _, ranks, _ = _draw(cell, seed)
+            verdict = tensor_informative(x, ranks)
+            verdicts.add(verdict)
+            for c in (2.0, 3.0):
+                assert tensor_informative(c * x, ranks) == verdict, (cell, seed, c)
+    assert verdicts == {False, True}  # the cells lie on both sides of the edge

@@ -16,6 +16,8 @@ from pmtc.tensor import (
     unfolding_gram,
 )
 
+pchooi_module = importlib.import_module("pmtc.pchooi")  # the package exports a function of this name
+
 
 def _noiseless_coupled(seed=0, p1=12, p2=10, t=8, m=(3, 2)):
     rng = np.random.default_rng(seed)
@@ -53,7 +55,7 @@ def test_full_rank_is_identity_projection():
 
 def test_stop_rule_reported_consistently():
     data, _ = gen_coupled_lowrank(LowRankDesign(dims=(20, 18), T=12, ranks=(3, 3), seed=3))
-    res = pchooi(data.x, data.y, (3, 3), max_iter=50, tol=1e-6)
+    res = pchooi(data.x, data.y, (3, 3))
     assert res.converged
     assert 1 <= res.iterations_used <= 50
 
@@ -165,13 +167,20 @@ def record_products(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
 
 
 @pytest.mark.parametrize("omega", [None, 0.0, 1.0])  # None: HOOI, the tensor alone
-def test_shared_grams_change_no_bits(omega):
+def test_shared_grams_change_no_bits(monkeypatch, omega):
     x, y, ranks = small_draw()
     y, omega = (None, 1.0) if omega is None else (y, omega)
     grams = {mode: unfolding_gram(x, mode) for mode in range(len(ranks))}
     given = dict(grams)
     assert tensor_informative(x, ranks, grams)  # reads every mode's Gram
     own = pchooi(x, y, ranks, omega=omega)
+    starts, original = [], pchooi_module.top_eigvecs
+
+    def spied(g, rank):
+        starts.append((g, original(g, rank)))
+        return starts[-1][1]
+
+    monkeypatch.setattr(pchooi_module, "top_eigvecs", spied)
     for shared_grams in (grams, {1: grams[1]}):  # every Gram given, or only mode 2's
         shared = pchooi(x, y, ranks, omega=omega, grams=shared_grams)
         assert own.iterations_used == shared.iterations_used
@@ -179,31 +188,21 @@ def test_shared_grams_change_no_bits(omega):
             assert np.array_equal(a, b)
     assert grams.keys() == given.keys()  # read, never written
     assert all(grams[mode] is given[mode] for mode in grams)
-    # the start takes the top eigenvectors of the kept Grams (the coupled
-    # mode 1 those of omega G_1 + y y'), and spans each unfolding's (or the
-    # coupled block's) top left singular subspace
-    start = pchooi(x, y, ranks, omega=omega, max_iter=0, grams=grams).bases
-    assert np.array_equal(start[1], top_eigvecs(grams[1], ranks[1]))
-    assert subspace_distance(start[1], lsvd(matricize(x, 1), ranks[1])) < 1e-10
-    x1 = matricize(x, 0)
-    if y is None:
-        assert np.array_equal(start[0], top_eigvecs(grams[0], ranks[0]))
-        assert np.array_equal(start[0], lsvd(x1, ranks[0]))
-    elif omega == 0.0:
+    # mode 2 starts from the top eigenvectors of its kept Gram, which span
+    # its unfolding's top left singular subspace; at omega=0 mode 2 is the
+    # first mode updated and needs no start, and mode 1 is lsvd(y)
+    if omega == 0.0:
+        assert not any(g is grams[1] for g, _ in starts)
         assert np.array_equal(own.bases[0], lsvd(y, ranks[0]))
-        assert np.array_equal(start[0], lsvd(y, ranks[0]))
     else:
-        assert np.array_equal(start[0], top_eigvecs(omega * grams[0] + y @ y.T, ranks[0]))
-        old = lsvd(coupled_block(x1, y, omega), ranks[0])
-        assert subspace_distance(start[0], old) < 1e-10
+        start = [u for g, u in starts if g is grams[1]]
+        assert len(start) == 2  # once per call, with the Gram given either way
+        assert np.array_equal(start[0], top_eigvecs(grams[1], ranks[1]))
+        assert subspace_distance(start[0], lsvd(matricize(x, 1), ranks[1])) < 1e-10
+    assert not any(g is grams[0] for g, _ in starts)  # mode 1's Gram is never read
     # the kept projection is the one PMTSC would otherwise recompute
     again = matricize(multi_mode_product(x, {0: own.bases[0].T}), 1)
     assert np.array_equal(own.last_unfolding, again)
-
-
-def test_last_unfolding_absent_without_iterations():
-    x, y, ranks = small_draw()
-    assert pchooi(x, y, ranks, max_iter=0).last_unfolding is None
 
 
 def single_mode_draw(seed=5):
@@ -249,14 +248,13 @@ def test_grams_of_another_shape_rejected():
 def test_tensor_informative_forms_mode_1s_gram_last(monkeypatch, gamma_x, given, formed):
     x, _, ranks = small_draw(gamma_x)
     grams = {1: unfolding_gram(x, 1)} if given else None
-    module = importlib.import_module("pmtc.pchooi")  # the package exports a function of this name
-    got, original = [], module.unfolding_gram
+    got, original = [], pchooi_module.unfolding_gram
 
     def counted(x, mode):
         got.append(mode)
         return original(x, mode)
 
-    monkeypatch.setattr(module, "unfolding_gram", counted)
+    monkeypatch.setattr(pchooi_module, "unfolding_gram", counted)
     assert tensor_informative(x, ranks, grams) == (gamma_x > 0)
     assert got == formed
 
@@ -281,34 +279,44 @@ def _objective(x, y, bases):
     return value if y is None else value + float(np.sum((bases[0].T @ y) ** 2))
 
 
+def _capped(monkeypatch, max_iter, tol=0.0):
+    """Make ``pchooi`` run at most ``max_iter`` sweeps and stop at ``tol``."""
+    monkeypatch.setattr(pchooi_module, "_MAX_ITER", max_iter)
+    monkeypatch.setattr(pchooi_module, "_TOL", tol)
+
+
 @pytest.mark.parametrize("coupled", [False, True])  # HOOI, and omega=1
-def test_objective_never_decreases_with_more_iterations(coupled):
+def test_objective_never_decreases_with_more_iterations(monkeypatch, coupled):
     x, y, ranks = small_draw(-0.5)
     y = y if coupled else None
-    values = [_objective(x, y, pchooi(x, y, ranks, max_iter=k, tol=0.0).bases)
-              for k in range(12)]
+    values = []
+    for k in range(1, 12):
+        _capped(monkeypatch, k)
+        values.append(_objective(x, y, pchooi(x, y, ranks).bases))
     for before, after in zip(values, values[1:]):
         assert after >= before * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("coupled", [False, True])
-def test_flat_objective_stops_before_the_cap(coupled):
+def test_flat_objective_stops_before_the_cap(monkeypatch, coupled):
     x, y, ranks = small_draw(-0.5)
     y = y if coupled else None
-    res = pchooi(x, y, ranks, max_iter=50)
+    res = pchooi(x, y, ranks)
     assert res.converged and 2 <= res.iterations_used < 50
-    capped = pchooi(x, y, ranks, max_iter=50, tol=0.0)
+    _capped(monkeypatch, 50)
+    capped = pchooi(x, y, ranks)
     assert not capped.converged and capped.iterations_used == 50
 
 
 @pytest.mark.parametrize("gamma_x", [-0.5, 0.1])
-def test_zero_weight_stops_after_one_iteration(gamma_x):
+def test_zero_weight_stops_after_one_iteration(monkeypatch, gamma_x):
     # U_1 = lsvd(y) is fixed, so mode 2's update reads only a fixed basis
     # and a second iteration would repeat it bit for bit
     x, y, ranks = small_draw(gamma_x)
     res = pchooi(x, y, ranks, omega=0.0)
     assert res.converged and res.iterations_used == 1
-    capped = pchooi(x, y, ranks, omega=0.0, max_iter=2, tol=0.0)
+    _capped(monkeypatch, 2)
+    capped = pchooi(x, y, ranks, omega=0.0)
     assert capped.iterations_used == 1
     # the second iteration, by hand, from the bases the first one returned
     block = matricize(multi_mode_product(x, {0: res.bases[0].T}), 1)

@@ -382,6 +382,29 @@ def test_only_full_size_products_on_two_cores_reach_the_kernel_thread(
     assert len(kernel_pool.halves) == halves
 
 
+@pytest.mark.parametrize("blas_threads, split_modes", [
+    (None, [1]),  # OpenBLAS's default threads spread the one GEMM themselves
+    ("2", [1]),
+    ("1", [0, 1, 2]),
+])
+def test_a_threaded_blas_keeps_the_one_gemm_whole(kernel_pool, monkeypatch, blas_threads,
+                                                  split_modes):
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((128, 128, 64))  # 2**20 entries
+    split = []
+    for mode in range(x.ndim):
+        u = rng.standard_normal((5, x.shape[mode]))
+        before = len(kernel_pool.halves)
+        assert np.array_equal(mode_product(x, mode, u), _unsplit(x, mode, u, monkeypatch))
+        if len(kernel_pool.halves) > before:
+            split.append(mode)
+    assert split == split_modes
+
+
 @pytest.mark.parametrize("cores, halves", [(2, 0), (3, 1)])
 def test_no_product_splits_while_fitting_threads_fill_the_cores(kernel_pool, monkeypatch,
                                                                 cores, halves):
@@ -420,6 +443,7 @@ def test_a_pool_worker_keeps_its_products_whole(monkeypatch):
     # the workers fill the cores between them, so a worker never starts a
     # kernel thread, also when its parent has one
     monkeypatch.setattr(tensor, "usable_cores", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # else mode 0 never splits
     rng = np.random.default_rng(4)
     x, u = rng.standard_normal((128, 128, 64)), rng.standard_normal((5, 128))
     want = mode_product(x, 0, u)
@@ -435,6 +459,7 @@ def test_a_forked_process_splits_on_its_own_kernel_thread(monkeypatch):
     # handed its half to the parent's kernel thread, which it does not have,
     # it would wait for ever; the alarm ends it instead.
     monkeypatch.setattr(tensor, "usable_cores", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # else mode 0 never splits
     rng = np.random.default_rng(4)
     x, u = rng.standard_normal((128, 128, 64)), rng.standard_normal((5, 128))
     want = mode_product(x, 0, u)
