@@ -30,6 +30,10 @@ in increasing order, the last fastest.  For an order-3 tensor A (0-based)
 On a C-contiguous tensor the mode-1 unfolding is a free view and the last
 mode's a free transposed (Fortran-ordered) view; any other is a copy, so
 it is taken only of small projected tensors and single slabs.
+
+The one LAPACK routine, ``dsyevr`` (:func:`top_eigvecs`), is loaded on import
+from SciPy's extension ``scipy/linalg/_flapack`` alone, as ``pmtc._flapack``:
+importing ``scipy.linalg`` for it would cost each process about 0.2 s and 20 MB.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ import contextlib
 import math
 import multiprocessing
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from importlib import machinery, util
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 __all__ = [
     "matricize",
@@ -59,6 +65,16 @@ _SPLIT_SIZE = 1 << 20  # entries of x; set from the size sweep that CHANGES.md r
 _SMALL_GEMM = 1 << 20  # multiply-adds; OpenBLAS computes a GEMM of at most 100**3 its own way
 _fitting: set[int] = set()  # the threads inside sharing_cores()
 _kernel_pools: dict[int, ThreadPoolExecutor] = {}  # by process id: a forked child makes its own
+
+
+# SciPy's LAPACK extension, loaded alone (see the module docstring)
+_LINALG_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+_spec = machinery.FileFinder(_LINALG_DIR, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+                             ).find_spec("pmtc._flapack")
+if _spec is None:
+    raise ImportError(f"SciPy's LAPACK extension _flapack is not in {_LINALG_DIR}")
+_flapack = sys.modules[_spec.name] = util.module_from_spec(_spec)
+_spec.loader.exec_module(_flapack)
 
 
 def usable_cores() -> int:
@@ -186,13 +202,22 @@ def lsvd(a: np.ndarray, rank: int) -> np.ndarray:
 def top_eigvecs(g: np.ndarray, rank: int) -> np.ndarray:
     """Top-``rank`` eigenvectors of the symmetric matrix ``g``, largest first.
 
-    Only those eigenpairs are solved for (``scipy.linalg.eigh`` with
-    ``subset_by_index``, which rejects non-finite entries).  Signs follow
-    :func:`lsvd`'s rule, so for a Gram matrix ``g = a @ a.T`` of a wide ``a``
-    the result is ``lsvd(a, rank)`` bit for bit.
+    Only those eigenpairs are solved for: ``dsyevr`` (module docstring) gets
+    the arguments ``scipy.linalg.eigh(g, subset_by_index=[m - rank, m - 1])``
+    gives it, workspace sizes too (the default ones change the bits), so the
+    two agree bit for bit.  Non-finite entries and a rank outside 1..m raise
+    ``ValueError``.  Signs follow :func:`lsvd`'s rule, so for a Gram
+    ``g = a @ a.T`` of a wide ``a`` the result is ``lsvd(a, rank)`` bit for bit.
     """
+    g = np.asarray_chkfinite(g)
     m = g.shape[0]
-    _, vecs = scipy.linalg.eigh(g, subset_by_index=[m - rank, m - 1])
+    if not 1 <= rank <= m:
+        raise ValueError(f"rank {rank} invalid for a {m} x {m} matrix")
+    lwork, liwork, _ = _flapack.dsyevr_lwork(n=m, lower=1)
+    _, vecs, _, _, info = _flapack.dsyevr(g, compute_v=1, range="I", lower=1, il=m - rank + 1, iu=m,
+                                          lwork=int(lwork), liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info {info}")
     return _fix_signs(vecs[:, ::-1].copy())
 
 

@@ -255,10 +255,19 @@ import numpy as np
 import pmtc, pmtc.cli, pmtc.experiments, pmtc.presets
 from pmtc.membership import Membership
 from pmtc.metrics import cer
+from pmtc.pipeline import fit_pmtc
+from pmtc.simulate import SimDesign, gen_pmtc
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"]))
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "stats"], ["scipy", "optimize"]))
 
+assert not loaded(), loaded()
+# every spectral step runs LAPACK without scipy.linalg: a fit, and a coupled harness job
+design = SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1)
+data, truth = gen_pmtc(design)
+fit_pmtc(data.x, data.y, design.ranks, factors=truth.f, omega="auto")
+pmtc.experiments._run_one((design, 0))
 assert not loaded(), loaded()
 labels = np.arange(20) % 10
 assert cer(Membership(labels, 10), Membership(labels[::-1], 10))[0] == 0.0
@@ -266,7 +275,7 @@ assert "scipy.optimize" in sys.modules and "scipy.stats" not in sys.modules, loa
 """
 
 
-def test_importing_the_package_loads_no_scipy_stats_or_optimize():
+def test_importing_and_fitting_load_no_scipy_linalg_stats_or_optimize():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
                          text=True, env=env, timeout=120)

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -22,6 +23,7 @@ from pmtc.tensor import (
     multi_mode_product,
     slab_grams,
     subspace_distance,
+    top_eigvecs,
     unfolding_gram,
 )
 
@@ -216,6 +218,68 @@ def test_lsvd_errors():
         lsvd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
 
 
+def _gram(rng, m, kind, scale):
+    """A symmetric m x m Gram: a generic one, one whose top eigenvalue is
+    repeated, or one of rank m // 2."""
+    if kind == "repeated":
+        q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        g = (q * np.r_[4.0, 4.0, rng.uniform(0.0, 2.0, m - 2)]) @ q.T
+        return scale * (g + g.T) / 2
+    a = rng.standard_normal((m, m // 2 if kind == "deficient" else m + 9))
+    return scale * (a @ a.T)
+
+
+def _eigh_top(g, rank):
+    """scipy.linalg.eigh's top-rank eigenvectors, largest first, with lsvd's signs."""
+    m = len(g)
+    return tensor._fix_signs(scipy.linalg.eigh(g, subset_by_index=[m - rank, m - 1])[1][:, ::-1].copy())
+
+
+# from m = 37 up dsytrd's reduction may run blocked, which the workspace size
+# decides: the default one changes the bits there
+@pytest.mark.parametrize("m, scale", [(5, 0.01), (37, 1.0), (120, 100.0), (200, 1.0)])
+@pytest.mark.parametrize("rank", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["generic", "repeated", "deficient"])
+def test_top_eigvecs_is_scipy_eigh_bit_for_bit(m, scale, rank, kind):
+    g = _gram(np.random.default_rng([m, rank, len(kind)]), m, kind, scale)
+    assert np.array_equal(top_eigvecs(g, rank), _eigh_top(g, rank))
+
+
+# in a fresh interpreter, whichever of scipy.linalg and pmtc loads LAPACK first
+_EIGH_PROBE = """
+import sys
+import numpy as np
+{}
+from test_tensor import _eigh_top, _gram
+from pmtc.tensor import top_eigvecs
+
+assert "_flapack" not in sys.modules and "pmtc._flapack" in sys.modules
+for m, rank in ((5, 2), (200, 5)):
+    g = _gram(np.random.default_rng(m), m, "generic", 1.0)
+    assert np.array_equal(top_eigvecs(g, rank), _eigh_top(g, rank))
+"""
+
+
+@pytest.mark.parametrize("imports", ["import scipy.linalg\nimport pmtc", "import pmtc\nimport scipy.linalg"],
+                         ids=["scipy-first", "pmtc-first"])
+def test_top_eigvecs_is_scipy_eigh_whichever_is_imported_first(imports):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__), *sys.path])}
+    run = subprocess.run([sys.executable, "-c", _EIGH_PROBE.format(imports)], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_top_eigvecs_errors():
+    g = np.eye(3)
+    for rank in (0, 4):
+        with pytest.raises(ValueError, match="rank"):
+            top_eigvecs(g, rank)
+    for bad in (np.nan, np.inf, -np.inf):
+        g[0, 2] = bad  # the upper triangle, which dsyevr never reads: checked all the same
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            top_eigvecs(g, 1)
+
+
 def test_subspace_distance_basics():
     e = np.eye(2)
     assert subspace_distance(e[:, :1], e[:, :1]) == 0.0
@@ -284,14 +348,14 @@ def test_lsvd_path_follows_shape(monkeypatch):
         raise AssertionError("wrong lsvd path")
 
     with monkeypatch.context() as m:
-        # the wide path solves only the top eigenpairs, with scipy's eigh
+        # the wide path solves only the top eigenpairs, with LAPACK's dsyevr
         m.setattr(np.linalg, "svd", forbidden)
         m.setattr(np.linalg, "eigh", forbidden)
         lsvd(wide, 2)
         full = lsvd(wide, 5)  # rank == rows: every eigenpair
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigh", forbidden)
-        m.setattr(scipy.linalg, "eigh", forbidden)
+        m.setattr(tensor._flapack, "dsyevr", forbidden)
         lsvd(tall, 2)
         lsvd(tall[:5], 2)  # square
     uf, _, _ = np.linalg.svd(wide, full_matrices=False)  # descending singular values
