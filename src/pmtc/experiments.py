@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import queue
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -242,6 +242,7 @@ def run_experiment(
     if workers <= 1:
         collect(map(_run_one, jobs))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a run that starts a pool loads it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             collect(pool.map(_run_one, jobs, chunksize=1))
     # metrics return numpy scalars; a plain float keeps repr() parseable

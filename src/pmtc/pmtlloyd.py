@@ -48,12 +48,12 @@ def pmtlloyd(
 ) -> tuple[list[Membership], LloydTrace]:
     """Refine ``init`` memberships on the clustered modes of ``x`` (and ``y``).
 
-    Runs up to ``max_iter`` sweeps (default 2*ceil(log(max p)), enough for
-    exact recovery in well-separated regimes), stopping early once no label
-    changes.  Every sweep uses only the previous sweep's memberships; modes
-    are reassigned in order within the sweep.  ``omega`` scales the
-    tensor-block term of the coupled mode-1 assignment distance.  Every
-    cluster of ``init`` must be nonempty (else :class:`EmptyClusterError`).
+    Runs up to ``max_iter`` sweeps (default 2*ceil(log(max p)) but at least
+    one, enough for exact recovery in well-separated regimes), stopping early
+    once no label changes.  Every sweep uses only the previous sweep's
+    memberships; modes are reassigned in order within the sweep.  ``omega``
+    scales the tensor-block term of the coupled mode-1 assignment distance.
+    Every cluster of ``init`` must be nonempty (else :class:`EmptyClusterError`).
     Returns the final memberships and the stopping record.
     """
     x = np.ascontiguousarray(x, dtype=float)
@@ -69,7 +69,7 @@ def pmtlloyd(
     if projection not in ("orthogonal", "oblique"):
         raise ValueError("projection must be 'orthogonal' or 'oblique'")
     if max_iter is None:
-        max_iter = 2 * math.ceil(math.log(max(x.shape[:d])))
+        max_iter = max(1, 2 * math.ceil(math.log(max(x.shape[:d]))))
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 

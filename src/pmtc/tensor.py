@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -150,7 +149,8 @@ def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
     if (lead == 1 or trail == 1) and (len(u) == 1 or u.size * half < _SMALL_GEMM
                                       or not one_blas_thread()):
         half = 0
-    if (x.size >= _SPLIT_SIZE and half > 0 and multiprocessing.parent_process() is None
+    mp = sys.modules.get("multiprocessing")  # every pool worker has it loaded
+    if (x.size >= _SPLIT_SIZE and half > 0 and (mp is None or mp.parent_process() is None)
             and max(len(_fitting), 1) < usable_cores()):
         pool = _kernel_pools.get(os.getpid()) or _kernel_pools.setdefault(
             os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="pmtc-kernel"))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 import threading
@@ -5,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from pmtc import experiments, tensor
+from pmtc import tensor
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +46,7 @@ def pool_recorder(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     return started
 
 

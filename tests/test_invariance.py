@@ -11,7 +11,10 @@ above it, under omega=1 and omega="auto":
    is exact.  Elsewhere mode 1 may move: its k-means++ seeding picks rows by
    index, so in the hard regime the warm start depends on asset order, and
    mode 2's Lloyd refinement reads mode 1's memberships;
-4. ``tensor_informative`` does not depend on the tensor's scale.
+4. ``tensor_informative`` does not depend on the tensor's scale;
+5. through the harness (``experiments._draw_and_fit``, whose helper thread
+   sums the Grams of the slabs the draw hands over), scaling both sources
+   and permuting the periods leave all six methods' memberships the same.
 """
 
 import functools
@@ -19,22 +22,28 @@ import functools
 import numpy as np
 import pytest
 
+from pmtc import experiments
 from pmtc.membership import Membership
 from pmtc.metrics import cer
 from pmtc.pchooi import tensor_informative
 from pmtc.pipeline import fit_pmtc
-from pmtc.simulate import SimDesign, gen_pmtc
+from pmtc.simulate import CoupledData, SimDesign, gen_pmtc
 
 _BELOW = [(-0.1, -0.5), (-0.3, -0.15)]  # (gamma_y, gamma_x): the tensor is noise
 _ABOVE = [(-0.1, 0.1), (-0.3, 0.1)]
 _SEEDS = (0, 1, 2)
 _OMEGAS = (1.0, "auto")
+_PERIODS = np.random.default_rng(7).permutation(60)
+
+
+def _design(cell, seed):
+    gamma_y, gamma_x = cell
+    return SimDesign(dims=(100, 100), T=60, gamma_x=gamma_x, gamma_y=gamma_y, seed=seed)
 
 
 @functools.lru_cache(maxsize=None)
 def _draw(cell, seed):
-    gamma_y, gamma_x = cell
-    design = SimDesign(dims=(100, 100), T=60, gamma_x=gamma_x, gamma_y=gamma_y, seed=seed)
+    design = _design(cell, seed)
     data, truth = gen_pmtc(design)
     return data.x, data.y, design.ranks, truth.memberships
 
@@ -43,6 +52,11 @@ def _draw(cell, seed):
 def _fit(cell, seed, omega):
     x, y, ranks, _ = _draw(cell, seed)
     return fit_pmtc(x, y, ranks, omega=omega)
+
+
+@functools.lru_cache(maxsize=None)
+def _harness_fit(cell, seed):
+    return experiments._draw_and_fit(_design(cell, seed))[2]
 
 
 def _labels(memberships):
@@ -111,3 +125,27 @@ def test_the_noise_edge_test_ignores_the_tensors_scale():
             for c in (2.0, 3.0):
                 assert tensor_informative(c * x, ranks) == verdict, (cell, seed, c)
     assert verdicts == {False, True}  # the cells lie on both sides of the edge
+
+
+@pytest.mark.parametrize("cell", [_BELOW[0], *_ABOVE])  # (-0.3, 0.1) weighs both sources
+@pytest.mark.parametrize("transform", [
+    lambda x, y: (2.0 * x, 2.0 * y),
+    lambda x, y: (3.0 * x, 3.0 * y),
+    lambda x, y: (x[..., _PERIODS], y[:, _PERIODS]),
+], ids=["scale-2", "scale-3", "periods"])
+def test_the_harness_keeps_every_methods_memberships(monkeypatch, cell, transform):
+    def transformed_draw(design, on_slab):
+        data, truth = gen_pmtc(design)
+        x, y = transform(data.x, data.y)
+        for slab in x:  # the helper thread sums the transformed slabs' Grams
+            on_slab(slab)
+        return CoupledData(x, y), truth
+
+    monkeypatch.setattr(experiments, "gen_pmtc", transformed_draw)
+    for seed in _SEEDS:
+        want = _harness_fit(cell, seed)
+        got = experiments._draw_and_fit(_design(cell, seed))[2]
+        assert list(got) == list(want) == list(experiments.CLUSTER_METHODS)
+        for method in want:
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(_labels(got[method]), _labels(want[method]), strict=True)), (seed, method)

@@ -248,7 +248,8 @@ def test_rank_normalize_matches_average_ranks_with_ties():
     assert np.array_equal(rank_normalize(np.full((1, 3, 2), 7.0)), np.zeros((1, 3, 2)))
 
 
-# Run in a fresh interpreter: the test process itself has imported scipy.stats.
+# Run in a fresh interpreter: the test process itself has imported scipy.stats
+# and multiprocessing.
 _IMPORT_PROBE = """
 import sys
 import numpy as np
@@ -256,26 +257,41 @@ import pmtc, pmtc.cli, pmtc.experiments, pmtc.presets
 from pmtc.membership import Membership
 from pmtc.metrics import cer
 from pmtc.pipeline import fit_pmtc
+from pmtc.presets import build_preset
 from pmtc.simulate import SimDesign, gen_pmtc
 
 def loaded():
     return sorted(m for m in sys.modules
                   if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "stats"], ["scipy", "optimize"]))
 
+def pool_loaded():  # subprocess is not among them: `import scipy` loads it
+    return sorted(m for m in sys.modules if m.lstrip("_").startswith(("multiprocessing", "socket"))
+                  or m in ("__mp_main__", "concurrent.futures.process"))
+
 assert not loaded(), loaded()
+assert not pool_loaded(), pool_loaded()
 # every spectral step runs LAPACK without scipy.linalg: a fit, and a coupled harness job
 design = SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1)
 data, truth = gen_pmtc(design)
 fit_pmtc(data.x, data.y, design.ranks, factors=truth.f, omega="auto")
+assert not pool_loaded(), pool_loaded()
 pmtc.experiments._run_one((design, 0))
+assert not pool_loaded(), pool_loaded()
+# only a run that starts a process pool loads one
+run = build_preset("fig2", {"p1": 20, "p2": 16, "T": 8, "gamma_y_grid": "-0.1",
+                            "gamma_x_grid": "-0.5,0.1", "replications": 1})
+one = pmtc.experiments.run_experiment(run.tasks, run.methods, 1, threads=1)
 assert not loaded(), loaded()
+assert not pool_loaded(), pool_loaded()
+assert pmtc.experiments.run_experiment(run.tasks, run.methods, 1, threads=2) == one
+assert {"multiprocessing", "concurrent.futures.process", "socket"} <= set(pool_loaded())
 labels = np.arange(20) % 10
 assert cer(Membership(labels, 10), Membership(labels[::-1], 10))[0] == 0.0
 assert "scipy.optimize" in sys.modules and "scipy.stats" not in sys.modules, loaded()
 """
 
 
-def test_importing_and_fitting_load_no_scipy_linalg_stats_or_optimize():
+def test_importing_fitting_and_one_process_runs_load_no_pool_or_scipy_linalg_stats_optimize():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
                          text=True, env=env, timeout=120)

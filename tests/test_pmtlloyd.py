@@ -148,6 +148,17 @@ def test_tensor_only_refinement():
         assert cer(final[i], truth.memberships[i])[0] == 0.0
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 3)])
+def test_modes_of_one_item_each_take_one_sweep(dims):
+    # the default budget, 2*ceil(log(max p)), is 0 sweeps when every clustered mode has one item
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((*dims, 6)), rng.standard_normal((dims[0], 6))
+    init = [Membership(np.zeros(p, dtype=int), 1) for p in dims]
+    final, trace = pmtlloyd(x, y, init)
+    assert trace.iterations_used == 1 and trace.converged
+    assert all(np.array_equal(a.labels, b.labels) for a, b in zip(final, init))
+
+
 def test_validation_errors():
     (data, truth), d = _noiseless(seed=10)
     with pytest.raises(ValueError):

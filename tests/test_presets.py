@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import hashlib
 from collections import defaultdict
@@ -88,12 +89,12 @@ def test_panel_csvs_hold_the_mean_of_their_rows(tmp_path):
 def test_preset_results_csv_unchanged_through_a_two_worker_pool(tmp_path, monkeypatch, name):
     started = []
 
-    class Pool(experiments.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     run = build_preset(name, {**_TINY[name], "replications": 1})
     path = tmp_path / "results.csv"
     write_results_csv(run_experiment(run.tasks, run.methods, run.replications, threads=2), path)
