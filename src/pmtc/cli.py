@@ -260,7 +260,7 @@ def _cmd_fit(args) -> int:
     run = {"seed": args.seed}
     overrides = {
         "command": "fit", "tensor": args.tensor, "returns": args.returns,
-        "factors": args.factors or "", "ranks": args.ranks,
+        "factors": args.factors or "", "num_factors": args.num_factors, "ranks": args.ranks,
         "omega": args.omega, "rank_normalize": bool(args.rank_normalize),
         "factor_mode": fe.mode, "demean": args.demean,
     }

@@ -33,6 +33,13 @@ class LloydTrace:
     converged: bool
 
 
+def _max_sweeps(dims) -> int:
+    """2*ceil(log(max p)) sweeps, at least one: from a spectral start Lloyd's
+    error falls geometrically, so O(log p) sweeps reach exact recovery in
+    well-separated regimes (Lu & Zhou 2016; Han, Luo, Wang & Zhang 2022)."""
+    return max(1, 2 * math.ceil(math.log(max(dims))))
+
+
 def _assign(z: np.ndarray, c: np.ndarray, r: int) -> np.ndarray:
     d2 = _sq_distances(z, c)
     return _repair_empty(np.argmin(d2, axis=1), d2, r)
@@ -42,19 +49,17 @@ def pmtlloyd(
     x: np.ndarray,
     y: np.ndarray | None,
     init: list[Membership],
-    max_iter: int | None = None,
     projection: str = "orthogonal",
     omega: float = 1.0,
 ) -> tuple[list[Membership], LloydTrace]:
     """Refine ``init`` memberships on the clustered modes of ``x`` (and ``y``).
 
-    Runs up to ``max_iter`` sweeps (default 2*ceil(log(max p)) but at least
-    one, enough for exact recovery in well-separated regimes), stopping early
-    once no label changes.  Every sweep uses only the previous sweep's
-    memberships; modes are reassigned in order within the sweep.  ``omega``
-    scales the tensor-block term of the coupled mode-1 assignment distance.
-    Every cluster of ``init`` must be nonempty (else :class:`EmptyClusterError`).
-    Returns the final memberships and the stopping record.
+    Runs up to ``_max_sweeps`` sweeps, stopping early once no label changes.
+    Every sweep uses only the previous sweep's memberships; modes are
+    reassigned in order within the sweep.  ``omega`` scales the tensor-block
+    term of the coupled mode-1 assignment distance.  Every cluster of
+    ``init`` must be nonempty (else :class:`EmptyClusterError`).  Returns the
+    final memberships and the stopping record.
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
@@ -68,16 +73,11 @@ def pmtlloyd(
             raise ValueError(f"membership {i + 1} covers {m.size} items, mode has {x.shape[i]}")
     if projection not in ("orthogonal", "oblique"):
         raise ValueError("projection must be 'orthogonal' or 'oblique'")
-    if max_iter is None:
-        max_iter = max(1, 2 * math.ceil(math.log(max(x.shape[:d]))))
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
     members = init
     zs: list[np.ndarray | None] = [None] * d  # each mode's projected unfolding
     moved = [True] * d  # whether each mode's labels changed in the last sweep
-    sweeps, unchanged = 0, False
-    while sweeps < max_iter and not unchanged:
+    for sweeps in range(1, _max_sweeps(x.shape[:d]) + 1):
         projs = [m.normalized_basis() if projection == "orthogonal" else m.projector()
                  for m in members]
         avgs = [m.projector() for m in members]
@@ -98,8 +98,8 @@ def pmtlloyd(
 
         moved = [not np.array_equal(new.labels, old.labels)
                  for new, old in zip(new_members, members)]
-        unchanged = not any(moved)
         members = new_members
-        sweeps += 1
+        if not any(moved):
+            break
 
-    return members, LloydTrace(sweeps, unchanged)
+    return members, LloydTrace(sweeps, not any(moved))

@@ -92,9 +92,6 @@ _PARAMS = {
 }
 PRESET_NAMES = tuple(sorted(_PARAMS))
 
-_GRID_KEYS = {"log_cy_grid", "log_cx_grid", "gamma_y_grid", "gamma_x_grid", "scale_grid"}
-_INT_KEYS = {"replications", "seed", "p1", "p2", "T", "r1", "r2", "m1", "m2"}
-
 
 def _resolve(name: str, overrides: dict | None) -> dict:
     if name not in _PARAMS:
@@ -103,12 +100,12 @@ def _resolve(name: str, overrides: dict | None) -> dict:
     for key, value in (overrides or {}).items():
         if key not in params:
             raise KeyError(f"unknown override {key!r} for preset {name}")
-        if key in _GRID_KEYS:
-            params[key] = _parse_grid(value)
-        elif key in _INT_KEYS:  # via str, so that 1.5 is refused, not truncated
-            params[key] = int(str(value))
-        elif key == "imbalance":
+        if key == "imbalance":  # a grid or None, whichever its default is
             params[key] = None if value in (None, "", "none") else _parse_grid(value)
+        elif isinstance(params[key], tuple):  # the others take their default's type
+            params[key] = _parse_grid(value)
+        elif isinstance(params[key], int):  # via str, so that 1.5 is refused, not truncated
+            params[key] = int(str(value))
         else:
             params[key] = float(value)
     for key, least in (("replications", 1), ("seed", 0)):

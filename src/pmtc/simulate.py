@@ -217,12 +217,6 @@ def _rng_for(seed: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(attempt))))
 
 
-def _noise(rng: np.random.Generator, sigma: float, shape) -> np.ndarray:
-    if sigma == 0.0:
-        return np.zeros(shape)
-    return rng.normal(0.0, sigma, size=shape)
-
-
 def _block_tensor(rng, sigma: float, core: np.ndarray, members, on_slab=None) -> np.ndarray:
     """Gaussian noise of standard deviation ``sigma`` plus the block signal
     ``expand_blocks(core, members)``, drawn one mode-1 slab at a time.
@@ -312,7 +306,7 @@ def gen_pmtc(design: SimDesign, on_slab=None) -> tuple[CoupledData, GroundTruth]
 
         s_y = b @ f
         x = _block_tensor(rng, design.sigma_x, core, members, on_slab)
-        y = s_y[members[0].labels] + _noise(rng, design.sigma_y, (design.dims[0], design.T))
+        y = s_y[members[0].labels] + rng.normal(0.0, design.sigma_y, (design.dims[0], design.T))
         return CoupledData(x, y), GroundTruth(members, core, b, f, s_y)
 
 

@@ -141,6 +141,21 @@ def test_fit_without_factors_fits_latent_factors(tmp_path, fit_inputs):
     assert _read_json(out / "manifest.json")["overrides"]["factor_mode"] == "latent"
 
 
+def test_latent_fits_of_different_factor_counts_get_different_hashes(tmp_path, fit_inputs):
+    paths = fit_inputs[3]
+    manifests, loadings = {}, {}
+    for count in (None, "2", "3"):
+        out = tmp_path / f"fit-{count}"
+        argv = _fit_argv(paths, out)
+        del argv[argv.index("--factors"):argv.index("--factors") + 2]
+        assert main(argv + ([] if count is None else ["--num-factors", count])) == 0
+        manifests[count] = _read_json(out / "manifest.json")
+        loadings[count] = (out / "loadings.csv").read_bytes()
+    assert loadings["2"] != loadings["3"]
+    assert [m["overrides"]["num_factors"] for m in manifests.values()] == [None, 2, 3]
+    assert len({m["config_hash"] for m in manifests.values()}) == 3
+
+
 def test_returns_with_wrong_row_count_exits_4(tmp_path, fit_inputs):
     data, paths = fit_inputs[1], fit_inputs[3]
     io.write_matrix_csv(paths["returns.csv"], data.y[:-1])

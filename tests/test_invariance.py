@@ -14,20 +14,28 @@ above it, under omega=1 and omega="auto":
 4. ``tensor_informative`` does not depend on the tensor's scale;
 5. through the harness (``experiments._draw_and_fit``, whose helper thread
    sums the Grams of the slabs the draw hands over), scaling both sources
-   and permuting the periods leave all six methods' memberships the same.
+   and permuting the periods leave all six methods' memberships the same;
+6. on small random shapes drawn by hypothesis, scaling x and y by 2 leaves
+   the memberships bit for bit the same.  Multiplying by 2 is exact in
+   binary floating point, so every sum, product and comparison of the fit
+   scales exactly.  Scaling by 3 and permuting the periods change rounding,
+   and on a tiny draw a near-tie can then flip a label, so those two stay
+   fixed-seed cases at the figA7 shape only.
 """
 
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pmtc import experiments
 from pmtc.membership import Membership
 from pmtc.metrics import cer
 from pmtc.pchooi import tensor_informative
 from pmtc.pipeline import fit_pmtc
-from pmtc.simulate import CoupledData, SimDesign, gen_pmtc
+from pmtc.simulate import CoupledData, InfeasibleDesignError, SimDesign, gen_pmtc
 
 _BELOW = [(-0.1, -0.5), (-0.3, -0.15)]  # (gamma_y, gamma_x): the tensor is noise
 _ABOVE = [(-0.1, 0.1), (-0.3, 0.1)]
@@ -149,3 +157,21 @@ def test_the_harness_keeps_every_methods_memberships(monkeypatch, cell, transfor
         for method in want:
             assert all(np.array_equal(a, b) for a, b in
                        zip(_labels(got[method]), _labels(want[method]), strict=True)), (seed, method)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    p1=st.integers(8, 30), p2=st.integers(6, 20), t=st.integers(4, 16),
+    r1=st.integers(2, 3), r2=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1), omega=st.sampled_from(_OMEGAS),
+)
+def test_doubling_both_sources_keeps_the_memberships_of_small_draws(p1, p2, t, r1, r2, seed,
+                                                                    omega):
+    design = SimDesign(dims=(p1, p2), T=t, ranks=(r1, r2), seed=seed)
+    try:
+        data, _ = gen_pmtc(design)
+    except InfeasibleDesignError:  # every attempt drew an empty cluster
+        assume(False)
+    want = _labels(fit_pmtc(data.x, data.y, design.ranks, omega=omega).memberships)
+    got = _labels(fit_pmtc(2.0 * data.x, 2.0 * data.y, design.ranks, omega=omega).memberships)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))

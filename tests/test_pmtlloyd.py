@@ -1,4 +1,4 @@
-import math
+import importlib
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from pmtc.pmtlloyd import pmtlloyd
 from pmtc.pmtsc import pmtsc
 from pmtc.simulate import SimDesign, gen_pmtc
 from pmtc.tensor import matricize, multi_mode_product
+
+pmtlloyd_module = importlib.import_module("pmtc.pmtlloyd")  # the package exports a function of this name
 
 
 def _noiseless(seed=0, dims=(30, 24), t=12, ranks=(3, 2)):
@@ -26,6 +28,11 @@ def _corrupt(m, frac, rng):
     return Membership(labels, m.num_clusters)
 
 
+def _capped(monkeypatch, sweeps):
+    """Cap every later ``pmtlloyd`` call at ``sweeps`` sweeps, whatever the shape."""
+    monkeypatch.setattr(pmtlloyd_module, "_max_sweeps", lambda dims: sweeps)
+
+
 def test_noiseless_truth_is_fixed_point():
     (data, truth), d = _noiseless()
     final, trace = pmtlloyd(data.x, data.y, truth.memberships)
@@ -39,13 +46,12 @@ def test_noiseless_corrupted_init_recovers_exactly():
     for seed in range(5):
         (data, truth), d = _noiseless(seed=seed)
         init = [_corrupt(m, 0.10, rng) for m in truth.memberships]
-        k = 2 * math.ceil(math.log(max(d.dims)))
-        final, trace = pmtlloyd(data.x, data.y, init, max_iter=k)
+        final, trace = pmtlloyd(data.x, data.y, init)  # 2*ceil(log 30) = 8 sweeps at most
         for i in range(2):
             assert cer(final[i], truth.memberships[i])[0] == 0.0
 
 
-def test_mode1_distance_is_sum_of_blocks():
+def test_mode1_distance_is_sum_of_blocks(monkeypatch):
     # the coupled assignment minimizes tensor-block distance plus panel-block
     # distance: recompute both terms separately and compare to the first sweep
     d = SimDesign(dims=(20, 16), T=8, ranks=(3, 2), m1=2, mu_b=(1.0,),
@@ -60,7 +66,8 @@ def test_mode1_distance_is_sum_of_blocks():
     s_y = p1.T @ data.y
     dists = (np.sum((z_x[:, None] - c_x[None]) ** 2, axis=2)
              + np.sum((data.y[:, None] - s_y[None]) ** 2, axis=2))
-    labels = pmtlloyd(data.x, data.y, members, max_iter=1)[0][0].labels
+    _capped(monkeypatch, 1)
+    labels = pmtlloyd(data.x, data.y, members)[0][0].labels
     assert np.all(dists[np.arange(20), labels] <= dists.min(axis=1) + 1e-12)
 
 
@@ -72,7 +79,7 @@ def _plugin_loss(x, y, members):
             + float(np.sum((y - s_y[members[0].labels]) ** 2)))
 
 
-def test_loss_recorded_and_non_increasing_at_moderate_snr():
+def test_loss_recorded_and_non_increasing_at_moderate_snr(monkeypatch):
     d = SimDesign(dims=(40, 30), T=20, ranks=(3, 2), m1=2, mu_b=(1.0,),
                   gamma_x=0.4, gamma_y=0.3, seed=4)
     data, truth = gen_pmtc(d)
@@ -82,8 +89,9 @@ def test_loss_recorded_and_non_increasing_at_moderate_snr():
     # each sweep uses only the previous one's memberships, so sweep k of the
     # run is the run capped at k sweeps
     losses = [_plugin_loss(data.x, data.y, init)]
-    losses += [_plugin_loss(data.x, data.y, pmtlloyd(data.x, data.y, init, max_iter=k)[0])
-               for k in range(1, trace.iterations_used + 1)]
+    for k in range(1, trace.iterations_used + 1):
+        _capped(monkeypatch, k)
+        losses.append(_plugin_loss(data.x, data.y, pmtlloyd(data.x, data.y, init)[0]))
     for a, b in zip(losses[:-1], losses[1:]):
         assert b <= a * (1 + 1e-9)
     assert any(b < a for a, b in zip(losses[:-1], losses[1:]))
@@ -124,8 +132,9 @@ def test_projection_is_reused_while_the_other_modes_stay(monkeypatch, y_given):
     assert full == [1, 0, 0]  # 3 passes over the tensor, not 2 per sweep
     # sweep by sweep, each call forms every projection afresh
     members = init
+    _capped(monkeypatch, 1)
     for _ in range(trace.iterations_used):
-        members, _ = pmtlloyd(data.x, y, members, max_iter=1)
+        members, _ = pmtlloyd(data.x, y, members)
     for a, b, t in zip(final, members, truth.memberships):
         assert np.array_equal(a.labels, b.labels) and np.array_equal(a.labels, t.labels)
 
@@ -134,7 +143,7 @@ def test_empty_cluster_init_raises():
     (data, truth), d = _noiseless(seed=6)
     bad = Membership(np.zeros(d.dims[0], dtype=int), d.ranks[0])  # clusters 1,2 empty
     with pytest.raises(EmptyClusterError):
-        pmtlloyd(data.x, data.y, [bad, truth.memberships[1]], max_iter=8)
+        pmtlloyd(data.x, data.y, [bad, truth.memberships[1]])  # raised in the first sweep
 
 
 def test_tensor_only_refinement():
@@ -161,8 +170,6 @@ def test_modes_of_one_item_each_take_one_sweep(dims):
 
 def test_validation_errors():
     (data, truth), d = _noiseless(seed=10)
-    with pytest.raises(ValueError):
-        pmtlloyd(data.x, data.y, truth.memberships, max_iter=0)
     with pytest.raises(ValueError):
         pmtlloyd(data.x, data.y, truth.memberships, projection="sideways")
     with pytest.raises(ValueError):
