@@ -3,7 +3,9 @@
 Coupled low-rank subspace estimation for a characteristics tensor and an
 outcome panel sharing their first mode, spectral warm starts, Lloyd-style
 membership refinement with orthogonal projections, group-level factor
-loading estimation, and a reproducible Monte Carlo harness.
+loading estimation, and a reproducible Monte Carlo harness.  Importing
+``pmtc`` sets the OpenBLAS bundled with numpy and SciPy to one thread for the
+whole process, the caller's own numpy and SciPy calls included.
 """
 
 __version__ = "0.1.0"

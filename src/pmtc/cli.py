@@ -23,13 +23,14 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, io
 from .experiments import run_experiment, write_panels, write_results_csv
 from .pipeline import evaluate_rolling, evaluate_split, fit_pmtc, rank_normalize
 from .presets import PRESET_NAMES, build_preset
 from .simulate import InfeasibleDesignError
-from .tensor import one_blas_thread, usable_cores
+from .tensor import blas_threads, usable_cores
 
 _EXIT_CONFIG = 2
 _EXIT_INFEASIBLE = 3
@@ -38,7 +39,7 @@ _EXIT_UNREADABLE = 5
 
 _RUN_KEYS = ("preset", "seed", "replications")  # the run section manifest.json writes
 _META_KEYS = {"versions", "config_hash", "resolved_params"}
-_DEFAULT_THREADS = "one per usable core with OPENBLAS_NUM_THREADS=1, else 1"
+_DEFAULT_THREADS = "one per usable core"
 
 
 class CliError(Exception):
@@ -121,13 +122,12 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _versions() -> dict:
-    import scipy
-
     return {
         "pmtc": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": ".".join(map(str, sys.version_info[:3])),
+        "blas_threads": blas_threads(),
     }
 
 
@@ -171,8 +171,7 @@ def _cmd_simulate(args) -> int:
         raise CliError(_EXIT_CONFIG, f"invalid configuration: {exc}")
 
     os.makedirs(args.out, exist_ok=True)
-    # workers running OpenBLAS's own threads would contend for the cores
-    threads = args.threads or (usable_cores() if one_blas_thread() else 1)
+    threads = args.threads or usable_cores()
     print(f"preset {preset}: {len(run.tasks)} grid points x {run.replications} replications, "
           f"{len(run.methods)} methods, at most {threads} worker(s)"
           f"{'' if args.threads else f' ({_DEFAULT_THREADS})'}", file=sys.stderr)

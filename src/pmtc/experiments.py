@@ -218,8 +218,9 @@ def run_experiment(
     them.  So tasks that share a design share its draws and their rows.
     ``threads`` caps the worker-process count, which is never more than the
     number of jobs.  With one worker the jobs run in this process.  Each
-    clustering draw keeps up to two threads busy (see ``_draw_and_fit``), so
-    a run keeps up to ``2 * threads``; results are the same for any value.
+    clustering draw keeps up to two threads busy (``_draw_and_fit``) on a
+    one-thread BLAS (``pmtc.tensor``), so a run keeps up to ``2 * threads``;
+    results are the same for any value.
     """
     methods = tuple(methods)
     for task in tasks:

@@ -13,11 +13,12 @@ entries or more is split in two: the calling thread computes one half and
 the process's one kernel thread (``pmtc-kernel``, idle between products)
 the other.  The cut falls where no bit changes: between the batch's GEMMs
 for a middle mode, else between the one GEMM's columns (mode 0) or rows
-(last mode), at a multiple of 64.  That one GEMM splits only when the BLAS
-runs one thread (:func:`one_blas_thread`), since a threaded BLAS already
-spreads it over the cores.  No product splits in a process that
-multiprocessing started (a pool's worker, whose siblings fill the cores),
-nor while the threads inside :func:`sharing_cores` fill them.
+(last mode), at a multiple of 64.  Importing this module sets the OpenBLAS
+copies bundled with numpy and SciPy to one thread for the whole process, so
+the BLAS neither spreads that GEMM itself nor contends with a pool's workers.
+No product splits in a process that multiprocessing started (a pool's worker,
+whose siblings fill the cores), nor while the threads inside
+:func:`sharing_cores` fill them.
 
 The hot path never holds a second full-size tensor: products only shrink
 it, and :func:`unfolding_gram` forms a mode's Gram matrix slab by slab.
@@ -39,6 +40,8 @@ importing ``scipy.linalg`` for it would cost each process about 0.2 s and 20 MB.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import math
 import os
 import sys
@@ -75,15 +78,23 @@ if _spec is None:
 _flapack = sys.modules[_spec.name] = util.module_from_spec(_spec)
 _spec.loader.exec_module(_flapack)
 
+# numpy's and SciPy's bundled OpenBLAS, each with its names' suffix; any other BLAS is left as it is
+_OPENBLAS = [(ctypes.CDLL(path), suffix) for package, name, suffix in (
+    (np, "libscipy_openblas64_", "64_"), (scipy, "libscipy_openblas-", ""))
+    for path in glob.glob(f"{glob.escape(os.path.dirname(package.__file__))}.libs/{name}*.so")]
+for _lib, _suffix in _OPENBLAS:  # void scipy_openblas_set_num_threads(int)
+    ctypes.CFUNCTYPE(None, ctypes.c_int)((f"scipy_openblas_set_num_threads{_suffix}", _lib))(1)
+
 
 def usable_cores() -> int:
     """The number of cores this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def one_blas_thread() -> bool:
-    """Whether the BLAS runs one thread: ``OPENBLAS_NUM_THREADS`` is ``"1"``."""
-    return os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+def blas_threads() -> int | None:
+    """The most threads a bundled OpenBLAS runs: 1, or None where numpy and SciPy bundle none."""
+    return max((ctypes.CFUNCTYPE(ctypes.c_int)((f"scipy_openblas_get_num_threads{suffix}", lib))()
+                for lib, suffix in _OPENBLAS), default=None)
 
 
 @contextlib.contextmanager
@@ -145,9 +156,8 @@ def mode_product(x: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
         b, c = x.reshape(p, trail), out.reshape(len(u), trail)
         part, half = lambda s: (u, b[:, s], c[:, s]), trail // 128 * 64
     # Cut at a multiple of 64, OpenBLAS tiles each half of one GEMM as in the whole,
-    # unless r == 1 (GEMV) or a half is a small GEMM.  A threaded BLAS splits it itself.
-    if (lead == 1 or trail == 1) and (len(u) == 1 or u.size * half < _SMALL_GEMM
-                                      or not one_blas_thread()):
+    # unless r == 1 (GEMV) or a half is a small GEMM.
+    if (lead == 1 or trail == 1) and (len(u) == 1 or u.size * half < _SMALL_GEMM):
         half = 0
     mp = sys.modules.get("multiprocessing")  # every pool worker has it loaded
     if (x.size >= _SPLIT_SIZE and half > 0 and (mp is None or mp.parent_process() is None)

@@ -67,10 +67,8 @@ class _SubmitRecorder:
 
 @pytest.fixture
 def kernel_pool(monkeypatch):
-    """Two usable cores, one BLAS thread (else the one GEMM of mode 0 and of
-    the last mode stays whole), and a recorder in place of the kernel thread."""
+    """Two usable cores and a recorder in place of the kernel thread."""
     monkeypatch.setattr(tensor, "usable_cores", lambda: 2)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with ThreadPoolExecutor(1) as pool:
         recorder = _SubmitRecorder(pool)
         monkeypatch.setitem(tensor._kernel_pools, os.getpid(), recorder)

@@ -269,6 +269,39 @@ def test_top_eigvecs_is_scipy_eigh_whichever_is_imported_first(imports):
     assert run.returncode == 0, run.stderr
 
 
+# in a fresh interpreter: every bundled OpenBLAS runs one thread once pmtc is imported, in this
+# process and in a forked pool worker, whatever OPENBLAS_NUM_THREADS says
+_BLAS_THREADS_PROBE = """
+import ctypes, glob, multiprocessing, os
+from concurrent.futures import ProcessPoolExecutor
+import numpy, scipy
+import pmtc
+
+def threads():
+    return [getattr(ctypes.CDLL(path), name)()
+            for package, pattern, name in [
+                (numpy, "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+                (scipy, "libscipy_openblas-*.so", "scipy_openblas_get_num_threads")]
+            for path in glob.glob(os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                                               package.__name__ + ".libs", pattern))]
+
+with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+    in_worker = pool.submit(threads).result(timeout=60)
+assert threads() == in_worker == [1, 1], (threads(), in_worker)
+"""
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["unset", "2"])
+def test_importing_pmtc_runs_the_bundled_openblas_on_one_thread(blas_threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    run = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_top_eigvecs_errors():
     g = np.eye(3)
     for rank in (0, 4):
@@ -446,29 +479,6 @@ def test_only_full_size_products_on_two_cores_reach_the_kernel_thread(
     assert len(kernel_pool.halves) == halves
 
 
-@pytest.mark.parametrize("blas_threads, split_modes", [
-    (None, [1]),  # OpenBLAS's default threads spread the one GEMM themselves
-    ("2", [1]),
-    ("1", [0, 1, 2]),
-])
-def test_a_threaded_blas_keeps_the_one_gemm_whole(kernel_pool, monkeypatch, blas_threads,
-                                                  split_modes):
-    if blas_threads is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((128, 128, 64))  # 2**20 entries
-    split = []
-    for mode in range(x.ndim):
-        u = rng.standard_normal((5, x.shape[mode]))
-        before = len(kernel_pool.halves)
-        assert np.array_equal(mode_product(x, mode, u), _unsplit(x, mode, u, monkeypatch))
-        if len(kernel_pool.halves) > before:
-            split.append(mode)
-    assert split == split_modes
-
-
 @pytest.mark.parametrize("cores, halves", [(2, 0), (3, 1)])
 def test_no_product_splits_while_fitting_threads_fill_the_cores(kernel_pool, monkeypatch,
                                                                 cores, halves):
@@ -507,7 +517,6 @@ def test_a_pool_worker_keeps_its_products_whole(monkeypatch):
     # the workers fill the cores between them, so a worker never starts a
     # kernel thread, also when its parent has one
     monkeypatch.setattr(tensor, "usable_cores", lambda: 2)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # else mode 0 never splits
     rng = np.random.default_rng(4)
     x, u = rng.standard_normal((128, 128, 64)), rng.standard_normal((5, 128))
     want = mode_product(x, 0, u)
@@ -523,7 +532,6 @@ def test_a_forked_process_splits_on_its_own_kernel_thread(monkeypatch):
     # handed its half to the parent's kernel thread, which it does not have,
     # it would wait for ever; the alarm ends it instead.
     monkeypatch.setattr(tensor, "usable_cores", lambda: 2)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # else mode 0 never splits
     rng = np.random.default_rng(4)
     x, u = rng.standard_normal((128, 128, 64)), rng.standard_normal((5, 128))
     want = mode_product(x, 0, u)
