@@ -4,8 +4,9 @@ Coupled low-rank subspace estimation for a characteristics tensor and an
 outcome panel sharing their first mode, spectral warm starts, Lloyd-style
 membership refinement with orthogonal projections, group-level factor
 loading estimation, and a reproducible Monte Carlo harness.  Importing
-``pmtc`` sets the OpenBLAS bundled with numpy and SciPy to one thread for the
-whole process, the caller's own numpy and SciPy calls included.
+``pmtc`` sets the OpenBLAS bundled with numpy, which runs all of its BLAS and
+LAPACK, to one thread for the whole process, the caller's own numpy calls
+included (SciPy's too, where numpy bundles none: see ``pmtc.tensor``).
 """
 
 __version__ = "0.1.0"

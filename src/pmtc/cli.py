@@ -30,7 +30,7 @@ from .experiments import run_experiment, write_panels, write_results_csv
 from .pipeline import evaluate_rolling, evaluate_split, fit_pmtc, rank_normalize
 from .presets import PRESET_NAMES, build_preset
 from .simulate import InfeasibleDesignError
-from .tensor import blas_threads, usable_cores
+from .tensor import blas_build, blas_threads, usable_cores
 
 _EXIT_CONFIG = 2
 _EXIT_INFEASIBLE = 3
@@ -128,6 +128,7 @@ def _versions() -> dict:
         "scipy": scipy.__version__,
         "python": ".".join(map(str, sys.version_info[:3])),
         "blas_threads": blas_threads(),
+        "blas": blas_build(),
     }
 
 

@@ -13,9 +13,9 @@ entries or more is split in two: the calling thread computes one half and
 the process's one kernel thread (``pmtc-kernel``, idle between products)
 the other.  The cut falls where no bit changes: between the batch's GEMMs
 for a middle mode, else between the one GEMM's columns (mode 0) or rows
-(last mode), at a multiple of 64.  Importing this module sets the OpenBLAS
-copies bundled with numpy and SciPy to one thread for the whole process, so
-the BLAS neither spreads that GEMM itself nor contends with a pool's workers.
+(last mode), at a multiple of 64.  Importing this module sets each bundled
+OpenBLAS it calls to one thread for the whole process, so the BLAS neither
+spreads that GEMM itself nor contends with a pool's workers.
 No product splits in a process that multiprocessing started (a pool's worker,
 whose siblings fill the cores), nor while the threads inside
 :func:`sharing_cores` fill them.
@@ -32,15 +32,18 @@ On a C-contiguous tensor the mode-1 unfolding is a free view and the last
 mode's a free transposed (Fortran-ordered) view; any other is a copy, so
 it is taken only of small projected tensors and single slabs.
 
-The one LAPACK routine, ``dsyevr`` (:func:`top_eigvecs`), is loaded on import
-from SciPy's extension ``scipy/linalg/_flapack`` alone, as ``pmtc._flapack``:
-importing ``scipy.linalg`` for it would cost each process about 0.2 s and 20 MB.
+The one LAPACK routine, ``dsyevr`` (:func:`top_eigvecs`), is called through
+``ctypes`` in numpy's bundled OpenBLAS (Linux numpy-2 wheels): one OpenBLAS and
+no SciPy module per process.  Where numpy bundles none, import loads SciPy's
+extension ``scipy/linalg/_flapack`` alone instead, as ``pmtc._flapack`` (all of
+``scipy.linalg`` would cost about 0.2 s and 20 MB), and pins SciPy's OpenBLAS.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import math
 import os
@@ -50,7 +53,6 @@ from concurrent.futures import ThreadPoolExecutor
 from importlib import machinery, util
 
 import numpy as np
-import scipy
 
 __all__ = [
     "matricize",
@@ -69,20 +71,30 @@ _fitting: set[int] = set()  # the threads inside sharing_cores()
 _kernel_pools: dict[int, ThreadPoolExecutor] = {}  # by process id: a forked child makes its own
 
 
-# SciPy's LAPACK extension, loaded alone (see the module docstring)
-_LINALG_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-_spec = machinery.FileFinder(_LINALG_DIR, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
-                             ).find_spec("pmtc._flapack")
-if _spec is None:
-    raise ImportError(f"SciPy's LAPACK extension _flapack is not in {_LINALG_DIR}")
-_flapack = sys.modules[_spec.name] = util.module_from_spec(_spec)
-_spec.loader.exec_module(_flapack)
+# numpy's bundled OpenBLAS (Linux numpy-2 wheels), whose names end in 64_; its LAPACK has dsyevr
+_OPENBLAS = [(ctypes.CDLL(path), "64_") for path in
+             glob.glob(f"{glob.escape(os.path.dirname(np.__file__))}.libs/libscipy_openblas64_*.so")]
+_dsyevr = getattr(_OPENBLAS[0][0], "scipy_dsyevr_64_", None) if _OPENBLAS else None
+if _dsyevr is not None:  # (jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz,
+    # work, lwork, iwork, liwork, info), then the three strings' hidden lengths
+    _i, _d = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    _f, _j = (np.ctypeslib.ndpointer(dtype, flags="F") for dtype in (np.float64, np.int64))
+    _dsyevr.argtypes = [ctypes.c_char_p] * 3 + [_i, _f, _i, _d, _d, _i, _i, _d, _i, _f, _f, _i, _j, _f, _i,
+                                                _j, _i, _i] + [ctypes.c_size_t] * 3
+    _dsyevr.restype = None
+else:  # no such library: SciPy's LAPACK extension, loaded alone (module docstring)
+    import scipy
 
-# numpy's and SciPy's bundled OpenBLAS, each with its names' suffix; any other BLAS is left as it is
-_OPENBLAS = [(ctypes.CDLL(path), suffix) for package, name, suffix in (
-    (np, "libscipy_openblas64_", "64_"), (scipy, "libscipy_openblas-", ""))
-    for path in glob.glob(f"{glob.escape(os.path.dirname(package.__file__))}.libs/{name}*.so")]
-for _lib, _suffix in _OPENBLAS:  # void scipy_openblas_set_num_threads(int)
+    _LINALG_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    _spec = machinery.FileFinder(_LINALG_DIR, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+                                 ).find_spec("pmtc._flapack")
+    if _spec is None:
+        raise ImportError(f"SciPy's LAPACK extension _flapack is not in {_LINALG_DIR}")
+    _flapack = sys.modules[_spec.name] = util.module_from_spec(_spec)
+    _spec.loader.exec_module(_flapack)
+    _OPENBLAS += [(ctypes.CDLL(path), "") for path in
+                  glob.glob(f"{glob.escape(os.path.dirname(scipy.__file__))}.libs/libscipy_openblas-*.so")]
+for _lib, _suffix in _OPENBLAS:  # void scipy_openblas_set_num_threads(int); any other BLAS is left as it is
     ctypes.CFUNCTYPE(None, ctypes.c_int)((f"scipy_openblas_set_num_threads{_suffix}", _lib))(1)
 
 
@@ -95,6 +107,12 @@ def blas_threads() -> int | None:
     """The most threads a bundled OpenBLAS runs: 1, or None where numpy and SciPy bundle none."""
     return max((ctypes.CFUNCTYPE(ctypes.c_int)((f"scipy_openblas_get_num_threads{suffix}", lib))()
                 for lib, suffix in _OPENBLAS), default=None)
+
+
+def blas_build() -> str | None:
+    """The build string of numpy's bundled OpenBLAS, which runs every kernel; None where there is none."""
+    return next((ctypes.CFUNCTYPE(ctypes.c_char_p)(("scipy_openblas_get_config64_", lib))().decode()
+                 for lib, suffix in _OPENBLAS if suffix), None)
 
 
 @contextlib.contextmanager
@@ -215,20 +233,46 @@ def top_eigvecs(g: np.ndarray, rank: int) -> np.ndarray:
     Only those eigenpairs are solved for: ``dsyevr`` (module docstring) gets
     the arguments ``scipy.linalg.eigh(g, subset_by_index=[m - rank, m - 1])``
     gives it, workspace sizes too (the default ones change the bits), so the
-    two agree bit for bit.  Non-finite entries and a rank outside 1..m raise
-    ``ValueError``.  Signs follow :func:`lsvd`'s rule, so for a Gram
-    ``g = a @ a.T`` of a wide ``a`` the result is ``lsvd(a, rank)`` bit for bit.
+    two agree bit for bit (SciPy's OpenBLAS on one thread too).  Non-finite
+    entries, a non-square ``g`` and a rank outside 1..m raise ``ValueError``.
+    Signs follow :func:`lsvd`'s rule, so for a Gram ``g = a @ a.T`` of a wide
+    ``a`` the result is ``lsvd(a, rank)`` bit for bit.
     """
     g = np.asarray_chkfinite(g)
     m = g.shape[0]
-    if not 1 <= rank <= m:
-        raise ValueError(f"rank {rank} invalid for a {m} x {m} matrix")
-    lwork, liwork, _ = _flapack.dsyevr_lwork(n=m, lower=1)
-    _, vecs, _, _, info = _flapack.dsyevr(g, compute_v=1, range="I", lower=1, il=m - rank + 1, iu=m,
-                                          lwork=int(lwork), liwork=liwork)
+    if g.shape != (m, m) or not 1 <= rank <= m:
+        raise ValueError(f"top_eigvecs needs a square matrix and a rank in 1..m, not {g.shape}, rank {rank}")
+    if _dsyevr is not None:
+        vecs, info = _numpy_dsyevr(g, rank)
+    else:
+        lwork, liwork, _ = _flapack.dsyevr_lwork(n=m, lower=1)
+        _, vecs, _, _, info = _flapack.dsyevr(g, compute_v=1, range="I", lower=1, il=m - rank + 1, iu=m,
+                                              lwork=int(lwork), liwork=liwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info {info}")
     return _fix_signs(vecs[:, ::-1].copy())
+
+
+def _numpy_dsyevr(g: np.ndarray, rank: int) -> tuple[np.ndarray, int]:
+    """``_flapack.dsyevr``'s call on numpy's OpenBLAS: the top eigenvectors, smallest first, and info."""
+    m, i64 = len(g), ctypes.c_int64
+    (lwork, liwork), n, info, zero = _dsyevr_workspace(m), i64(m), i64(), ctypes.c_double()
+    a, w, vecs = np.array(g, float, order="F"), np.empty(m), np.empty((m, rank), order="F")
+    _dsyevr(b"V", b"I", b"L", n, a, n, zero, zero, i64(m - rank + 1), n, zero, i64(), w, vecs, n,
+            np.empty(2 * m, np.int64), np.empty(lwork), i64(lwork), np.empty(liwork, np.int64), i64(liwork),
+            info, 1, 1, 1)
+    return vecs, info.value
+
+
+@functools.lru_cache
+def _dsyevr_workspace(m: int) -> tuple[int, int]:
+    """``dsyevr``'s optimal lwork and liwork at order ``m``, which depend on ``m`` alone, from a
+    workspace query (lwork = liwork = -1); a query touches no array but ``work`` and ``iwork``."""
+    i64, zero, n, query = ctypes.c_int64, ctypes.c_double(), ctypes.c_int64(m), ctypes.c_int64(-1)
+    work, iwork = np.zeros(1), np.zeros(1, np.int64)  # a failed query leaves 0: the solve then fails
+    _dsyevr(b"V", b"I", b"L", n, work, n, zero, zero, i64(1), n, zero, i64(), work, work, n, iwork, work, query,
+            iwork, query, i64(), 1, 1, 1)
+    return int(work[0]), int(iwork[0])
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:

@@ -420,6 +420,7 @@ def test_manifest_replay_keeps_hash_and_results(tmp_path, capsys):
     a, b = _read_json(first / "manifest.json"), _read_json(replay / "manifest.json")
     assert a["config_hash"] == b["config_hash"]
     assert a["versions"]["blas_threads"] == b["versions"]["blas_threads"] == 1
+    assert a["versions"]["blas"] == b["versions"]["blas"] and a["versions"]["blas"].startswith("OpenBLAS ")
     assert a["resolved_params"] == b["resolved_params"]
     assert (first / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
     capsys.readouterr()

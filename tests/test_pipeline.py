@@ -253,7 +253,7 @@ def test_rank_normalize_matches_average_ranks_with_ties():
 _IMPORT_PROBE = """
 import sys
 import numpy as np
-import pmtc, pmtc.cli, pmtc.experiments, pmtc.presets
+import pmtc, pmtc.experiments, pmtc.presets
 from pmtc.membership import Membership
 from pmtc.metrics import cer
 from pmtc.pipeline import fit_pmtc
@@ -268,15 +268,24 @@ def pool_loaded():  # subprocess is not among them: `import scipy` loads it
     return sorted(m for m in sys.modules if m.lstrip("_").startswith(("multiprocessing", "socket"))
                   or m in ("__mp_main__", "concurrent.futures.process"))
 
-assert not loaded(), loaded()
+def scipy_loaded():  # any module of SciPy's, or its OpenBLAS
+    with open("/proc/self/maps") as maps:
+        blas = ["libscipy_openblas-"] if "libscipy_openblas-" in maps.read() else []
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy") + blas
+
+assert not scipy_loaded(), scipy_loaded()
 assert not pool_loaded(), pool_loaded()
-# every spectral step runs LAPACK without scipy.linalg: a fit, and a coupled harness job
+# every spectral step runs LAPACK on numpy's OpenBLAS, without SciPy: a fit, and a coupled harness job
 design = SimDesign(dims=(60, 50), T=30, gamma_x=0.1, seed=1)
 data, truth = gen_pmtc(design)
 fit_pmtc(data.x, data.y, design.ranks, factors=truth.f, omega="auto")
 assert not pool_loaded(), pool_loaded()
 pmtc.experiments._run_one((design, 0))
+assert not scipy_loaded(), scipy_loaded()
+assert "subprocess" not in sys.modules  # which `import scipy` loads
 assert not pool_loaded(), pool_loaded()
+import pmtc.cli  # imports the top-level scipy package, for the manifest's versions
+assert not loaded(), loaded()
 # only a run that starts a process pool loads one
 run = build_preset("fig2", {"p1": 20, "p2": 16, "T": 8, "gamma_y_grid": "-0.1",
                             "gamma_x_grid": "-0.5,0.1", "replications": 1})

@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import math
 import multiprocessing
 import os
@@ -230,7 +232,11 @@ def _gram(rng, m, kind, scale):
 
 
 def _eigh_top(g, rank):
-    """scipy.linalg.eigh's top-rank eigenvectors, largest first, with lsvd's signs."""
+    """scipy.linalg.eigh's top-rank eigenvectors, largest first, with lsvd's signs.  It runs
+    SciPy's own bundled OpenBLAS, set here to one thread as pmtc sets numpy's: from m = 200
+    up, dsyevr's bits depend on the thread count."""
+    for path in glob.glob(f"{glob.escape(os.path.dirname(scipy.__file__))}.libs/libscipy_openblas-*.so"):
+        ctypes.CDLL(path).scipy_openblas_set_num_threads(1)
     m = len(g)
     return tensor._fix_signs(scipy.linalg.eigh(g, subset_by_index=[m - rank, m - 1])[1][:, ::-1].copy())
 
@@ -245,7 +251,8 @@ def test_top_eigvecs_is_scipy_eigh_bit_for_bit(m, scale, rank, kind):
     assert np.array_equal(top_eigvecs(g, rank), _eigh_top(g, rank))
 
 
-# in a fresh interpreter, whichever of scipy.linalg and pmtc loads LAPACK first
+# in a fresh interpreter, whichever of scipy.linalg and pmtc loads LAPACK first; pmtc
+# takes dsyevr from numpy's OpenBLAS and loads no _flapack of its own
 _EIGH_PROBE = """
 import sys
 import numpy as np
@@ -253,41 +260,71 @@ import numpy as np
 from test_tensor import _eigh_top, _gram
 from pmtc.tensor import top_eigvecs
 
-assert "_flapack" not in sys.modules and "pmtc._flapack" in sys.modules
+assert "_flapack" not in sys.modules and "pmtc._flapack" not in sys.modules
 for m, rank in ((5, 2), (200, 5)):
     g = _gram(np.random.default_rng(m), m, "generic", 1.0)
     assert np.array_equal(top_eigvecs(g, rank), _eigh_top(g, rank))
 """
 
 
-@pytest.mark.parametrize("imports", ["import scipy.linalg\nimport pmtc", "import pmtc\nimport scipy.linalg"],
-                         ids=["scipy-first", "pmtc-first"])
-def test_top_eigvecs_is_scipy_eigh_whichever_is_imported_first(imports):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__), *sys.path])}
-    run = subprocess.run([sys.executable, "-c", _EIGH_PROBE.format(imports)], capture_output=True,
-                         text=True, env=env, timeout=120)
+def _run_probe(probe, env=None):
+    env = {**(os.environ if env is None else env),
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(__file__), *sys.path])}
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                         timeout=120)
     assert run.returncode == 0, run.stderr
 
 
-# in a fresh interpreter: every bundled OpenBLAS runs one thread once pmtc is imported, in this
-# process and in a forked pool worker, whatever OPENBLAS_NUM_THREADS says
+@pytest.mark.parametrize("imports", ["import scipy.linalg\nimport pmtc", "import pmtc\nimport scipy.linalg"],
+                         ids=["scipy-first", "pmtc-first"])
+def test_top_eigvecs_is_scipy_eigh_whichever_is_imported_first(imports):
+    _run_probe(_EIGH_PROBE.format(imports))
+
+
+# in a fresh interpreter whose numpy bundles no OpenBLAS, as seen by pmtc's lookup: pmtc
+# loads SciPy's LAPACK extension for dsyevr and sets SciPy's OpenBLAS to one thread
+_FALLBACK_PROBE = """
+import ctypes, glob, os, sys
+import numpy as np
+find = glob.glob
+glob.glob = lambda pattern, **kw: [] if "libscipy_openblas64_" in pattern else find(pattern, **kw)
+import pmtc
+glob.glob = find
+import scipy
+from test_tensor import _eigh_top, _gram
+from pmtc import tensor
+
+assert "pmtc._flapack" in sys.modules and tensor._dsyevr is None
+[path] = glob.glob(os.path.dirname(scipy.__file__) + ".libs/libscipy_openblas-*.so")
+assert ctypes.CDLL(path).scipy_openblas_get_num_threads() == 1
+for m, rank in ((5, 2), (200, 5)):
+    g = _gram(np.random.default_rng(m), m, "generic", 1.0)
+    assert np.array_equal(tensor.top_eigvecs(g, rank), _eigh_top(g, rank))
+"""
+
+
+def test_without_numpys_openblas_top_eigvecs_runs_scipys_on_one_thread():
+    _run_probe(_FALLBACK_PROBE)
+
+
+# in a fresh interpreter: numpy's bundled OpenBLAS runs one thread once pmtc is imported, in
+# this process and in a forked pool worker, whatever OPENBLAS_NUM_THREADS says, and SciPy's
+# is never loaded
 _BLAS_THREADS_PROBE = """
 import ctypes, glob, multiprocessing, os
 from concurrent.futures import ProcessPoolExecutor
-import numpy, scipy
+import numpy
 import pmtc
 
 def threads():
-    return [getattr(ctypes.CDLL(path), name)()
-            for package, pattern, name in [
-                (numpy, "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
-                (scipy, "libscipy_openblas-*.so", "scipy_openblas_get_num_threads")]
-            for path in glob.glob(os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                                               package.__name__ + ".libs", pattern))]
+    return [ctypes.CDLL(path).scipy_openblas_get_num_threads64_()
+            for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas64_*.so")]
 
 with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
     in_worker = pool.submit(threads).result(timeout=60)
-assert threads() == in_worker == [1, 1], (threads(), in_worker)
+assert threads() == in_worker == [1], (threads(), in_worker)
+with open("/proc/self/maps") as maps:
+    assert "libscipy_openblas-" not in maps.read()
 """
 
 
@@ -296,10 +333,7 @@ def test_importing_pmtc_runs_the_bundled_openblas_on_one_thread(blas_threads):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    run = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], capture_output=True,
-                         text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
+    _run_probe(_BLAS_THREADS_PROBE, env)
 
 
 def test_top_eigvecs_errors():
@@ -307,6 +341,9 @@ def test_top_eigvecs_errors():
     for rank in (0, 4):
         with pytest.raises(ValueError, match="rank"):
             top_eigvecs(g, rank)
+    for shape in ((3, 2), (2, 3), (3,)):  # never read past the array
+        with pytest.raises(ValueError, match="square"):
+            top_eigvecs(np.ones(shape), 1)
     for bad in (np.nan, np.inf, -np.inf):
         g[0, 2] = bad  # the upper triangle, which dsyevr never reads: checked all the same
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -388,7 +425,7 @@ def test_lsvd_path_follows_shape(monkeypatch):
         full = lsvd(wide, 5)  # rank == rows: every eigenpair
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigh", forbidden)
-        m.setattr(tensor._flapack, "dsyevr", forbidden)
+        m.setattr(tensor, "_dsyevr", forbidden)
         lsvd(tall, 2)
         lsvd(tall[:5], 2)  # square
     uf, _, _ = np.linalg.svd(wide, full_matrices=False)  # descending singular values
